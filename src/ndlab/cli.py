@@ -290,17 +290,29 @@ def cmd_analyze(args) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
+def _config_int(doc: dict, key: str, default: int | None = None) -> int | None:
+    """An integer field of a simulate config, or null where the default is
+    null; floats, strings and booleans are refused rather than coerced."""
+    value = doc.get(key, default)
+    if value is None and default is None:
+        return None
+    if not isinstance(value, int) or isinstance(value, bool):
+        kind = "an integer or null" if default is None else "an integer"
+        raise ValueError(f"config field {key!r} must be {kind}, got {value!r}")
+    return value
+
+
 def cmd_simulate(args) -> int:
     with open(args.config) as fh:
         doc = json.load(fh)
     devices = tuple(protocol_from_json(d) for d in doc["devices"])
     cfg = SimConfig(
         devices=devices,
-        trials=int(doc.get("trials", 1)),
-        seed=int(doc.get("seed", 0)),
-        horizon=doc.get("horizon"),
+        trials=_config_int(doc, "trials", 1),
+        seed=_config_int(doc, "seed", 0),
+        horizon=_config_int(doc, "horizon"),
         offset_sampling=OffsetSampling(doc.get("offset_sampling", "uniform_random")),
-        latency_budget=doc.get("latency_budget"),
+        latency_budget=_config_int(doc, "latency_budget"),
     )
     outcome = simulate_multi(cfg)
 

@@ -8,7 +8,7 @@ rejected on input so that coverage and latency results stay bit-exact.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import lcm
@@ -305,7 +305,3 @@ def save_protocol(p: ProtocolSpec, path) -> None:
 def load_protocol(path) -> ProtocolSpec:
     with open(path) as fh:
         return protocol_from_json(json.load(fh))
-
-
-def with_omega(radio: RadioModel, omega: int) -> RadioModel:
-    return replace(radio, omega=omega)

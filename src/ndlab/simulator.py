@@ -9,11 +9,11 @@ turnaround-padded duration of its own beacon.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import chain, product
 from math import lcm
 from typing import Sequence
 
@@ -74,113 +74,97 @@ class SimOutcome:
 
 
 # ---------------------------------------------------------------------------
-# one device's timeline
+# one device's timeline, compiled once per call
 # ---------------------------------------------------------------------------
 
-class _Device:
-    def __init__(self, spec: ProtocolSpec, phase: int):
+def _edges(spans) -> list[int]:
+    """Flattened span boundaries: a tick lies in the spans exactly when
+    bisect_right(edges, tick) is odd."""
+    return [x for span in spans for x in span]
+
+
+class _CompiledDevice:
+    """The phase-free part of a device's timeline.  A phase only shifts it,
+    so every trial of a call shares one instance and supplies the phase."""
+
+    def __init__(self, spec: ProtocolSpec):
+        b, r = spec.beacons, spec.radio
         self.spec = spec
-        self.phase = phase
-        self.omega = spec.beacons.beacon_duration
-        b = spec.beacons
-        self.has_beacons = b.count > 0
-        self.t_b = b.period if b.repetitive else None
+        self.omega = b.beacon_duration
         self.taus = b.emission_times
-        r = spec.radio
+        self.t_b = b.period if b.repetitive else None
         self.t_c = spec.receptions.period
+        self.contained = r.semantics is Semantics.CONTAINED
         # own transmissions block reception from turnaround-before to
         # turnaround-after the beacon
-        if self.has_beacons and self.t_b is not None:
-            spans = []
-            for tau in self.taus:
-                spans.append((tau - r.d_oRxTx, tau + self.omega + r.d_oTxRx))
-            self.blocked = _mod_spans(spans, self.t_b)
+        if self.taus and self.t_b is not None:
+            spans = [(tau - r.d_oRxTx, tau + self.omega + r.d_oTxRx) for tau in self.taus]
+            self.blocked = iv.shift_mod(spans, 0, self.t_b)
         else:
             self.blocked = ()
-        self._eff_cache: dict[int, tuple] = {}
 
-    def emissions_after(self, t_max: int):
-        """Global emission start times in (0, t_max], sorted."""
-        if not self.has_beacons:
-            return []
-        out = []
+    def emissions(self, phase: int, t_max: int):
+        """Global emission start times in (0, t_max], lazily and sorted."""
         if self.t_b is None:
-            for tau in self.taus:
-                t = tau - self.phase
-                if 0 < t <= t_max:
-                    out.append(t)
-        else:
-            for tau in self.taus:
-                t = (tau - self.phase - 1) % self.t_b + 1
-                while t <= t_max:
-                    out.append(t)
-                    t += self.t_b
-        out.sort()
-        return out
+            yield from (tau - phase for tau in self.taus if 0 < tau - phase <= t_max)
+            return
+        if not self.taus:
+            return
+        firsts = sorted((tau - phase - 1) % self.t_b + 1 for tau in self.taus)
+        for base in range(0, t_max, self.t_b):
+            for t in firsts:
+                if base + t > t_max:
+                    return
+                yield base + t
 
-    def transmits_overlapping(self, t: int, width: int) -> bool:
-        """True when any of this device's beacons (running forever) overlaps
-        the global interval [t, t + width)."""
-        if not self.has_beacons:
-            return False
-        lo = t - self.omega + 1  # earliest start that still overlaps
-        span = width + self.omega - 1  # number of candidate start ticks
-        if self.t_b is None:
-            return any(lo <= tau - self.phase < lo + span for tau in self.taus)
-        if span >= self.t_b:
-            return True
-        for tau in self.taus:
-            if ((tau - self.phase - lo) % self.t_b) < span:
-                return True
-        return False
+    def jammer(self, width: int):
+        """overlaps(phase, t): whether any of this device's beacons (running
+        forever) overlaps the global interval [t, t + width).  The device
+        must have beacons."""
+        span = width + self.omega - 1  # number of overlapping start ticks
+        # a beacon at global s overlaps when 0 <= s + omega - 1 - t < span,
+        # so only the first such mark at or after t needs a look
+        marks = [tau + self.omega - 1 for tau in self.taus]  # sorted, as the taus are
+        t_b = self.t_b
+        if t_b is None:
+            marks.append(float("inf"))
+            return lambda phase, t: marks[bisect_left(marks, phase + t)] - phase - t < span
+        if span >= t_b:
+            return lambda phase, t: True
+        marks = sorted(x % t_b for x in marks)
+        marks.append(marks[0] + t_b)  # the next period's first mark
 
-    def hears(self, t: int, tx_omega: int, self_blocking: bool) -> bool:
-        """Whether a remote beacon starting at global t is received."""
+        def overlaps(phase: int, t: int) -> bool:
+            q = (phase + t) % t_b
+            return marks[bisect_left(marks, q)] - q < span
+
+        return overlaps
+
+    def listener(self, tx_omega: int, self_blocking: bool):
+        """hears(phase, t): whether a remote beacon of tx_omega ticks starting
+        at global t is received."""
         spec = self.spec
-        eff = self._eff_cache.get(tx_omega)
-        if eff is None:
-            eff = effective_window_spans(spec.receptions, spec.radio.semantics, tx_omega)
-            self._eff_cache[tx_omega] = eff
-        u = (self.phase + t) % self.t_c
-        if not iv.contains(eff, u):
-            return False
-        if self_blocking and self.blocked:
-            v = (self.phase + t) % self.t_b
-            if spec.radio.semantics is Semantics.CONTAINED:
-                probe = _mod_spans([(v, v + tx_omega)], self.t_b)
-                return not iv.intersect(probe, self.blocked)
-            return not iv.contains(self.blocked, v)
-        return True
+        eff = _edges(effective_window_spans(spec.receptions, spec.radio.semantics, tx_omega))
+        t_c, t_b = self.t_c, self.t_b
+        if not (self_blocking and self.blocked):
+            return lambda phase, t: bisect_right(eff, (phase + t) % t_c) & 1
+        # under CONTAINED the whole beacon [v, v + tx_omega) must miss the
+        # blocked spans, so a blocked [a, b) deafens every v in [a - tx_omega + 1, b)
+        reach = tx_omega - 1 if self.contained else 0
+        deaf = _edges(iv.shift_mod([(a - reach, b) for a, b in self.blocked], 0, t_b))
+        return lambda phase, t: (
+            bisect_right(eff, (phase + t) % t_c) & 1
+            and not bisect_right(deaf, (phase + t) % t_b) & 1
+        )
 
 
-def _mod_spans(spans, period: int) -> tuple[tuple[int, int], ...]:
-    """Reduce absolute spans onto a circle of the given period."""
-    out = []
-    for a, b in spans:
-        length = b - a
-        if length <= 0:
-            continue
-        if length >= period:
-            return ((0, period),)
-        s = a % period
-        if s + length <= period:
-            out.append((s, s + length))
-        else:
-            out.append((s, period))
-            out.append((0, s + length - period))
-    return iv.normalize(out)
+def _first_heard(emissions, hears, phase: int):
+    return next((t for t in emissions if hears(phase, t)), None)
 
 
 # ---------------------------------------------------------------------------
 # pairwise simulation
 # ---------------------------------------------------------------------------
-
-def _one_direction(tx: _Device, rx: _Device, horizon: int, self_blocking: bool):
-    for t in tx.emissions_after(horizon):
-        if rx.hears(t, tx.omega, self_blocking):
-            return t
-    return None
-
 
 def simulate_pair(
     e: ProtocolSpec,
@@ -197,10 +181,13 @@ def simulate_pair(
     """
     if horizon is None:
         horizon = 2 * lcm(e.device_period, f.device_period)
-    dev_e = _Device(e, phase_e)
-    dev_f = _Device(f, phase_f)
-    lat_ef = _one_direction(dev_e, dev_f, horizon, self_blocking)
-    lat_fe = _one_direction(dev_f, dev_e, horizon, self_blocking)
+    dev_e, dev_f = _CompiledDevice(e), _CompiledDevice(f)
+    lat_ef = _first_heard(
+        dev_e.emissions(phase_e, horizon), dev_f.listener(dev_e.omega, self_blocking), phase_f
+    )
+    lat_fe = _first_heard(
+        dev_f.emissions(phase_f, horizon), dev_e.listener(dev_f.omega, self_blocking), phase_e
+    )
     return lat_ef, lat_fe
 
 
@@ -222,22 +209,14 @@ def exhaustive_pair_worst_case(
     p_f = f.receptions.period if not self_blocking else f.device_period
     if horizon is None:
         horizon = 2 * lcm(e.device_period, f.device_period)
-    eff_cache: dict[int, _Device] = {}
+    dev_e = _CompiledDevice(e)
+    hears = _CompiledDevice(f).listener(dev_e.omega, self_blocking)
     for pe in range(p_e):
-        dev_e = _Device(e, pe)
-        emissions = dev_e.emissions_after(horizon)
+        emissions = list(dev_e.emissions(pe, horizon))
         if not emissions:
             return None
         for pf in range(p_f):
-            dev_f = eff_cache.get(pf)
-            if dev_f is None:
-                dev_f = _Device(f, pf)
-                eff_cache[pf] = dev_f
-            lat = None
-            for t in emissions:
-                if dev_f.hears(t, dev_e.omega, self_blocking):
-                    lat = t
-                    break
+            lat = _first_heard(emissions, hears, pf)
             if lat is None:
                 return None
             worst = max(worst, lat)
@@ -252,89 +231,67 @@ def _derive_seed(seed: int, trial: int) -> int:
     return (seed * 0x9E3779B97F4A7C15 + trial * 0xBF58476D1CE4E5B9 + 1) % (1 << 64)
 
 
-def _run_trial(cfg: SimConfig, phases: Sequence[int], horizon: int):
-    devices = [_Device(spec, ph) for spec, ph in zip(cfg.devices, phases)]
-    joiner, receiver = devices[0], devices[1]
-    others = devices[1:]
-
-    emissions = joiner.emissions_after(horizon)
-    if not emissions:
-        return None, False, None, True
-
-    first = emissions[0]
-    first_collided = any(d.transmits_overlapping(first, joiner.omega) for d in others)
-
-    latency = None
-    covering_collided = None
-    for t in emissions:
-        if not receiver.hears(t, joiner.omega, self_blocking=True):
-            continue
-        collided = any(d.transmits_overlapping(t, joiner.omega) for d in others)
-        if covering_collided is None:
-            covering_collided = collided
-        if not collided:
-            latency = t
-            break
-
+def _trial_runner(cfg: SimConfig, horizon: int):
+    """Compile the devices once; the returned run(phases) plays one trial."""
+    devices = [_CompiledDevice(spec) for spec in cfg.devices]
+    joiner = devices[0]
+    hears = devices[1].listener(joiner.omega, self_blocking=True)
+    # the receiver's own beacons also collide with the joiner's
+    jammers = [(i, d.jammer(joiner.omega)) for i, d in enumerate(devices) if i and d.taus]
     budget = cfg.latency_budget
-    failed = latency is None or (budget is not None and latency > budget)
-    return latency, first_collided, covering_collided, failed
+
+    def collided(phases: Sequence[int], t: int) -> bool:
+        return any(overlaps(phases[i], t) for i, overlaps in jammers)
+
+    def run(phases: Sequence[int]):
+        emissions = joiner.emissions(phases[0], horizon)
+        first = next(emissions, None)
+        if first is None:
+            return None, False, None, True
+        first_collided = collided(phases, first)
+
+        latency = None
+        covering_collided = None
+        for t in chain((first,), emissions):
+            if not hears(phases[1], t):
+                continue
+            hit = first_collided if t == first else collided(phases, t)
+            if covering_collided is None:
+                covering_collided = hit
+            if not hit:
+                latency = t
+                break
+
+        failed = latency is None or (budget is not None and latency > budget)
+        return latency, first_collided, covering_collided, failed
+
+    return run
 
 
 def simulate_multi(cfg: SimConfig) -> SimOutcome:
     """Seeded multi-device trials; identical config and seed give an
-    identical outcome regardless of ND_LAB_THREADS."""
+    identical outcome.  Trials run serially: the engine is pure Python and
+    bound by the interpreter lock, so threads cannot speed it up."""
     import random
 
     if cfg.offset_sampling is OffsetSampling.EXHAUSTIVE_TICKS:
-        return _simulate_exhaustive(cfg)
-
-    horizon = cfg.horizon or 4 * max(d.device_period for d in cfg.devices)
-    periods = [d.device_period for d in cfg.devices]
-
-    def trial(i: int):
-        rng = random.Random(_derive_seed(cfg.seed, i))
-        phases = tuple(rng.randrange(p) for p in periods)
-        return phases, _run_trial(cfg, phases, horizon)
-
-    workers = int(os.environ.get("ND_LAB_THREADS", "1") or "1")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(trial, range(cfg.trials), chunksize=256))
+        if len(cfg.devices) != 2:
+            raise ValueError("exhaustive phase sweep supports exactly two devices")
+        e, f = cfg.devices
+        horizon = cfg.horizon or 2 * lcm(e.device_period, f.device_period)
+        phases = tuple(product(range(e.device_period), range(f.device_period)))
     else:
-        results = [trial(i) for i in range(cfg.trials)]
+        horizon = cfg.horizon or 4 * max(d.device_period for d in cfg.devices)
+        periods = [d.device_period for d in cfg.devices]
+        phases = []
+        for i in range(cfg.trials):
+            rng = random.Random(_derive_seed(cfg.seed, i))
+            phases.append(tuple(rng.randrange(p) for p in periods))
+        phases = tuple(phases)
 
-    phases = tuple(r[0] for r in results)
-    lat = tuple(r[1][0] for r in results)
-    first = tuple(r[1][1] for r in results)
-    cover = tuple(r[1][2] for r in results)
-    failed = tuple(r[1][3] for r in results)
+    run = _trial_runner(cfg, horizon)
+    lat, first, cover, failed = zip(*map(run, phases))
     return SimOutcome(phases, lat, first, cover, failed, cfg.latency_budget)
-
-
-def _simulate_exhaustive(cfg: SimConfig) -> SimOutcome:
-    if len(cfg.devices) != 2:
-        raise ValueError("exhaustive phase sweep supports exactly two devices")
-    e, f = cfg.devices
-    horizon = cfg.horizon or 2 * lcm(e.device_period, f.device_period)
-    phases = []
-    lat = []
-    first = []
-    cover = []
-    failed = []
-    for pe in range(e.device_period):
-        for pf in range(f.device_period):
-            ph = (pe, pf)
-            res = _run_trial(cfg, ph, horizon)
-            phases.append(ph)
-            lat.append(res[0])
-            first.append(res[1])
-            cover.append(res[2])
-            failed.append(res[3])
-    return SimOutcome(
-        tuple(phases), tuple(lat), tuple(first), tuple(cover), tuple(failed),
-        cfg.latency_budget,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +332,6 @@ def measured_blocked_fraction(p: ProtocolSpec) -> Fraction:
         for tau in p.beacons.emission_times:
             s = tau + n * t_b
             blocked.append((s - r.d_oRxTx, s + r.omega + r.d_oTxRx))
-    blocked = _mod_spans(blocked, period)
+    blocked = iv.shift_mod(blocked, 0, period)
     lost = iv.measure(iv.intersect(windows, blocked))
     return Fraction(lost, iv.measure(windows))

@@ -162,6 +162,53 @@ def test_simulate_outputs_and_reproducibility(tmp_path):
     assert set(rows[0]) == {"trial_id", "phases", "latency_ticks", "collided_first", "failed"}
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("horizon", "200000"),
+        ("horizon", 200000.5),
+        ("horizon", True),
+        ("latency_budget", "5"),
+        ("latency_budget", 5.0),
+        ("latency_budget", False),
+        ("trials", 2.9),
+        ("trials", "3"),
+        ("trials", None),
+        ("trials", True),
+        ("seed", "11"),
+        ("seed", 1.5),
+        ("seed", None),
+        ("seed", False),
+    ],
+)
+def test_simulate_rejects_mistyped_config_values(tmp_path, capsys, key, value):
+    path = sim_config(tmp_path)
+    doc = json.loads(path.read_text())
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    assert run(["simulate", str(path), "--out-dir", str(out_dir)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ValueError"
+    assert key in err["detail"]
+    assert not out_dir.exists()
+
+
+def test_simulate_accepts_null_horizon_and_budget(tmp_path):
+    path = sim_config(tmp_path, trials=20)
+    doc = json.loads(path.read_text())
+    doc["horizon"] = None
+    doc["latency_budget"] = None
+    path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    assert run(["simulate", str(path), "--out-dir", str(out_dir)]) == 0
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary["latency_budget"] is None
+    assert summary["trials"] == 20
+
+
 def test_exhaustive_pair_simulation_matches_oracle(tmp_path):
     e = beaconer([0, 20, 40, 60], 80)
     f = listener([(0, 20)], 80)

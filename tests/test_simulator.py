@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 from fractions import Fraction as F
@@ -12,6 +13,7 @@ from ndlab import (
     RadioModel,
     ReceptionSchedule,
     ReceptionWindow,
+    Semantics,
     SimConfig,
     exhaustive_pair_worst_case,
     measured_blocked_fraction,
@@ -21,7 +23,8 @@ from ndlab import (
     simulate_pair,
     worst_case_latency_oracle,
 )
-from helpers import beaconer, listener, random_protocol
+from ndlab.protocols import gen_disco
+from helpers import beaconer, listener, random_protocol, random_reception
 
 
 def optimal_pair():
@@ -214,3 +217,186 @@ def test_random_protocol_pair_engines_agree():
             base = max(e.device_period, f.device_period)
             got, _ = simulate_pair(e, f, pe, pf, horizon=32 * base, self_blocking=False)
             assert got is None
+
+
+# ---------------------------------------------------------------------------
+# regression pins: sha256 of repr() of each result, recorded before the
+# simulator core was rewritten, so any drift in outcomes fails here
+# ---------------------------------------------------------------------------
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def _c7_devices(s: int):
+    """Criterion-7 set-up: one-beacon senders at beta = 1/200, an always-on
+    receiver in second place."""
+    sender = ProtocolSpec(
+        BeaconSchedule((0,), 100, period=20000),
+        ReceptionSchedule((ReceptionWindow(0, 1),), 20000),
+        RadioModel(omega=100),
+    )
+    receiver = ProtocolSpec(
+        BeaconSchedule((), 100, period=None),
+        ReceptionSchedule((ReceptionWindow(0, 20000),), 20000),
+        RadioModel(omega=100),
+    )
+    return (sender, receiver) + (sender,) * (s - 1)
+
+
+def _contained_devices():
+    """Mixed beacon lengths under CONTAINED semantics with turnarounds; the
+    receiver's blocked span wraps and one of its windows is shorter than
+    the joiner's beacon."""
+    joiner = ProtocolSpec(
+        BeaconSchedule((0, 37), 8, period=90),
+        ReceptionSchedule((ReceptionWindow(20, 30),), 60),
+        RadioModel(omega=8, d_oTxRx=3, d_oRxTx=5, semantics=Semantics.CONTAINED),
+    )
+    receiver = ProtocolSpec(
+        BeaconSchedule((2, 52), 5, period=100),
+        ReceptionSchedule(
+            (ReceptionWindow(0, 26), ReceptionWindow(40, 50), ReceptionWindow(93, 5)), 100
+        ),
+        RadioModel(omega=5, d_oTxRx=6, d_oRxTx=4, semantics=Semantics.CONTAINED),
+    )
+    interferer = ProtocolSpec(
+        BeaconSchedule((10,), 3, period=45),
+        ReceptionSchedule((ReceptionWindow(0, 1),), 45),
+        RadioModel(omega=3),
+    )
+    return joiner, receiver, interferer
+
+
+def _non_repetitive_devices():
+    joiner = ProtocolSpec(
+        BeaconSchedule((3, 40, 95, 170, 260), 2, period=None),
+        ReceptionSchedule((ReceptionWindow(0, 10),), 50),
+        RadioModel(omega=2),
+    )
+    receiver = listener([(0, 15), (30, 10)], 45, omega=2)
+    one_shot = ProtocolSpec(
+        BeaconSchedule((7, 70, 133), 2, period=None),
+        ReceptionSchedule((ReceptionWindow(0, 3),), 30),
+        RadioModel(omega=2),
+    )
+    return joiner, receiver, one_shot, beaconer([5], 33, omega=2)
+
+
+def _send_and_listen_pair():
+    e = beaconer([0, 7], 12, omega=2)
+    f = ProtocolSpec(
+        BeaconSchedule((1,), 2, period=9),
+        ReceptionSchedule((ReceptionWindow(0, 4), ReceptionWindow(6, 3)), 9),
+        RadioModel(omega=2, d_oTxRx=1, d_oRxTx=1),
+    )
+    return e, f
+
+
+def _random_device(rng: random.Random) -> ProtocolSpec:
+    omega = rng.randrange(1, 4)
+    radio = RadioModel(
+        omega=omega,
+        d_oTxRx=rng.randrange(4),
+        d_oRxTx=rng.randrange(4),
+        semantics=rng.choice((Semantics.IDEAL, Semantics.CONTAINED)),
+    )
+    while True:
+        repetitive = rng.random() < 0.8
+        t_b = rng.randrange(2 * omega + 2, 40)
+        times = sorted(rng.sample(range(t_b if repetitive else 60), rng.randrange(3)))
+        try:
+            beacons = BeaconSchedule(tuple(times), omega, t_b if repetitive else None)
+            return ProtocolSpec(beacons, random_reception(rng), radio)
+        except ValueError:
+            continue
+
+
+def _random_configs():
+    rng = random.Random(77)
+    out = []
+    for i in range(30):
+        devices = tuple(_random_device(rng) for _ in range(rng.randrange(2, 5)))
+        base = max(d.device_period for d in devices)
+        horizon = rng.choice((None, base, 3 * base))
+        budget = rng.choice((None, base // 2))
+        out.append(SimConfig(devices, trials=40, seed=i, horizon=horizon, latency_budget=budget))
+    return out
+
+
+PINNED_CONFIGS = {
+    "c7_S2": lambda: SimConfig(_c7_devices(2), trials=300, seed=42, horizon=200_000),
+    "c7_S5": lambda: SimConfig(_c7_devices(5), trials=300, seed=42, horizon=200_000),
+    "c7_S10": lambda: SimConfig(_c7_devices(10), trials=300, seed=42, horizon=200_000),
+    "disco_x3": lambda: SimConfig((gen_disco(3, 5, 100, 10),) * 3, trials=300, seed=11),
+    "contained_turnarounds": lambda: SimConfig(
+        _contained_devices(), trials=400, seed=3, horizon=2000
+    ),
+    "non_repetitive": lambda: SimConfig(
+        _non_repetitive_devices(), trials=400, seed=5, horizon=300
+    ),
+    "budget_fails": lambda: SimConfig(
+        optimal_pair() + (beaconer([3], 80),), trials=400, seed=2, horizon=800,
+        latency_budget=20,
+    ),
+    "exhaustive_self_blocking": lambda: SimConfig(
+        _send_and_listen_pair(), offset_sampling=OffsetSampling.EXHAUSTIVE_TICKS,
+        latency_budget=20,
+    ),
+    "exhaustive_disco": lambda: SimConfig(
+        (gen_disco(3, 5, 4, 1),) * 2, offset_sampling=OffsetSampling.EXHAUSTIVE_TICKS,
+    ),
+}
+
+PINNED_OUTCOMES = {
+    "budget_fails": "e6d1445749d64d91b2449d115a77eafeae05308773e78bf30e82aa9161e8f897",
+    "c7_S10": "15f373161ec0167ba334c496024205aa9b40a5fb88e94da6a08a85b5258da4c7",
+    "c7_S2": "2958190bae0a11533b646c2742ce63fc6daf7b3d36e135c9aabe236f89f41ec8",
+    "c7_S5": "f04c38b02070c9bf1fb8b3cdaca4b8c3d1a52ac2aa2574efb5a423ce74fcce0c",
+    "contained_turnarounds": "6fbace2de32d91f36fd9c03188eb6d0911aada0cf3eac951cef0cb90e5d0118d",
+    "disco_x3": "fa21e00562f18fbfe1ae4caaee36c88bc1ff082fd572219129b867d10b29156f",
+    "exhaustive_disco": "5a9ff17c405bc18bdad37127cecc0caab19f427f426b61945cf4ec840726a6e3",
+    "exhaustive_self_blocking": "651b4f7a83109c8bb6ddcdd4a44f5e8b8542f018f939e83df0680bd5b310ff40",
+    "non_repetitive": "5563277fe3552c9a59f6cd827b087f01968b968e160bdb03dd9d1ec8d98d2b25",
+    "random_configs": "1e4ae1c2a72002cfe78505073707ce997d30022ea538c323477e4714a814e586",
+    "simulate_pair": "ed9e0389f045d3f2550f4db3d40f21725c429848a28237b10cffac21c39194ac",
+    "exhaustive_pair_worst_case": "4bf5fe2bbfdf9b001b4d284d3a4cc0034bf2d501872703ff752d0bf8233cf1a2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CONFIGS))
+def test_outcome_digest_is_pinned(name):
+    assert _digest(simulate_multi(PINNED_CONFIGS[name]())) == PINNED_OUTCOMES[name]
+
+
+def test_random_config_outcomes_are_pinned():
+    outcomes = tuple(simulate_multi(cfg) for cfg in _random_configs())
+    assert _digest(outcomes) == PINNED_OUTCOMES["random_configs"]
+
+
+def _pinned_pairs():
+    rng = random.Random(9)
+    pairs = [optimal_pair(), (gen_disco(3, 5, 4, 1),) * 2, _send_and_listen_pair(),
+             _contained_devices()[:2]]
+    pairs += [(random_protocol(rng), _random_device(rng)) for _ in range(20)]
+    return pairs
+
+
+def test_pair_replays_are_pinned():
+    rng = random.Random(4)
+    got = []
+    for e, f in _pinned_pairs():
+        for self_blocking in (False, True):
+            for _ in range(25):
+                pe, pf = rng.randrange(e.device_period), rng.randrange(f.device_period)
+                got.append(simulate_pair(e, f, pe, pf, self_blocking=self_blocking))
+    assert _digest(got) == PINNED_OUTCOMES["simulate_pair"]
+
+
+def test_exhaustive_pair_worst_cases_are_pinned():
+    got = [
+        exhaustive_pair_worst_case(e, f, self_blocking=self_blocking)
+        for e, f in _pinned_pairs()
+        for self_blocking in (False, True)
+    ]
+    assert _digest(got) == PINNED_OUTCOMES["exhaustive_pair_worst_case"]
