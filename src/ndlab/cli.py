@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from . import bounds
 from .coverage import (
+    DEFAULT_HYPERPERIOD_BUDGET,
     UNBOUNDED,
     analyze,
     build_coverage_map,
@@ -47,6 +48,7 @@ from .schedule import (
     protocol_from_json,
     protocol_to_json,
     reception_duty_cycle,
+    strict_json,
     transmission_duty_cycle,
 )
 from .simulator import OffsetSampling, SimConfig, simulate_multi
@@ -293,13 +295,7 @@ def cmd_analyze(args) -> int:
 def _config_int(doc: dict, key: str, default: int | None = None) -> int | None:
     """An integer field of a simulate config, or null where the default is
     null; floats, strings and booleans are refused rather than coerced."""
-    value = doc.get(key, default)
-    if value is None and default is None:
-        return None
-    if not isinstance(value, int) or isinstance(value, bool):
-        kind = "an integer or null" if default is None else "an integer"
-        raise ValueError(f"config field {key!r} must be {kind}, got {value!r}")
-    return value
+    return strict_json(doc.get(key, default), f"config field {key!r}", null=default is None)
 
 
 def cmd_simulate(args) -> int:
@@ -443,8 +439,12 @@ def build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("analyze", help="coverage verdict and oracle latency of a pair")
     a.add_argument("transmitter")
     a.add_argument("receiver")
-    a.add_argument("--method", choices=["full", "endpoints"], default="full")
-    a.add_argument("--max-hyperperiod", type=int, default=10_000_000)
+    a.add_argument("--method", choices=["full", "endpoints"], default="endpoints",
+                   help="endpoints: interval sweep (default); full: per-tick reference sweep")
+    a.add_argument("--max-hyperperiod", type=int, default=DEFAULT_HYPERPERIOD_BUDGET,
+                   help="ticks of joint time past the first in-range beacon the oracle "
+                        "may scan; exit 3 if the worst case, or proving it unbounded, "
+                        "needs more")
     a.add_argument("--coverage-csv", default=None)
     a.add_argument("--out", default=None)
     a.set_defaults(fn=cmd_analyze)

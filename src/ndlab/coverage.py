@@ -5,9 +5,11 @@ in-range beacon within the receiver's period, which beacon (if any) is the
 first to land inside a reception window.  From it we get determinism,
 redundancy, total coverage and worst-case discovery latency.
 
-Two independent latency paths are provided: a full per-tick sweep (slow,
-obviously correct) and an interval-algebra sweep that only tracks coverage
-endpoints (fast).  They must always agree and the tests enforce that.
+The worst-case latency oracle sweeps coverage endpoints with interval
+algebra (``method="endpoints"``, the default).  A per-tick sweep
+(``method="full"``, slow and obviously correct) is kept as the independent
+reference engine; the two must always agree and the tests enforce that.
+Both charge the hyperperiod budget on the joint time a scan looks at.
 """
 
 from __future__ import annotations
@@ -130,19 +132,7 @@ def build_coverage_map(
 
 def analyze(cov: CoverageMap) -> DeterminismReport:
     """Determinism, redundancy and total coverage of a map."""
-    events: list[tuple[int, int]] = []
-    for spans in cov.per_beacon:
-        for a, b in spans:
-            events.append((a, 1))
-            events.append((b, -1))
-    events.sort()
-    depth = 0
-    redundant = False
-    for _, delta in events:
-        depth += delta
-        if depth >= 2:
-            redundant = True
-            break
+    redundant = _overlapping(cov.per_beacon)
     coverage_lambda = sum(iv.measure(spans) for spans in cov.per_beacon)
     uncovered = iv.complement(cov.union(), cov.period)
     min_b = None
@@ -155,6 +145,19 @@ def analyze(cov: CoverageMap) -> DeterminismReport:
         coverage_lambda=coverage_lambda,
         min_beacons=min_b,
     )
+
+
+def _overlapping(span_sets) -> bool:
+    """Whether some tick lies in two of the span sets (depth >= 2)."""
+    events = sorted(
+        (x, d) for spans in span_sets for a, b in spans for x, d in ((a, 1), (b, -1))
+    )
+    depth = 0
+    for _, delta in events:
+        depth += delta
+        if depth >= 2:
+            return True
+    return False
 
 
 def min_beacons(receptions: ReceptionSchedule, radio: RadioModel) -> int:
@@ -187,6 +190,9 @@ def beacon_to_beacon_latency(cov: CoverageMap, phi1: int):
 # ---------------------------------------------------------------------------
 
 def _oracle_setup(e: ProtocolSpec, f: ProtocolSpec, max_hyperperiod: int):
+    """Sweep inputs.  A scan looks at shifts below ``limit``: the lcm, where
+    offsets repeat, capped by the budget; ``overrun`` is raised when a scan
+    reaches a limit the budget set, since only the lcm proves UNBOUNDED."""
     b = e.beacons
     if b.count == 0:
         return None  # a silent device is never discovered
@@ -194,29 +200,27 @@ def _oracle_setup(e: ProtocolSpec, f: ProtocolSpec, max_hyperperiod: int):
         raise ValueError("the oracle needs a repetitive beacon schedule")
     if not f.receptions.repetitive:
         raise ValueError("the oracle needs a repetitive reception schedule")
-    t_b, t_c = b.period, f.receptions.period
-    hyper = lcm(t_b, t_c)
-    if hyper > max_hyperperiod:
-        raise HyperperiodTooLarge(hyper, max_hyperperiod)
+    t_c = f.receptions.period
+    hyper = lcm(b.period, t_c)
     eff = effective_window_spans(f.receptions, f.radio.semantics, b.beacon_duration)
-    gaps = b.gaps()
-    n_scan = b.count * (hyper // t_b)  # shifts repeat after one hyperperiod
-    return t_c, eff, gaps, n_scan
+    limit = min(hyper, max_hyperperiod + 1)
+    overrun = HyperperiodTooLarge(hyper, max_hyperperiod) if limit < hyper else None
+    return t_c, eff, b.gaps(), limit, overrun
 
 
-def _first_hit_steps(eff, starts, t_c, gaps, j, phi, n_scan):
-    """Scan beacons j, j+1, ... until one covers offset phi; return the
-    elapsed emission-time offset or None.  Beacon j+i lands at phi plus the
-    accumulated gaps, wrapped into the receiver period."""
+def _first_hit_steps(eff, starts, t_c, gaps, j, phi, limit):
+    """Scan beacons j, j+1, ... until one covers offset phi (beacon j+i lands
+    at phi plus the accumulated gaps, wrapped into the receiver period);
+    return the elapsed emission-time offset, or None at shift ``limit``."""
     m = len(gaps)
     shift = 0
     pos = phi
-    for i in range(n_scan + 1):
+    while shift < limit:
         k = bisect_right(starts, pos) - 1
         if k >= 0 and pos < eff[k][1]:
             return shift
-        g = gaps[(j + i) % m]
-        shift += g
+        shift += gaps[j % m]
+        j += 1
         pos = (phi + shift) % t_c
     return None
 
@@ -224,7 +228,7 @@ def _first_hit_steps(eff, starts, t_c, gaps, j, phi, n_scan):
 def worst_case_latency_oracle(
     e: ProtocolSpec,
     f: ProtocolSpec,
-    method: str = "full",
+    method: str = "endpoints",
     max_hyperperiod: int = DEFAULT_HYPERPERIOD_BUDGET,
 ):
     """Exact worst-case discovery latency of ``f`` hearing ``e``.
@@ -235,22 +239,29 @@ def worst_case_latency_oracle(
     discrete maximum equal the continuous-time supremum.  Latency is
     counted up to the start of the first received beacon.
 
+    ``method="full"`` is the per-tick reference sweep.  A scan looks at
+    most ``max_hyperperiod`` ticks past the first in-range beacon and raises
+    HyperperiodTooLarge only when the worst case lies further, or when
+    proving UNBOUNDED would (that takes one whole lcm of the periods).
+
     Returns ticks, or UNBOUNDED when some alignment never discovers.
     """
     setup = _oracle_setup(e, f, max_hyperperiod)
     if setup is None:
         return UNBOUNDED
-    t_c, eff, gaps, n_scan = setup
+    t_c, eff, gaps, limit, overrun = setup
     if iv.measure(eff) == 0:
         return UNBOUNDED
-    if method == "full":
-        return _oracle_full(t_c, eff, gaps, n_scan)
-    if method == "endpoints":
-        return _oracle_endpoints(t_c, eff, gaps, n_scan)
-    raise ValueError(f"unknown oracle method: {method!r}")
+    sweep = {"full": _oracle_full, "endpoints": _oracle_endpoints}.get(method)
+    if sweep is None:
+        raise ValueError(f"unknown oracle method: {method!r}")
+    worst = sweep(t_c, eff, gaps, limit)
+    if worst is UNBOUNDED and overrun is not None:
+        raise overrun
+    return worst
 
 
-def _oracle_full(t_c, eff, gaps, n_scan):
+def _oracle_full(t_c, eff, gaps, limit):
     starts = [a for a, _ in eff]
     m = len(gaps)
     best = 0
@@ -258,7 +269,7 @@ def _oracle_full(t_c, eff, gaps, n_scan):
         wait = gaps[(j - 1) % m]
         worst = 0
         for phi in range(t_c):
-            hit = _first_hit_steps(eff, starts, t_c, gaps, j, phi, n_scan)
+            hit = _first_hit_steps(eff, starts, t_c, gaps, j, phi, limit)
             if hit is None:
                 return UNBOUNDED
             if hit > worst:
@@ -268,7 +279,7 @@ def _oracle_full(t_c, eff, gaps, n_scan):
     return best
 
 
-def _oracle_endpoints(t_c, eff, gaps, n_scan):
+def _oracle_endpoints(t_c, eff, gaps, limit):
     # The first-hit latency is piecewise constant in the offset, and each
     # piece is bounded by shifted window endpoints; tracking the not yet
     # covered region interval-wise therefore finds the exact maximum.
@@ -279,15 +290,14 @@ def _oracle_endpoints(t_c, eff, gaps, n_scan):
         wait = gaps[(j - 1) % m]
         remaining = full
         shift = 0
-        worst = None
-        for i in range(n_scan + 1):
+        i = j
+        while remaining and shift < limit:
             spans = iv.shift_mod(eff, shift % t_c, t_c)
             if iv.intersect(remaining, spans):
                 worst = shift
                 remaining = iv.subtract(remaining, spans)
-                if not remaining:
-                    break
-            shift += gaps[(j + i) % m]
+            shift += gaps[i % m]
+            i += 1
         if remaining:
             return UNBOUNDED
         if wait + worst > best:
@@ -305,27 +315,29 @@ def pairwise_latency(
     """Discovery latency for one concrete pair of device phases.
 
     ``phase_x`` is how far device x already is into its own schedule at the
-    instant the two radios come into range.  Returns ticks or NOT_COVERED.
+    instant the two radios come into range.  Returns ticks or NOT_COVERED;
+    the budget is charged as in worst_case_latency_oracle.
     """
     setup = _oracle_setup(e, f, max_hyperperiod)
     if setup is None:
         return NOT_COVERED
-    t_c, eff, gaps, n_scan = setup
+    t_c, eff, gaps, limit, overrun = setup
     if iv.measure(eff) == 0:
         return NOT_COVERED
     b = e.beacons
-    t_b = b.period
     # first emission strictly after the in-range instant
     first = None
     for idx, tau in enumerate(b.emission_times):
-        t = (tau - phase_e - 1) % t_b + 1
+        t = (tau - phase_e - 1) % b.period + 1
         if first is None or t < first[0]:
             first = (t, idx)
     t0, j = first
     phi = (phase_f + t0) % t_c
     starts = [a for a, _ in eff]
-    hit = _first_hit_steps(eff, starts, t_c, gaps, j, phi, n_scan)
+    hit = _first_hit_steps(eff, starts, t_c, gaps, j, phi, limit)
     if hit is None:
+        if overrun is not None:
+            raise overrun
         return NOT_COVERED
     return t0 + hit
 
@@ -377,27 +389,15 @@ def check_correlated_quadruple(
         iv.reflect_mod(eff_f, tau, t) for tau in e.beacons.emission_times
     ]
     union: tuple[tuple[int, int], ...] = ()
-    events = []
     for spans in images:
         union = iv.union(union, spans)
-        for a, b in spans:
-            events.append((a, 1))
-            events.append((b, -1))
-    events.sort()
-    depth = 0
-    redundant = False
-    for _, delta in events:
-        depth += delta
-        if depth >= 2:
-            redundant = True
-            break
     uncovered = iv.complement(union, t)
     lam = sum(iv.measure(spans) for spans in images)
     cover = iv.measure(eff_e)
     return DeterminismReport(
         deterministic=not uncovered,
         uncovered=uncovered,
-        redundant=redundant,
+        redundant=_overlapping(images),
         coverage_lambda=lam,
         min_beacons=ceil(t / cover) if cover else None,
     )

@@ -18,7 +18,8 @@ class MisalignedPeriods(ValueError):
 
 
 class HyperperiodTooLarge(RuntimeError):
-    """The joint period of two schedules exceeds the configured sweep budget."""
+    """A latency sweep would have to look further than its budget of joint
+    time; that only happens when the joint period (lcm) exceeds the budget."""
 
     def __init__(self, hyperperiod: int, limit: int):
         self.hyperperiod = hyperperiod

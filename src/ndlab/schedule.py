@@ -270,30 +270,58 @@ def protocol_to_json(p: ProtocolSpec) -> dict:
     }
 
 
+_JSON_KINDS = {int: "an integer", bool: "true or false", list: "a list", dict: "an object"}
+
+
+def strict_json(value, name: str, kind: type = int, null: bool = False):
+    """``value`` unchanged when it is a JSON value of ``kind`` (never a bool
+    for ``int``), or null where ``null`` allows it.  Anything else raises
+    ValueError: ``1.9``, ``"3"`` or ``"false"`` are refused, not coerced."""
+    if type(value) is kind or (null and value is None):
+        return value
+    what = _JSON_KINDS[kind] + (" or null" if null else "")
+    raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
 def protocol_from_json(doc: dict) -> ProtocolSpec:
-    b = doc["beacons"]
-    c = doc["receptions"]
-    r = doc["radio"]
+    """Inverse of protocol_to_json.  Every field must already have its JSON
+    type (see strict_json); nothing is coerced."""
+    strict_json(doc, "protocol", dict)
+    b = strict_json(doc["beacons"], "beacons", dict)
+    c = strict_json(doc["receptions"], "receptions", dict)
+    r = strict_json(doc["radio"], "radio", dict)
+    omega = strict_json(b["omega"], "beacons.omega")
+    times = strict_json(b["times"], "beacons.times", list)
     beacons = BeaconSchedule(
-        emission_times=tuple(int(t) for t in b["times"]),
-        beacon_duration=int(b["omega"]),
-        period=None if b.get("period") is None else int(b["period"]),
+        emission_times=tuple(strict_json(t, "beacons.times[]") for t in times),
+        beacon_duration=omega,
+        period=strict_json(b.get("period"), "beacons.period", null=True),
     )
+    windows = []
+    for w in strict_json(c["windows"], "receptions.windows", list):
+        strict_json(w, "receptions.windows[]", dict)
+        start, d = strict_json(w["start"], "window start"), strict_json(w["d"], "window d")
+        windows.append(ReceptionWindow(start, d))
     receptions = ReceptionSchedule(
-        windows=tuple(ReceptionWindow(int(w["start"]), int(w["d"])) for w in c["windows"]),
-        period=int(c["period"]),
-        repetitive=bool(c.get("repetitive", True)),
+        windows=tuple(windows),
+        period=strict_json(c["period"], "receptions.period"),
+        repetitive=strict_json(c.get("repetitive", True), "receptions.repetitive", bool),
     )
+    alpha = strict_json(r["alpha"], "radio.alpha", list)
+    num, den = (strict_json(x, "radio.alpha[]") for x in alpha)
+    if den == 0:
+        raise ValueError("radio.alpha has a zero denominator")
     radio = RadioModel(
-        alpha=Fraction(int(r["alpha"][0]), int(r["alpha"][1])),
-        omega=int(b["omega"]),
-        d_oTx=int(r.get("d_oTx", 0)),
-        d_oRx=int(r.get("d_oRx", 0)),
-        d_oTxRx=int(r.get("d_oTxRx", 0)),
-        d_oRxTx=int(r.get("d_oRxTx", 0)),
+        alpha=Fraction(num, den),
+        omega=omega,
+        d_oTx=strict_json(r.get("d_oTx", 0), "radio.d_oTx"),
+        d_oRx=strict_json(r.get("d_oRx", 0), "radio.d_oRx"),
+        d_oTxRx=strict_json(r.get("d_oTxRx", 0), "radio.d_oTxRx"),
+        d_oRxTx=strict_json(r.get("d_oRxTx", 0), "radio.d_oRxTx"),
         semantics=Semantics(r.get("semantics", "ideal")),
     )
-    return ProtocolSpec(beacons, receptions, radio, TimeBase(int(doc.get("tick_ns", 1000))))
+    tick = TimeBase(strict_json(doc.get("tick_ns", 1000), "tick_ns"))
+    return ProtocolSpec(beacons, receptions, radio, tick)
 
 
 def save_protocol(p: ProtocolSpec, path) -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import random
 from fractions import Fraction
 
@@ -86,3 +87,40 @@ def absolute_first_hit(beacon_times, rec: ReceptionSchedule, phi1: int, copies: 
             if a > pos:
                 break
     return None
+
+
+#: (dotted field, value) edits that turn a valid protocol document into one
+#: the loader must refuse with ValueError instead of coercing.
+MALFORMED_PROTOCOL_EDITS = (
+    ("beacons.times", [0, 100.7]),
+    ("beacons.times", ["0", 100]),
+    ("beacons.times", "0,100"),
+    ("beacons.omega", 1.9),
+    ("beacons.omega", True),
+    ("beacons.period", "400"),
+    ("beacons.period", 400.0),
+    ("receptions.period", False),
+    ("receptions.repetitive", "false"),
+    ("receptions.repetitive", 0),
+    ("receptions.repetitive", None),
+    ("receptions.windows", [{"start": 0, "d": 100.0}]),
+    ("receptions.windows", [[0, 100]]),
+    ("radio.alpha", [1.5, 1]),
+    ("radio.alpha", [1, 0]),
+    ("radio.alpha", [1, 1, 1]),
+    ("radio.d_oTx", "5"),
+    ("radio.d_oRxTx", True),
+    ("radio", [1, 0]),
+    ("tick_ns", 1000.0),
+)
+
+
+def with_field(doc: dict, dotted: str, value) -> dict:
+    """A deep copy of ``doc`` with the field at ``dotted`` set to ``value``."""
+    out = copy.deepcopy(doc)
+    *parents, last = dotted.split(".")
+    node = out
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return out

@@ -7,8 +7,8 @@ import pytest
 
 from ndlab import load_protocol, protocol_to_json, worst_case_latency_oracle
 from ndlab.cli import main
-from ndlab.protocols import gen_optimal_unidirectional
-from helpers import beaconer, listener
+from ndlab.protocols import gen_optimal_unidirectional, gen_pi0m
+from helpers import MALFORMED_PROTOCOL_EDITS, beaconer, listener, with_field
 
 
 def run(args):
@@ -125,6 +125,33 @@ def test_analyze_hyperperiod_budget_exit_3(tmp_path, capsys):
     rc = run(["analyze", str(pe), str(pf), "--max-hyperperiod", "1000"])
     assert rc == 3
     assert json.loads(capsys.readouterr().err)["error"] == "HyperperiodTooLarge"
+
+
+def test_analyze_answers_pair_whose_lcm_exceeds_the_budget(tmp_path):
+    # lcm 99,999,000 > the default budget of 10^7 ticks, yet the worst case
+    # is found 99000 ticks past the first in-range beacon
+    p = gen_pi0m(99, 1000, 1)
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(protocol_to_json(p)))
+    out = tmp_path / "report.json"
+    assert run(["analyze", str(path), str(path), "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["oracle_latency_ticks"] == 100000
+    assert rep["unbounded"] is False
+
+
+@pytest.mark.parametrize("field, value", MALFORMED_PROTOCOL_EDITS)
+def test_analyze_rejects_malformed_protocol(tmp_path, capsys, field, value):
+    doc = protocol_to_json(gen_optimal_unidirectional(4, F(1, 100), 1))
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(doc))
+    bad.write_text(json.dumps(with_field(doc, field, value)))
+    out = tmp_path / "report.json"
+    assert run(["analyze", str(bad), str(good), "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ValueError"
+    assert not out.exists()
 
 
 def sim_config(tmp_path, trials=500, seed=11):

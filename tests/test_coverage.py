@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,7 @@ from ndlab import (
     worst_case_latency_oracle,
 )
 from ndlab.coverage import quadruple_sides
-from ndlab.protocols import gen_optimal_unidirectional
+from ndlab.protocols import gen_optimal_unidirectional, gen_pi0m
 from helpers import (
     absolute_first_hit,
     beaconer,
@@ -190,6 +191,69 @@ def test_hyperperiod_budget_enforced():
     with pytest.raises(HyperperiodTooLarge) as exc:
         worst_case_latency_oracle(e, f, max_hyperperiod=10_000)
     assert exc.value.hyperperiod == 10_007 * 9_973
+
+
+def test_budget_charges_joint_time_scanned_not_lcm():
+    # lcm 99,999,000 is above the default budget, but every offset is
+    # covered within 100000 ticks, so the scan never needs the whole lcm
+    p = gen_pi0m(99, 1000, 1)
+    assert lcm(p.beacons.period, p.receptions.period) > 10_000_000
+    assert worst_case_latency_oracle(p, p) == 100000
+    assert pairwise_latency(p, p, 0, 0) <= 100000
+    # the worst case waits one 1000-tick gap for the first in-range beacon,
+    # then needs 99000 ticks past it: a budget of 99000 suffices, one less not
+    assert worst_case_latency_oracle(p, p, max_hyperperiod=99_000) == 100000
+    with pytest.raises(HyperperiodTooLarge) as exc:
+        worst_case_latency_oracle(p, p, max_hyperperiod=98_999)
+    assert (exc.value.hyperperiod, exc.value.limit) == (99_999_000, 98_999)
+
+
+def test_pairwise_latency_charges_the_same_budget():
+    e = beaconer([0], 10)
+    f = listener([(0, 3)], 10)
+    assert pairwise_latency(e, f, 0, 5) is NOT_COVERED  # lcm 10 is in budget
+    e = beaconer([0], 10_007)
+    f = listener([(0, 4)], 9_973)
+    with pytest.raises(HyperperiodTooLarge):
+        pairwise_latency(e, f, 0, 100, max_hyperperiod=10_000)
+
+
+def _oracle_or_overrun(e, f, method, budget):
+    try:
+        return worst_case_latency_oracle(e, f, method=method, max_hyperperiod=budget)
+    except HyperperiodTooLarge as exc:
+        return ("overrun", exc.hyperperiod, exc.limit)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 10**9))
+def test_oracle_paths_agree_under_any_budget(seed):
+    rng = random.Random(seed)
+    e = random_protocol(rng)
+    f = random_protocol(rng)
+    hyper = lcm(e.beacons.period, f.receptions.period)
+    budget = rng.randint(1, 2 * hyper)
+    full = _oracle_or_overrun(e, f, "full", budget)
+    ends = _oracle_or_overrun(e, f, "endpoints", budget)
+    assert full is ends or full == ends
+    if budget >= hyper:
+        assert not isinstance(full, tuple)
+
+
+def test_oracle_api_used_by_the_benchmark():
+    # the benchmark calls these names; a rename would fail every analyze
+    # operation there without any other test noticing
+    import ndlab.cli
+    import ndlab.coverage
+    import ndlab.errors
+
+    p = gen_optimal_unidirectional(4, F(1, 100), 1)
+    for method in ("full", "endpoints"):
+        assert worst_case_latency_oracle(p, p, method=method, max_hyperperiod=10**12) == 400
+    assert ndlab.cli.worst_case_latency_oracle is ndlab.coverage.worst_case_latency_oracle
+    exc = ndlab.errors.HyperperiodTooLarge(12, 3)
+    assert (exc.hyperperiod, exc.limit) == (12, 3)
+    assert ndlab.errors.HyperperiodTooLarge is HyperperiodTooLarge
 
 
 def test_silent_transmitter_is_unbounded():

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from ndlab import (
     BeaconSchedule,
@@ -19,7 +19,16 @@ from ndlab import (
     total_duty_cycle,
     transmission_duty_cycle,
 )
-from helpers import beaconer
+from ndlab.protocols import (
+    builtin_difference_set,
+    gen_diffcode,
+    gen_disco,
+    gen_optimal_unidirectional,
+    gen_pi0m,
+    gen_searchlight_striped,
+    gen_uconnect,
+)
+from helpers import MALFORMED_PROTOCOL_EDITS, beaconer, with_field
 
 
 def test_transmission_duty_cycle_single_beacon():
@@ -177,3 +186,53 @@ def test_json_matches_documented_shape():
     assert doc["radio"]["alpha"] == [1, 1]
     assert doc["radio"]["semantics"] == "ideal"
     assert doc["receptions"]["windows"][0] == {"start": 0, "d": 1}
+
+
+@pytest.mark.parametrize("field, value", MALFORMED_PROTOCOL_EDITS)
+def test_json_loader_refuses_mistyped_fields(field, value):
+    doc = protocol_to_json(gen_optimal_unidirectional(4, F(1, 100), 1))
+    protocol_from_json(doc)  # the unedited document loads
+    with pytest.raises(ValueError):
+        protocol_from_json(with_field(doc, field, value))
+
+
+@st.composite
+def generated_protocols(draw):
+    """A protocol from one of the six generators, on a random radio and tick."""
+    omega = draw(st.integers(1, 4))
+    radio = RadioModel(
+        alpha=F(draw(st.integers(1, 9)), draw(st.integers(1, 9))),
+        omega=omega,
+        d_oTx=draw(st.integers(0, 5)),
+        d_oRx=draw(st.integers(0, 5)),
+        d_oTxRx=draw(st.integers(0, 5)),
+        d_oRxTx=draw(st.integers(0, 5)),
+        semantics=draw(st.sampled_from(Semantics)),
+    )
+    slot = draw(st.integers(2 * omega, 60))
+    kind = draw(st.sampled_from(
+        ("optimal", "pi0m", "disco", "searchlight", "uconnect", "diffcode")))
+    if kind == "optimal":
+        lam = draw(st.integers(2 * omega, 300))
+        p = gen_optimal_unidirectional(draw(st.integers(2, 8)), F(omega, lam), omega, radio)
+    elif kind == "pi0m":
+        d = draw(st.integers(omega + 1, 300))
+        p = gen_pi0m(draw(st.integers(1, 12)), d, omega, radio, draw(st.integers(0, d - 1)))
+    elif kind == "disco":
+        p1, p2 = draw(st.sampled_from(((2, 3), (3, 5), (4, 7), (5, 7))))
+        p = gen_disco(p1, p2, slot, omega, radio)
+    elif kind == "searchlight":
+        p = gen_searchlight_striped(draw(st.integers(2, 9)), slot, omega, radio)
+    elif kind == "uconnect":
+        p = gen_uconnect(draw(st.sampled_from((3, 5, 7))), slot, omega, radio)
+    else:
+        ds = builtin_difference_set(draw(st.sampled_from((7, 13, 21, 31))))
+        p = gen_diffcode(ds, slot, omega, radio)
+    return ProtocolSpec(p.beacons, p.receptions, p.radio, TimeBase(draw(st.integers(1, 10**6))))
+
+
+@settings(deadline=None, max_examples=60)
+@given(generated_protocols())
+def test_json_round_trip_over_generators(p):
+    doc = json.loads(json.dumps(protocol_to_json(p)))
+    assert protocol_from_json(doc) == p
