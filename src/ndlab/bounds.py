@@ -1,8 +1,11 @@
-"""Closed-form worst-case latency bounds, all in exact rational arithmetic.
+"""Closed-form worst-case latency bounds.
 
-The only non-rational evaluations in the whole module are the exponential
-in the collision probability and the square root in the U-Connect row of
-the slotted-protocol table.
+Results are exact ``Fraction`` values.  The bounds an eta sweep or a
+deviation grid evaluates per row work on the integer numerators and
+denominators of their arguments and build a single ``Fraction`` from them
+at the end.  The only non-rational evaluations in the whole module are the
+exponential in the collision probability and the square root in the
+U-Connect row of the slotted-protocol table.
 """
 
 from __future__ import annotations
@@ -43,22 +46,32 @@ class MutualExclusiveBound(NamedTuple):
     branch: str
 
 
+def _ratio(x) -> tuple[int, int]:
+    """Numerator and denominator of ``rat(x)``."""
+    if type(x) is int:
+        return x, 1
+    x = rat(x)
+    return x.numerator, x.denominator
+
+
+def _ceil_wins(cross_c: int, cross_f: int, scale: int) -> bool:
+    """Whether the ceil candidate scale * k_c^2 / den_c is at most the floor
+    candidate scale * k_f^2 / den_f, read from the cross products
+    cross_c = k_c^2 * den_f and cross_f = k_f^2 * den_c of the positive
+    denominators.  Only the sign of ``scale`` matters; at zero both
+    candidates are zero and ceil wins the tie."""
+    return scale * (cross_f - cross_c) >= 0
+
+
 def bound_unidirectional(gamma, beta, omega) -> Fraction:
     """Lowest guaranteeable latency for a pure listener hearing a pure
     beaconer: ceil(1/gamma) * omega / beta."""
-    gamma, beta, omega = rat(gamma), rat(beta), rat(omega)
-    if not 0 < gamma <= 1:
+    (gn, gd), (bn, bd), (wn, wd) = _ratio(gamma), _ratio(beta), _ratio(omega)
+    if not 0 < gn <= gd:
         raise DomainError("gamma must lie in (0, 1]")
-    if beta <= 0:
+    if bn <= 0:
         raise DomainError("beta must be positive")
-    return Fraction(math.ceil(1 / gamma)) * omega / beta
-
-
-def _k_latency(k: int, eta: Fraction, omega: Fraction, alpha: Fraction) -> Fraction | None:
-    den = eta * k - 1
-    if k < 1 or den <= 0:
-        return None
-    return Fraction(k * k) * omega * alpha / den
+    return Fraction(-(-gd // gn) * wn * bd, wd * bn)
 
 
 def bound_symmetric(eta, omega, alpha) -> SymmetricBound:
@@ -67,30 +80,33 @@ def bound_symmetric(eta, omega, alpha) -> SymmetricBound:
 
     Only reciprocal-integer reception duty cycles are candidates; the two
     integers bracketing 2/eta are the only possible optima, and the better
-    of the two wins.
+    of the two wins.  With eta = n/d, reception duty cycle 1/k costs
+    k^2 * omega * alpha * d / (n*k - d), and n*k > d holds for both
+    candidates whenever k_floor >= 1.
     """
-    eta, omega, alpha = rat(eta), rat(omega), rat(alpha)
-    if eta <= 0:
+    (n, d), (wn, wd), (p, q) = _ratio(eta), _ratio(omega), _ratio(alpha)
+    if n <= 0:
         raise DomainError("eta must be positive")
-    two = 2 / eta
-    k_floor = math.floor(two)
+    k_floor = 2 * d // n
     if k_floor < 1:
         raise DomainError("eta > 2 leaves no room for a reception phase")
-    k_ceil = math.ceil(two)
-    a = _k_latency(k_ceil, eta, omega, alpha)
-    b = _k_latency(k_floor, eta, omega, alpha)
-    if a is not None and (b is None or a <= b):
-        return SymmetricBound(a, k_ceil, "ceil", Fraction(1, k_ceil))
-    return SymmetricBound(b, k_floor, "floor", Fraction(1, k_floor))
+    k_ceil = -(-2 * d // n)
+    den_c, den_f = n * k_ceil - d, n * k_floor - d
+    if _ceil_wins(k_ceil * k_ceil * den_f, k_floor * k_floor * den_c, wn * p):
+        k, den, branch = k_ceil, den_c, "ceil"
+    else:
+        k, den, branch = k_floor, den_f, "floor"
+    latency = Fraction(k * k * wn * p * d, wd * q * den)
+    return SymmetricBound(latency, k, branch, Fraction(1, k))
 
 
 def bound_symmetric_approx(eta, omega, alpha) -> Fraction:
     """Small-duty-cycle approximation 4*alpha*omega/eta**2; exact whenever
     2/eta is an integer."""
-    eta, omega, alpha = rat(eta), rat(omega), rat(alpha)
-    if eta <= 0:
+    (n, d), (wn, wd), (p, q) = _ratio(eta), _ratio(omega), _ratio(alpha)
+    if n <= 0:
         raise DomainError("eta must be positive")
-    return 4 * alpha * omega / (eta * eta)
+    return Fraction(4 * p * wn * d * d, q * wd * n * n)
 
 
 def bound_channel_constrained(eta, beta_m, omega, alpha) -> ChannelConstrainedBound:
@@ -135,25 +151,24 @@ def bound_mutual_exclusive(eta, omega, alpha) -> MutualExclusiveBound:
     """Lowest latency when either device discovering the other suffices.
 
     Locking beacons to the own reception windows lets the two directions
-    share the coverage work, halving the beacons each side needs.
+    share the coverage work, halving the beacons each side needs.  With
+    eta = n/d, k costs 2 * k^2 * omega * alpha * d / (2*n*k - d), and
+    2*n*k > d holds for both integers bracketing 1/eta whenever
+    k_floor >= 1.
     """
-    eta, omega, alpha = rat(eta), rat(omega), rat(alpha)
-    if eta <= 0:
+    (n, d), (wn, wd), (p, q) = _ratio(eta), _ratio(omega), _ratio(alpha)
+    if n <= 0:
         raise DomainError("eta must be positive")
-    inv = 1 / eta
-    k_floor = math.floor(inv)
+    k_floor = d // n
     if k_floor < 1:
         raise DomainError("eta > 1 leaves no valid split")
-    best = None
-    for k, branch in ((math.ceil(inv), "ceil"), (k_floor, "floor")):
-        den = eta * k - Fraction(1, 2)
-        if k >= 1 and den > 0:
-            val = Fraction(k * k) * omega * alpha / den
-            if best is None or val < best[0]:
-                best = (val, k, branch)
-    if best is None:
-        raise DomainError("no feasible branch")
-    return MutualExclusiveBound(*best)
+    k_ceil = -(-d // n)
+    den_c, den_f = 2 * n * k_ceil - d, 2 * n * k_floor - d
+    if _ceil_wins(k_ceil * k_ceil * den_f, k_floor * k_floor * den_c, wn * p):
+        k, den, branch = k_ceil, den_c, "ceil"
+    else:
+        k, den, branch = k_floor, den_f, "floor"
+    return MutualExclusiveBound(Fraction(2 * k * k * wn * p * d, wd * q * den), k, branch)
 
 
 def collision_probability(s: int, beta) -> float:
@@ -180,19 +195,21 @@ def bound_relaxed(gamma, beta, omega, radio: RadioModel, count_first_beacon: boo
     beacon and d_oRx per window; counting the first received beacon adds a
     flat omega.  Valid for reciprocal-integer gamma.
     """
-    gamma, beta, omega = rat(gamma), rat(beta), rat(omega)
-    if not 0 < gamma <= 1:
+    (gn, gd), (bn, bd), (wn, wd) = _ratio(gamma), _ratio(beta), _ratio(omega)
+    if not 0 < gn <= gd:
         raise DomainError("gamma must lie in (0, 1]")
-    if (1 / gamma).denominator != 1:
+    if gn != 1:
         raise DomainError("relaxed bound assumes gamma = 1/k")
-    if beta <= 0:
+    if bn <= 0:
         raise DomainError("beta must be positive")
+    # over the common denominator wd * bn, with gamma = 1/gd
     contained = radio.semantics is Semantics.CONTAINED
-    numerator = radio.d_oTx + omega + beta * (radio.d_oRx + (omega if contained else 0))
-    latency = numerator / (beta * gamma)
+    tx = bd * (radio.d_oTx * wd + wn)
+    rx = bn * (radio.d_oRx * wd + (wn if contained else 0))
+    num = gd * (tx + rx)
     if count_first_beacon:
-        latency += omega
-    return latency
+        num += wn * bn
+    return Fraction(num, wd * bn)
 
 
 def relaxed_deviation(beta, k: int, omega, radio: RadioModel) -> Fraction:
@@ -226,19 +243,21 @@ def relaxed_deviation_range(
 def bound_slotted_full_duplex(eta, omega, alpha) -> Fraction:
     """Latency limit of one-beacon-per-slot designs on a radio that could
     listen while transmitting, at the minimal slot length."""
-    eta, omega, alpha = rat(eta), rat(omega), rat(alpha)
-    if eta <= 0:
+    (n, d), (wn, wd), (p, q) = _ratio(eta), _ratio(omega), _ratio(alpha)
+    if n <= 0:
         raise DomainError("eta must be positive")
-    return omega * (1 + 2 * alpha + alpha * alpha) / (eta * eta)
+    # 1 + 2*alpha + alpha^2 = (q + p)^2 / q^2
+    return Fraction(wn * (q + p) ** 2 * d * d, wd * q * q * n * n)
 
 
 def bound_slotted_two_beacon(eta, omega, alpha) -> Fraction:
     """Latency limit of two-beacons-per-slot designs (one sent just outside
     the slot boundary)."""
-    eta, omega, alpha = rat(eta), rat(omega), rat(alpha)
-    if eta <= 0:
+    (n, d), (wn, wd), (p, q) = _ratio(eta), _ratio(omega), _ratio(alpha)
+    if n <= 0:
         raise DomainError("eta must be positive")
-    return omega * (Fraction(1, 2) + 2 * alpha + 2 * alpha * alpha) / (eta * eta)
+    # 1/2 + 2*alpha + 2*alpha^2 = (q + 2p)^2 / (2 q^2)
+    return Fraction(wn * (q + 2 * p) ** 2 * d * d, 2 * wd * q * q * n * n)
 
 
 def _slotted_base(eta: Fraction, beta: Fraction, alpha: Fraction) -> Fraction:
@@ -288,16 +307,26 @@ def pi0m_latency(m, omega, eta, alpha) -> Fraction:
     return alpha * omega * u * u / den
 
 
-def pi0m_nrmse_vs_symmetric(omega, alpha, steps: int = 1000) -> float:
-    """Root-mean-square relative gap between the exact symmetric bound and
-    the periodic-interval closed form at its real-valued optimum, swept
-    over eta = 1/steps ... 1."""
+def pi0m_vs_symmetric(omega, alpha, steps: int = 1000) -> tuple[list[tuple], float]:
+    """Gap between the exact symmetric bound and the periodic-interval
+    closed form at its real-valued optimum, swept over eta = 1/steps ... 1.
+
+    Returns one (eta, symmetric, pi0m, relative gap) row of Fractions per
+    eta, and the root-mean-square of the relative gaps.
+    """
     omega, alpha = rat(omega), rat(alpha)
+    rows = []
     total = Fraction(0)
     for j in range(1, steps + 1):
         eta = Fraction(j, steps)
         exact = bound_symmetric(eta, omega, alpha).latency
         ideal = pi0m_latency(2 / eta - 1, omega, eta, alpha)
         rel = (exact - ideal) / exact
+        rows.append((eta, exact, ideal, rel))
         total += rel * rel
-    return math.sqrt(total / steps)
+    return rows, math.sqrt(total / steps)
+
+
+def pi0m_nrmse_vs_symmetric(omega, alpha, steps: int = 1000) -> float:
+    """Root-mean-square relative gap of pi0m_vs_symmetric."""
+    return pi0m_vs_symmetric(omega, alpha, steps)[1]

@@ -49,6 +49,7 @@ from .schedule import (
     protocol_to_json,
     reception_duty_cycle,
     strict_json,
+    strict_object,
     transmission_duty_cycle,
 )
 from .simulator import OffsetSampling, SimConfig, simulate_multi
@@ -298,10 +299,16 @@ def _config_int(doc: dict, key: str, default: int | None = None) -> int | None:
     return strict_json(doc.get(key, default), f"config field {key!r}", null=default is None)
 
 
+_CONFIG_KEYS = ("devices", "trials", "seed", "horizon", "offset_sampling", "latency_budget")
+
+
 def cmd_simulate(args) -> int:
     with open(args.config) as fh:
-        doc = json.load(fh)
-    devices = tuple(protocol_from_json(d) for d in doc["devices"])
+        doc = strict_object(json.load(fh), "config", _CONFIG_KEYS)
+    devices = tuple(
+        protocol_from_json(d)
+        for d in strict_json(doc["devices"], "config field 'devices'", list)
+    )
     cfg = SimConfig(
         devices=devices,
         trials=_config_int(doc, "trials", 1),

@@ -16,7 +16,10 @@ from typing import Sequence
 
 
 def rat(x) -> Fraction:
-    """Coerce to an exact rational. Floats are refused on purpose."""
+    """Coerce to an exact rational. Floats are refused on purpose.  A
+    Fraction comes back as it is: Fractions are immutable."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise TypeError("floats are not exact; pass a Fraction, int or 'p/q' string")
     return Fraction(x)
@@ -283,13 +286,26 @@ def strict_json(value, name: str, kind: type = int, null: bool = False):
     raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
+def strict_object(value, name: str, keys) -> dict:
+    """``value`` unchanged when it is a JSON object whose keys all lie in
+    ``keys``; any other key raises ValueError instead of being ignored."""
+    strict_json(value, name, dict)
+    unknown = sorted(set(value).difference(keys))
+    if unknown:
+        raise ValueError(f"{name} has unknown keys {unknown}")
+    return value
+
+
 def protocol_from_json(doc: dict) -> ProtocolSpec:
     """Inverse of protocol_to_json.  Every field must already have its JSON
-    type (see strict_json); nothing is coerced."""
-    strict_json(doc, "protocol", dict)
-    b = strict_json(doc["beacons"], "beacons", dict)
-    c = strict_json(doc["receptions"], "receptions", dict)
-    r = strict_json(doc["radio"], "radio", dict)
+    type (see strict_json) and every object only the keys protocol_to_json
+    writes (see strict_object); nothing is coerced or ignored."""
+    strict_object(doc, "protocol", ("tick_ns", "beacons", "receptions", "radio"))
+    b = strict_object(doc["beacons"], "beacons", ("times", "omega", "period"))
+    c = strict_object(doc["receptions"], "receptions", ("windows", "period", "repetitive"))
+    r = strict_object(
+        doc["radio"], "radio", ("alpha", "d_oTx", "d_oRx", "d_oTxRx", "d_oRxTx", "semantics")
+    )
     omega = strict_json(b["omega"], "beacons.omega")
     times = strict_json(b["times"], "beacons.times", list)
     beacons = BeaconSchedule(
@@ -299,7 +315,7 @@ def protocol_from_json(doc: dict) -> ProtocolSpec:
     )
     windows = []
     for w in strict_json(c["windows"], "receptions.windows", list):
-        strict_json(w, "receptions.windows[]", dict)
+        strict_object(w, "receptions.windows[]", ("start", "d"))
         start, d = strict_json(w["start"], "window start"), strict_json(w["d"], "window d")
         windows.append(ReceptionWindow(start, d))
     receptions = ReceptionSchedule(

@@ -1,10 +1,20 @@
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from helpers import (
+    ref_bound_mutual_exclusive,
+    ref_bound_relaxed,
+    ref_bound_slotted_full_duplex,
+    ref_bound_slotted_two_beacon,
+    ref_bound_symmetric,
+    ref_bound_symmetric_approx,
+    ref_bound_unidirectional,
+)
 from ndlab import DomainError, InfeasibleError, RadioModel, Semantics
 from ndlab import bounds as bd
 
@@ -259,3 +269,122 @@ def test_reduction_chain():
         == bd.bound_symmetric_approx(eta, 1, 1)
         == bd.bound_slotted_full_duplex(eta, 1, 1)
     )
+
+
+# ---------------------------------------------------------------------------
+# integer-ratio evaluations against the Fraction-expression references
+# ---------------------------------------------------------------------------
+
+def _rationals(lo_num: int, hi_num: int, max_den: int = 10**6):
+    """num/den with den in [1, max_den] and num in [lo_num*den, hi_num*den]."""
+    return st.integers(1, max_den).flatmap(
+        lambda den: st.integers(lo_num * den, hi_num * den).map(lambda num: F(num, den))
+    )
+
+
+_ETAS = st.one_of(
+    _rationals(0, 3).filter(lambda x: x > 0),
+    st.integers(1, 5000).map(lambda k: F(2, k)),  # 2/eta an integer
+    st.integers(1, 5000).map(lambda k: F(1, k)),  # 1/eta an integer
+    st.sampled_from((F(0), F(-1, 3), F(-2))),
+    st.integers(1, 3),
+)
+_ALPHAS = st.one_of(_rationals(0, 4).filter(lambda x: x > 0), st.integers(1, 4))
+_OMEGAS = st.one_of(st.integers(-50, 10**4), _rationals(0, 10**3, 1000))
+_GAMMAS = st.one_of(
+    st.integers(1, 5000).map(lambda k: F(1, k)),
+    _rationals(0, 2, 1000),
+    st.sampled_from((F(-1, 2), 1)),
+)
+_BETAS = st.one_of(_rationals(0, 1), st.sampled_from((F(0), F(-1, 100))))
+
+
+def _agree(fn, ref, *args, **kwargs):
+    """fn and its reference give equal values of one type, or the same
+    DomainError."""
+    try:
+        want = ref(*args, **kwargs)
+    except DomainError as exc:
+        with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
+            fn(*args, **kwargs)
+        return
+    got = fn(*args, **kwargs)
+    assert got == want and type(got) is type(want)
+    if isinstance(want, tuple):
+        assert [type(x) for x in got] == [type(x) for x in want]
+
+
+_ETA_FORMS = (
+    (bd.bound_symmetric, ref_bound_symmetric),
+    (bd.bound_symmetric_approx, ref_bound_symmetric_approx),
+    (bd.bound_slotted_full_duplex, ref_bound_slotted_full_duplex),
+    (bd.bound_slotted_two_beacon, ref_bound_slotted_two_beacon),
+    (bd.bound_mutual_exclusive, ref_bound_mutual_exclusive),
+)
+
+
+@settings(max_examples=300)
+@given(_ETAS, _OMEGAS, _ALPHAS)
+def test_eta_bounds_equal_their_references(eta, omega, alpha):
+    for fn, ref in _ETA_FORMS:
+        _agree(fn, ref, eta, omega, alpha)
+
+
+@settings(max_examples=300)
+@given(
+    _GAMMAS,
+    _BETAS,
+    _OMEGAS,
+    st.integers(0, 500),
+    st.integers(0, 500),
+    st.sampled_from(Semantics),
+    st.booleans(),
+)
+def test_rate_bounds_equal_their_references(gamma, beta, omega, do_tx, do_rx, sem, first):
+    radio = RadioModel(omega=1, d_oTx=do_tx, d_oRx=do_rx, semantics=sem)
+    _agree(bd.bound_unidirectional, ref_bound_unidirectional, gamma, beta, omega)
+    _agree(bd.bound_relaxed, ref_bound_relaxed, gamma, beta, omega, radio, first)
+
+
+@pytest.mark.parametrize(
+    "fn, eta, message",
+    [
+        (bd.bound_symmetric, F(0), "eta must be positive"),
+        (bd.bound_symmetric, F(-1, 2), "eta must be positive"),
+        (bd.bound_symmetric, F(2001, 1000), "eta > 2"),
+        (bd.bound_mutual_exclusive, F(0), "eta must be positive"),
+        (bd.bound_mutual_exclusive, F(1001, 1000), "eta > 1"),
+        (bd.bound_symmetric_approx, F(0), "eta must be positive"),
+        (bd.bound_slotted_full_duplex, F(-1), "eta must be positive"),
+        (bd.bound_slotted_two_beacon, F(0), "eta must be positive"),
+    ],
+)
+def test_eta_domain_errors(fn, eta, message):
+    with pytest.raises(DomainError, match=message):
+        fn(eta, 32, F(3, 2))
+
+
+def test_ties_go_to_ceil_at_integer_reciprocals():
+    # 2/eta (symmetric) or 1/eta (mutual-exclusive) an integer: both
+    # candidates are the same k and the ceil branch reports it
+    for k in (1, 2, 7, 100):
+        sym = bd.bound_symmetric(F(2, k), 1, 1)
+        assert (sym.k, sym.branch, sym.latency) == (k, "ceil", k * k)
+        me = bd.bound_mutual_exclusive(F(1, k), 1, 1)
+        assert (me.k, me.branch, me.latency) == (k, "ceil", 2 * k * k)
+
+
+@pytest.mark.parametrize("position", range(3))
+def test_closed_forms_refuse_floats(position):
+    radio = RadioModel(omega=1)
+    for fn, _ in _ETA_FORMS:
+        args = [F(1, 50), 32, F(3, 2)]
+        args[position] = float(args[position])
+        with pytest.raises(TypeError):
+            fn(*args)
+    args = [F(1, 4), F(1, 100), 32]
+    args[position] = float(args[position])
+    with pytest.raises(TypeError):
+        bd.bound_unidirectional(*args)
+    with pytest.raises(TypeError):
+        bd.bound_relaxed(*args, radio)

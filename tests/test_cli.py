@@ -206,12 +206,16 @@ def test_simulate_outputs_and_reproducibility(tmp_path):
         ("seed", 1.5),
         ("seed", None),
         ("seed", False),
+        ("devices", 5),
+        ("devices", {"0": None}),
+        ("bogus", 1),
+        ("Trials", 3),
+        (None, [1, 2]),  # the whole config
     ],
 )
 def test_simulate_rejects_mistyped_config_values(tmp_path, capsys, key, value):
     path = sim_config(tmp_path)
-    doc = json.loads(path.read_text())
-    doc[key] = value
+    doc = value if key is None else dict(json.loads(path.read_text()), **{key: value})
     path.write_text(json.dumps(doc))
     out_dir = tmp_path / "out"
     assert run(["simulate", str(path), "--out-dir", str(out_dir)]) == 2
@@ -219,7 +223,7 @@ def test_simulate_rejects_mistyped_config_values(tmp_path, capsys, key, value):
     assert len(lines) == 1
     err = json.loads(lines[0])
     assert err["error"] == "ValueError"
-    assert key in err["detail"]
+    assert (key or "config") in err["detail"]
     assert not out_dir.exists()
 
 
