@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from . import bounds
@@ -154,8 +155,10 @@ def cmd_bounds(args) -> int:
                 "mutual_exclusive",
             ]
         )
-        eta = lo
-        while eta <= hi:
+        # eta = n / den steps on integer numerators, with no Fraction sums
+        den = math.lcm(lo.denominator, step.denominator)
+        for n in range(int(lo * den), math.floor(hi * den) + 1, int(step * den)):
+            eta = Fraction(n, den)
             try:
                 sym = bounds.bound_symmetric(eta, omega, alpha)
                 sym_cols = [float(sym.latency), sym.k, sym.branch, float(sym.gamma_o)]
@@ -171,7 +174,6 @@ def cmd_bounds(args) -> int:
                     _cell(bounds.bound_mutual_exclusive, eta, omega, alpha),
                 ]
             )
-            eta += step
         return 0
     finally:
         if close:
@@ -256,7 +258,9 @@ def cmd_analyze(args) -> int:
     f = load_protocol(args.receiver)
     beta = transmission_duty_cycle(e.beacons)
     gamma = reception_duty_cycle(f.receptions)
-    cov = build_coverage_map(e.beacons.emission_times, f.receptions, f.radio)
+    # the oracle trims windows by the transmitter's beacon, so the map does too
+    radio = replace(f.radio, omega=e.beacons.beacon_duration)
+    cov = build_coverage_map(e.beacons.emission_times, f.receptions, radio)
     if args.coverage_csv:
         cov.write_csv(args.coverage_csv)
     rep = analyze(cov)

@@ -5,8 +5,9 @@ in-range beacon within the receiver's period, which beacon (if any) is the
 first to land inside a reception window.  From it we get determinism,
 redundancy, total coverage and worst-case discovery latency.
 
-The worst-case latency oracle sweeps coverage endpoints with interval
-algebra (``method="endpoints"``, the default).  A per-tick sweep
+The worst-case latency oracle sweeps coverage endpoints, cutting each
+shifted window out of the edge list of the not yet covered offsets
+(``method="endpoints"``, the default).  A per-tick sweep
 (``method="full"``, slow and obviously correct) is kept as the independent
 reference engine; the two must always agree and the tests enforce that.
 Both charge the hyperperiod budget on the joint time a scan looks at.
@@ -15,7 +16,7 @@ Both charge the hyperperiod budget on the joint time a scan looks at.
 from __future__ import annotations
 
 import csv
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import ceil, lcm
 from typing import Sequence
@@ -70,10 +71,7 @@ class CoverageMap:
     repetitive: bool
 
     def union(self) -> tuple[tuple[int, int], ...]:
-        out: tuple[tuple[int, int], ...] = ()
-        for spans in self.per_beacon:
-            out = iv.union(out, spans)
-        return out
+        return iv.union(*self.per_beacon)
 
     def csv_rows(self):
         for i, spans in enumerate(self.per_beacon):
@@ -208,16 +206,15 @@ def _oracle_setup(e: ProtocolSpec, f: ProtocolSpec, max_hyperperiod: int):
     return t_c, eff, b.gaps(), limit, overrun
 
 
-def _first_hit_steps(eff, starts, t_c, gaps, j, phi, limit):
-    """Scan beacons j, j+1, ... until one covers offset phi (beacon j+i lands
-    at phi plus the accumulated gaps, wrapped into the receiver period);
-    return the elapsed emission-time offset, or None at shift ``limit``."""
+def _first_hit_steps(edges, t_c, gaps, j, phi, limit):
+    """Scan beacons j, j+1, ... until one lands in the windows ``edges``
+    (beacon j+i lands at phi plus the accumulated gaps, wrapped into the
+    receiver period); return its emission offset, or None at shift ``limit``."""
     m = len(gaps)
     shift = 0
     pos = phi
     while shift < limit:
-        k = bisect_right(starts, pos) - 1
-        if k >= 0 and pos < eff[k][1]:
+        if bisect_right(edges, pos) & 1:
             return shift
         shift += gaps[j % m]
         j += 1
@@ -242,7 +239,8 @@ def worst_case_latency_oracle(
     ``method="full"`` is the per-tick reference sweep.  A scan looks at
     most ``max_hyperperiod`` ticks past the first in-range beacon and raises
     HyperperiodTooLarge only when the worst case lies further, or when
-    proving UNBOUNDED would (that takes one whole lcm of the periods).
+    proving UNBOUNDED would (that takes one whole lcm of the periods); a
+    pair too sparse to cover every offset within that span is not swept.
 
     Returns ticks, or UNBOUNDED when some alignment never discovers.
     """
@@ -250,26 +248,30 @@ def worst_case_latency_oracle(
     if setup is None:
         return UNBOUNDED
     t_c, eff, gaps, limit, overrun = setup
-    if iv.measure(eff) == 0:
+    cover = iv.measure(eff)
+    if cover == 0:
         return UNBOUNDED
     sweep = {"full": _oracle_full, "endpoints": _oracle_endpoints}.get(method)
     if sweep is None:
         raise ValueError(f"unknown oracle method: {method!r}")
-    worst = sweep(t_c, eff, gaps, limit)
+    # covering all t_c offsets takes ceil(t_c / cover) beacons or more, and
+    # the last of them lies at least (that many - 1) * min(gaps) past the first
+    too_far = (ceil(t_c / cover) - 1) * min(gaps) >= limit
+    worst = UNBOUNDED if too_far else sweep(t_c, eff, gaps, limit)
     if worst is UNBOUNDED and overrun is not None:
         raise overrun
     return worst
 
 
 def _oracle_full(t_c, eff, gaps, limit):
-    starts = [a for a, _ in eff]
+    edges = iv.edges(eff)
     m = len(gaps)
     best = 0
     for j in range(m):
         wait = gaps[(j - 1) % m]
         worst = 0
         for phi in range(t_c):
-            hit = _first_hit_steps(eff, starts, t_c, gaps, j, phi, limit)
+            hit = _first_hit_steps(edges, t_c, gaps, j, phi, limit)
             if hit is None:
                 return UNBOUNDED
             if hit > worst:
@@ -282,23 +284,29 @@ def _oracle_full(t_c, eff, gaps, limit):
 def _oracle_endpoints(t_c, eff, gaps, limit):
     # The first-hit latency is piecewise constant in the offset, and each
     # piece is bounded by shifted window endpoints; tracking the not yet
-    # covered region interval-wise therefore finds the exact maximum.
+    # covered offsets as the edge list ``rem`` therefore finds the exact
+    # maximum.  Cutting [x, y) out of it keeps x if tick x - 1 is uncovered
+    # and y if tick y is, so a step moves one slice per window piece.
     m = len(gaps)
     best = 0
-    full = ((0, t_c),)
     for j in range(m):
         wait = gaps[(j - 1) % m]
-        remaining = full
+        rem = [0, t_c]
         shift = 0
         i = j
-        while remaining and shift < limit:
-            spans = iv.shift_mod(eff, shift % t_c, t_c)
-            if iv.intersect(remaining, spans):
-                worst = shift
-                remaining = iv.subtract(remaining, spans)
+        while rem and shift < limit:
+            for x, y in iv.shift_mod(eff, shift % t_c, t_c):
+                lo = bisect_left(rem, x)
+                hi = bisect_right(rem, y, lo)
+                if lo == hi and not lo & 1:
+                    continue  # the piece lies in covered offsets only
+                cut = [x] * (lo & 1) + [y] * (hi & 1)
+                if rem[lo:hi] != cut:
+                    worst = shift
+                    rem[lo:hi] = cut
             shift += gaps[i % m]
             i += 1
-        if remaining:
+        if rem:
             return UNBOUNDED
         if wait + worst > best:
             best = wait + worst
@@ -333,8 +341,7 @@ def pairwise_latency(
             first = (t, idx)
     t0, j = first
     phi = (phase_f + t0) % t_c
-    starts = [a for a, _ in eff]
-    hit = _first_hit_steps(eff, starts, t_c, gaps, j, phi, limit)
+    hit = _first_hit_steps(iv.edges(eff), t_c, gaps, j, phi, limit)
     if hit is None:
         if overrun is not None:
             raise overrun
@@ -377,23 +384,11 @@ def check_correlated_quadruple(
         if zeta % t not in _anchored_zeta(p):
             raise ValueError(f"device {name} has no beacon at zeta after a window end")
 
-    eff_e = effective_window_spans(e.receptions, e.radio.semantics, f.radio.omega)
-    eff_f = effective_window_spans(f.receptions, f.radio.semantics, e.radio.omega)
-
-    # f's beacon at tau lands in e's window [a, b) when the alignment theta
-    # lies in [a - tau, b - tau); e's beacon at tau lands in f's window when
-    # theta lies in the reflection [tau - b + 1, tau - a + 1).
-    images = [
-        iv.shift_mod(eff_e, tau % t, t) for tau in f.beacons.emission_times
-    ] + [
-        iv.reflect_mod(eff_f, tau, t) for tau in e.beacons.emission_times
-    ]
-    union: tuple[tuple[int, int], ...] = ()
-    for spans in images:
-        union = iv.union(union, spans)
-    uncovered = iv.complement(union, t)
+    from_f, from_e = _quadruple_images(e, f)
+    images = from_f + from_e
+    uncovered = iv.complement(iv.union(*images), t)
     lam = sum(iv.measure(spans) for spans in images)
-    cover = iv.measure(eff_e)
+    cover = iv.measure(from_f[0])  # a rotation of e's effective windows
     return DeterminismReport(
         deterministic=not uncovered,
         uncovered=uncovered,
@@ -403,15 +398,20 @@ def check_correlated_quadruple(
     )
 
 
-def quadruple_sides(e: ProtocolSpec, f: ProtocolSpec):
-    """The two coverage sets of check_correlated_quadruple, before union."""
+def _quadruple_images(e: ProtocolSpec, f: ProtocolSpec):
+    """Per beacon, the alignments at which f's beacons hit e and e's hit f."""
     t = e.receptions.period
     eff_e = effective_window_spans(e.receptions, e.radio.semantics, f.radio.omega)
     eff_f = effective_window_spans(f.receptions, f.radio.semantics, e.radio.omega)
-    omega_f: tuple[tuple[int, int], ...] = ()
-    for tau in f.beacons.emission_times:
-        omega_f = iv.union(omega_f, iv.shift_mod(eff_e, tau % t, t))
-    omega_e: tuple[tuple[int, int], ...] = ()
-    for tau in e.beacons.emission_times:
-        omega_e = iv.union(omega_e, iv.reflect_mod(eff_f, tau, t))
-    return omega_f, omega_e
+    # f's beacon at tau lands in e's window [a, b) when the alignment theta
+    # lies in [a - tau, b - tau); e's beacon at tau lands in f's window when
+    # theta lies in the reflection [tau - b + 1, tau - a + 1).
+    from_f = [iv.shift_mod(eff_e, tau % t, t) for tau in f.beacons.emission_times]
+    from_e = [iv.reflect_mod(eff_f, tau, t) for tau in e.beacons.emission_times]
+    return from_f, from_e
+
+
+def quadruple_sides(e: ProtocolSpec, f: ProtocolSpec):
+    """The two coverage sets of check_correlated_quadruple, before union."""
+    from_f, from_e = _quadruple_images(e, f)
+    return iv.union(*from_f), iv.union(*from_e)

@@ -3,6 +3,10 @@
 All coverage computations run on sets of half-open tick intervals
 ``[start, end)`` kept as sorted, pairwise-disjoint tuples.  Everything here
 is exact integer arithmetic; linear merges keep the operations O(n).
+
+Point tests and in-place edits use the flat edge list of such a set,
+``[a0, b0, a1, b1, ...]``: a tick t lies in the set exactly when
+``bisect_right(edges, t)`` is odd.
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ def measure(spans: Sequence[Span]) -> int:
     return sum(b - a for a, b in spans)
 
 
-def union(xs: Sequence[Span], ys: Sequence[Span]) -> tuple[Span, ...]:
-    return normalize(list(xs) + list(ys))
+def union(*span_sets: Sequence[Span]) -> tuple[Span, ...]:
+    return normalize(span for spans in span_sets for span in spans)
 
 
 def intersect(xs: Sequence[Span], ys: Sequence[Span]) -> tuple[Span, ...]:
@@ -49,35 +53,21 @@ def intersect(xs: Sequence[Span], ys: Sequence[Span]) -> tuple[Span, ...]:
     return tuple(out)
 
 
-def subtract(xs: Sequence[Span], ys: Sequence[Span]) -> tuple[Span, ...]:
-    """Set difference ``xs - ys`` for normalized inputs."""
-    out: list[Span] = []
-    j = 0
-    for a, b in xs:
-        cur = a
-        while j < len(ys) and ys[j][1] <= cur:
-            j += 1
-        k = j
-        while k < len(ys) and ys[k][0] < b:
-            if ys[k][0] > cur:
-                out.append((cur, ys[k][0]))
-            cur = max(cur, ys[k][1])
-            if cur >= b:
-                break
-            k += 1
-        if cur < b:
-            out.append((cur, b))
-    return tuple(out)
+def edges(xs: Sequence[Span]) -> list[int]:
+    """The flat edge list of normalized spans."""
+    return [x for span in xs for x in span]
 
 
 def complement(xs: Sequence[Span], period: int) -> tuple[Span, ...]:
-    return subtract(((0, period),), xs)
+    """Ticks of [0, period) outside ``xs``, which must be normalized and
+    lie within [0, period)."""
+    e = [0, *edges(xs), period]
+    return tuple((a, b) for a, b in zip(e[::2], e[1::2]) if b > a)
 
 
 def contains(xs: Sequence[Span], x: int) -> bool:
     """Point membership; ``xs`` must be normalized."""
-    i = bisect_right(xs, (x, float("inf"))) - 1
-    return i >= 0 and xs[i][0] <= x < xs[i][1]
+    return bool(bisect_right(edges(xs), x) & 1)
 
 
 def shift_mod(spans: Sequence[Span], shift: int, period: int) -> tuple[Span, ...]:
@@ -98,15 +88,5 @@ def shift_mod(spans: Sequence[Span], shift: int, period: int) -> tuple[Span, ...
 
 def reflect_mod(spans: Sequence[Span], c: int, period: int) -> tuple[Span, ...]:
     """Map every tick x to (c - x) mod period."""
-    out: list[Span] = []
-    for a, b in spans:
-        length = b - a
-        if length >= period:
-            return ((0, period),)
-        s = (c - b + 1) % period
-        if s + length <= period:
-            out.append((s, s + length))
-        else:
-            out.append((s, period))
-            out.append((0, s + length - period))
-    return normalize(out)
+    # -x runs over [1 - b, 1 - a) as x runs over [a, b)
+    return shift_mod([(1 - b, 1 - a) for a, b in spans], -c, period)

@@ -48,10 +48,6 @@ class SlottedParams:
         if self.active_slots[-1] >= self.period_slots or self.active_slots[0] < 0:
             raise ValueError("active slot index out of range")
 
-    @property
-    def active_count(self) -> int:
-        return len(self.active_slots)
-
 
 @dataclass(frozen=True)
 class DifferenceSet:

@@ -35,10 +35,6 @@ class TimeBase:
         if self.tick_ns <= 0:
             raise ValueError("tick_ns must be positive")
 
-    @property
-    def tick_seconds(self) -> Fraction:
-        return Fraction(self.tick_ns, 10**9)
-
     def ticks_from_us(self, us: int) -> int:
         t = Fraction(us * 1000, self.tick_ns)
         if t.denominator != 1:

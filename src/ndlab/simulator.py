@@ -77,12 +77,6 @@ class SimOutcome:
 # one device's timeline, compiled once per call
 # ---------------------------------------------------------------------------
 
-def _edges(spans) -> list[int]:
-    """Flattened span boundaries: a tick lies in the spans exactly when
-    bisect_right(edges, tick) is odd."""
-    return [x for span in spans for x in span]
-
-
 class _CompiledDevice:
     """The phase-free part of a device's timeline.  A phase only shifts it,
     so every trial of a call shares one instance and supplies the phase."""
@@ -144,14 +138,14 @@ class _CompiledDevice:
         """hears(phase, t): whether a remote beacon of tx_omega ticks starting
         at global t is received."""
         spec = self.spec
-        eff = _edges(effective_window_spans(spec.receptions, spec.radio.semantics, tx_omega))
+        eff = iv.edges(effective_window_spans(spec.receptions, spec.radio.semantics, tx_omega))
         t_c, t_b = self.t_c, self.t_b
         if not (self_blocking and self.blocked):
             return lambda phase, t: bisect_right(eff, (phase + t) % t_c) & 1
         # under CONTAINED the whole beacon [v, v + tx_omega) must miss the
         # blocked spans, so a blocked [a, b) deafens every v in [a - tx_omega + 1, b)
         reach = tx_omega - 1 if self.contained else 0
-        deaf = _edges(iv.shift_mod([(a - reach, b) for a, b in self.blocked], 0, t_b))
+        deaf = iv.edges(iv.shift_mod([(a - reach, b) for a, b in self.blocked], 0, t_b))
         return lambda phase, t: (
             bisect_right(eff, (phase + t) % t_c) & 1
             and not bisect_right(deaf, (phase + t) % t_b) & 1

@@ -5,7 +5,17 @@ from fractions import Fraction as F
 
 import pytest
 
-from ndlab import load_protocol, protocol_to_json, worst_case_latency_oracle
+from ndlab import (
+    BeaconSchedule,
+    ProtocolSpec,
+    RadioModel,
+    ReceptionSchedule,
+    ReceptionWindow,
+    Semantics,
+    load_protocol,
+    protocol_to_json,
+    worst_case_latency_oracle,
+)
 from ndlab.cli import main
 from ndlab.protocols import gen_optimal_unidirectional, gen_pi0m
 from helpers import MALFORMED_PROTOCOL_EDITS, beaconer, listener, with_field
@@ -114,6 +124,27 @@ def test_analyze_non_deterministic_reports_uncovered(tmp_path):
     assert rep["deterministic"] is False
     assert rep["unbounded"] is True
     assert rep["uncovered"] == [[3, 10]]
+
+
+def test_analyze_coverage_map_trims_windows_by_the_transmitted_beacon(tmp_path):
+    # f's own beacons last 1 tick, e's 3; under CONTAINED semantics a 3-tick
+    # beacon only fits a [0, 4) window when it starts at tick 0
+    e = beaconer([0, 3, 6], 27, omega=3, semantics=Semantics.CONTAINED)
+    f = ProtocolSpec(
+        BeaconSchedule((0,), 1, period=9),
+        ReceptionSchedule((ReceptionWindow(0, 4),), 9),
+        RadioModel(omega=1, semantics=Semantics.CONTAINED),
+    )
+    pe, pf = tmp_path / "e.json", tmp_path / "f.json"
+    pe.write_text(json.dumps(protocol_to_json(e)))
+    pf.write_text(json.dumps(protocol_to_json(f)))
+    out = tmp_path / "report.json"
+    assert run(["analyze", str(pe), str(pf), "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["unbounded"] is True
+    assert rep["deterministic"] is False
+    assert rep["uncovered"] == [[1, 3], [4, 6], [7, 9]]
+    assert rep["min_beacons"] == 9
 
 
 def test_analyze_hyperperiod_budget_exit_3(tmp_path, capsys):

@@ -208,6 +208,32 @@ def test_budget_charges_joint_time_scanned_not_lcm():
     assert (exc.value.hyperperiod, exc.value.limit) == (99_999_000, 98_999)
 
 
+@pytest.mark.parametrize("t_c", [1009, 2003, 5003, 20011])
+def test_fragmenting_pair_closed_form(t_c):
+    # one beacon every 7 ticks against a 1-tick window in a prime period:
+    # the offsets are covered one at a time, the last after t_c - 1 gaps,
+    # and the first in-range beacon may wait one more gap
+    e, f = beaconer([0], 7), listener([(0, 1)], t_c)
+    assert worst_case_latency_oracle(e, f) == 7 * t_c
+    if t_c == 1009:
+        assert worst_case_latency_oracle(e, f, method="full") == 7 * t_c
+
+
+def test_pair_too_sparse_for_the_budget_is_refused_without_a_sweep(monkeypatch):
+    import ndlab.coverage as coverage
+
+    def no_sweep(*args):
+        raise AssertionError("the oracle swept a pair it can refuse outright")
+
+    monkeypatch.setattr(coverage, "_oracle_full", no_sweep)
+    monkeypatch.setattr(coverage, "_oracle_endpoints", no_sweep)
+    e, f = beaconer([0], 7), listener([(0, 1)], 10_000_019)
+    for method in ("full", "endpoints"):
+        with pytest.raises(HyperperiodTooLarge) as exc:
+            worst_case_latency_oracle(e, f, method=method)
+        assert (exc.value.hyperperiod, exc.value.limit) == (70_000_133, 10_000_000)
+
+
 def test_pairwise_latency_charges_the_same_budget():
     e = beaconer([0], 10)
     f = listener([(0, 3)], 10)

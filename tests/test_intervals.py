@@ -25,8 +25,8 @@ def test_normalize_merges_touching():
 def test_set_semantics_match_tick_sets(xs, ys):
     a, b = iv.normalize(xs), iv.normalize(ys)
     assert ticks(iv.union(a, b)) == ticks(a) | ticks(b)
+    assert iv.union(a, b, a) == iv.union(iv.union(a, b), a) and iv.union() == ()
     assert ticks(iv.intersect(a, b)) == ticks(a) & ticks(b)
-    assert ticks(iv.subtract(a, b)) == ticks(a) - ticks(b)
     assert iv.measure(a) == len(ticks(a))
 
 
