@@ -4,8 +4,8 @@ Results are exact ``Fraction`` values.  The bounds an eta sweep or a
 deviation grid evaluates per row work on the integer numerators and
 denominators of their arguments and build a single ``Fraction`` from them
 at the end.  The only non-rational evaluations in the whole module are the
-exponential in the collision probability and the square root in the
-U-Connect row of the slotted-protocol table.
+exponential in the collision probability and the root-mean-square gap of
+``pi0m_vs_symmetric``.
 """
 
 from __future__ import annotations
@@ -260,38 +260,14 @@ def bound_slotted_two_beacon(eta, omega, alpha) -> Fraction:
     return Fraction(wn * (q + 2 * p) ** 2 * d * d, 2 * wd * q * q * n * n)
 
 
-def _slotted_base(eta: Fraction, beta: Fraction, alpha: Fraction) -> Fraction:
-    base = eta * beta - alpha * beta * beta
-    if base <= 0:
-        raise DomainError("eta*beta - alpha*beta^2 must be positive")
-    return base
-
-
 def bound_slotted_channel(eta, beta, omega, alpha) -> Fraction:
     """Latency limit of slotted designs expressed through the channel
     utilization their slot length implies (large slots)."""
     eta, beta, omega, alpha = rat(eta), rat(beta), rat(omega), rat(alpha)
-    return omega / _slotted_base(eta, beta, alpha)
-
-
-_SLOTTED_FACTORS = {"diffcodes": 1, "searchlight_s": 2, "disco": 8}
-
-
-def slotted_protocol_latency(protocol_id: str, eta, beta, omega, alpha):
-    """Worst-case latency of a named slotted protocol as a function of its
-    duty cycle and channel utilization.  The U-Connect entry involves a
-    square root and is returned as a float; the others are exact."""
-    eta, beta, omega, alpha = rat(eta), rat(beta), rat(omega), rat(alpha)
-    base = _slotted_base(eta, beta, alpha)
-    if protocol_id in _SLOTTED_FACTORS:
-        return _SLOTTED_FACTORS[protocol_id] * omega / base
-    if protocol_id == "uconnect":
-        inner = omega * omega * (8 * eta - 8 * alpha * beta + 9)
-        if inner < 0:
-            raise DomainError("negative discriminant")
-        root = math.sqrt(float(inner))
-        return (3.0 * float(omega) + root) ** 2 / float(8 * omega * base)
-    raise ValueError(f"unknown slotted protocol: {protocol_id!r}")
+    base = eta * beta - alpha * beta * beta
+    if base <= 0:
+        raise DomainError("eta*beta - alpha*beta^2 must be positive")
+    return omega / base
 
 
 def pi0m_latency(m, omega, eta, alpha) -> Fraction:
@@ -326,7 +302,3 @@ def pi0m_vs_symmetric(omega, alpha, steps: int = 1000) -> tuple[list[tuple], flo
         total += rel * rel
     return rows, math.sqrt(total / steps)
 
-
-def pi0m_nrmse_vs_symmetric(omega, alpha, steps: int = 1000) -> float:
-    """Root-mean-square relative gap of pi0m_vs_symmetric."""
-    return pi0m_vs_symmetric(omega, alpha, steps)[1]

@@ -115,6 +115,8 @@ def cmd_bounds(args) -> int:
     tick = TimeBase(args.tick_ns)
     omega = tick.ticks_from_us(args.omega_us)
     alpha = args.alpha
+    if args.deviation and not (1 <= args.k_lo <= args.k_hi and args.beta_lo <= args.beta_hi):
+        raise ValueError("deviation grid needs 1 <= k_lo <= k_hi and beta_lo <= beta_hi")
     out, close = _open_out(args.out)
     try:
         w = csv.writer(out)

@@ -70,9 +70,6 @@ class CoverageMap:
     window_coverage: int  # ticks one beacon can cover (effective window sum)
     repetitive: bool
 
-    def union(self) -> tuple[tuple[int, int], ...]:
-        return iv.union(*self.per_beacon)
-
     def csv_rows(self):
         for i, spans in enumerate(self.per_beacon):
             for a, b in spans:
@@ -130,18 +127,19 @@ def build_coverage_map(
 
 def analyze(cov: CoverageMap) -> DeterminismReport:
     """Determinism, redundancy and total coverage of a map."""
-    redundant = _overlapping(cov.per_beacon)
-    coverage_lambda = sum(iv.measure(spans) for spans in cov.per_beacon)
-    uncovered = iv.complement(cov.union(), cov.period)
-    min_b = None
-    if cov.window_coverage > 0:
-        min_b = ceil(cov.period / cov.window_coverage)
+    return _report(cov.per_beacon, cov.period, cov.window_coverage)
+
+
+def _report(span_sets, period: int, cover: int) -> DeterminismReport:
+    """Determinism verdicts on per-beacon covered offset sets over one
+    period; ``cover`` is the most offsets a single beacon can cover."""
+    uncovered = iv.complement(iv.union(*span_sets), period)
     return DeterminismReport(
         deterministic=not uncovered,
         uncovered=uncovered,
-        redundant=redundant,
-        coverage_lambda=coverage_lambda,
-        min_beacons=min_b,
+        redundant=_overlapping(span_sets),
+        coverage_lambda=sum(iv.measure(spans) for spans in span_sets),
+        min_beacons=ceil(period / cover) if cover else None,
     )
 
 
@@ -385,17 +383,8 @@ def check_correlated_quadruple(
             raise ValueError(f"device {name} has no beacon at zeta after a window end")
 
     from_f, from_e = _quadruple_images(e, f)
-    images = from_f + from_e
-    uncovered = iv.complement(iv.union(*images), t)
-    lam = sum(iv.measure(spans) for spans in images)
-    cover = iv.measure(from_f[0])  # a rotation of e's effective windows
-    return DeterminismReport(
-        deterministic=not uncovered,
-        uncovered=uncovered,
-        redundant=_overlapping(images),
-        coverage_lambda=lam,
-        min_beacons=ceil(t / cover) if cover else None,
-    )
+    # from_f[0] is a rotation of e's effective windows
+    return _report(from_f + from_e, t, iv.measure(from_f[0]))
 
 
 def _quadruple_images(e: ProtocolSpec, f: ProtocolSpec):

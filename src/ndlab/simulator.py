@@ -138,6 +138,8 @@ class _CompiledDevice:
         """hears(phase, t): whether a remote beacon of tx_omega ticks starting
         at global t is received."""
         spec = self.spec
+        if not spec.receptions.repetitive:
+            raise ValueError("the simulator needs a repetitive reception schedule")
         eff = iv.edges(effective_window_spans(spec.receptions, spec.radio.semantics, tx_omega))
         t_c, t_b = self.t_c, self.t_b
         if not (self_blocking and self.blocked):
@@ -313,6 +315,8 @@ def measured_blocked_fraction(p: ProtocolSpec) -> Fraction:
         return Fraction(0)
     if not p.beacons.repetitive:
         raise ValueError("measurement needs a repetitive beacon schedule")
+    if not p.receptions.repetitive:
+        raise ValueError("measurement needs a repetitive reception schedule")
     period = p.device_period
     t_b, t_c = p.beacons.period, p.receptions.period
     r = p.radio

@@ -215,21 +215,6 @@ def test_slotted_channel_values():
         bd.bound_slotted_channel(F(1, 50), F(1, 50), 1, 1)  # beta = eta/alpha
 
 
-def test_slotted_table_rows():
-    eta, beta = F(1, 50), F(1, 500)
-    base = bd.slotted_protocol_latency("diffcodes", eta, beta, 1, 1)
-    assert base == bd.bound_slotted_channel(eta, beta, 1, 1)
-    assert bd.slotted_protocol_latency("disco", eta, beta, 1, 1) == 8 * base
-    assert bd.slotted_protocol_latency("searchlight_s", eta, beta, 1, 1) == 2 * base
-    # independent evaluation of the square-root row
-    got = bd.slotted_protocol_latency("uconnect", eta, beta, 1, 1)
-    inner = 1.0 * (8 * float(eta) - 8 * float(beta) + 9)
-    expect = (3.0 + math.sqrt(inner)) ** 2 / float(8 * (eta * beta - beta * beta))
-    assert got == pytest.approx(expect, rel=1e-12)
-    with pytest.raises(ValueError):
-        bd.slotted_protocol_latency("nope", eta, beta, 1, 1)
-
-
 def test_pi0m_latency_closed_form():
     assert bd.pi0m_latency(99, 1, F(1, 50), 1) == F(100 * 100, 100 * F(1, 50) - 1)
     # real-valued optimum lands on the symmetric approximation

@@ -86,6 +86,25 @@ def test_bounds_deviation_grid(tmp_path):
     assert max(devs) == pytest.approx(4.676, abs=0.01)
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--k-lo", "0"],
+        ["--k-lo", "-5"],
+        ["--k-lo", "20", "--k-hi", "10"],
+        ["--beta-lo", "1/2", "--beta-hi", "1/4"],
+    ],
+)
+def test_bounds_deviation_refuses_broken_grid(tmp_path, capsys, flags):
+    out = tmp_path / "dev.csv"
+    rc = run(["bounds", "--deviation", "--omega-us", "32", "--out", str(out)] + flags)
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ValueError"
+    assert not out.exists()
+
+
 def test_bounds_requires_sweep_or_deviation(capsys):
     rc = run(["bounds", "--omega-us", "32"])
     assert rc == 2
@@ -255,6 +274,21 @@ def test_simulate_rejects_mistyped_config_values(tmp_path, capsys, key, value):
     err = json.loads(lines[0])
     assert err["error"] == "ValueError"
     assert (key or "config") in err["detail"]
+    assert not out_dir.exists()
+
+
+def test_simulate_refuses_one_shot_reception_schedule(tmp_path, capsys):
+    path = sim_config(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["devices"][1]["receptions"]["repetitive"] = False
+    path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    assert run(["simulate", str(path), "--out-dir", str(out_dir)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ValueError"
+    assert "repetitive reception schedule" in err["detail"]
     assert not out_dir.exists()
 
 

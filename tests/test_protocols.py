@@ -2,6 +2,8 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from ndlab import (
     UNBOUNDED,
@@ -13,9 +15,11 @@ from ndlab import (
     analyze,
     build_coverage_map,
     reception_duty_cycle,
+    total_duty_cycle,
     transmission_duty_cycle,
     worst_case_latency_oracle,
 )
+from ndlab import bounds as bd
 from ndlab.protocols import (
     BUILTIN_DIFFERENCE_SETS,
     DifferenceSet,
@@ -255,3 +259,69 @@ def test_diffcode_protocol_rotations():
 def test_slot_smaller_than_beacon_rejected():
     with pytest.raises(DomainError):
         gen_disco(3, 5, 2, 3)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form bounds against the exact oracle
+# ---------------------------------------------------------------------------
+
+SLOTTED_KINDS = ("disco", "searchlight", "uconnect", "diffcode")
+
+
+@st.composite
+def _generated(draw):
+    """(kind, protocol) from one of the six generators, with the slot (or
+    beacon gap) between omega and 12 * omega."""
+    omega = draw(st.integers(1, 3))
+    overhead = draw(st.integers(0, 3))
+    radio = RadioModel(
+        alpha=draw(st.sampled_from((F(1, 2), F(1), F(2)))),
+        omega=omega,
+        d_oTx=overhead,
+        d_oRx=overhead,
+        semantics=draw(st.sampled_from((Semantics.IDEAL, Semantics.CONTAINED))),
+    )
+    slot = draw(st.integers(omega, 12 * omega))
+    kind = draw(st.sampled_from(("optimal", "pi0m") + SLOTTED_KINDS))
+    if kind == "optimal":
+        p = gen_optimal_unidirectional(draw(st.integers(2, 6)), F(omega, slot), omega, radio)
+    elif kind == "pi0m":
+        d = max(slot, omega + 1)
+        p = gen_pi0m(draw(st.integers(1, 12)), d, omega, radio, draw(st.integers(0, d - 1)))
+    elif kind == "disco":
+        p = gen_disco(*draw(st.sampled_from(((2, 3), (2, 5), (3, 5)))), slot, omega, radio)
+    elif kind == "searchlight":
+        p = gen_searchlight_striped(draw(st.integers(2, 6)), slot, omega, radio)
+    elif kind == "uconnect":
+        p = gen_uconnect(draw(st.sampled_from((3, 5))), slot, omega, radio)
+    else:
+        p = gen_diffcode(builtin_difference_set(draw(st.sampled_from((7, 13)))), slot, omega, radio)
+    return kind, p
+
+
+@settings(deadline=None, max_examples=300)
+@given(_generated())
+def test_no_generated_protocol_beats_the_bounds(case):
+    kind, p = case
+    got = worst_case_latency_oracle(p, p)
+    if got is UNBOUNDED:
+        return
+    eta, omega, alpha = total_duty_cycle(p), p.radio.omega, p.radio.alpha
+    if eta <= 2:
+        assert got >= bd.bound_symmetric(eta, omega, alpha).latency
+    if kind in SLOTTED_KINDS:
+        beta = transmission_duty_cycle(p.beacons)
+        assert got >= bd.bound_slotted_channel(eta, beta, omega, alpha)
+
+
+@pytest.mark.parametrize("m, omega", [(3, 1), (9, 1), (19, 1), (99, 1), (9, 2), (4, 2)])
+def test_pi0m_attains_the_symmetric_bound(m, omega):
+    p = gen_pi0m(m, omega * (m + 1), omega, delta=0)
+    eta = total_duty_cycle(p)
+    assert eta == F(2, m + 1)
+    assert (
+        worst_case_latency_oracle(p, p)
+        == bd.bound_symmetric(eta, omega, 1).latency
+        == bd.pi0m_latency(m, omega, eta, 1)
+        == omega * (m + 1) ** 2
+    )

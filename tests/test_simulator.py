@@ -183,6 +183,36 @@ def test_blocked_span_full_for_all_three_overlap_positions():
         assert measured_blocked_fraction(p) == F(span, 3200)
 
 
+def _one_shot_pair():
+    return beaconer([0], 7), listener([(0, 2)], 10, repetitive=False)
+
+
+@pytest.mark.parametrize(
+    "replay",
+    [
+        lambda e, f: simulate_pair(e, f, 0, 1),
+        lambda e, f: simulate_pair(f, e, 1, 0),
+        lambda e, f: exhaustive_pair_worst_case(e, f),
+        lambda e, f: simulate_multi(SimConfig((e, f), trials=3)),
+    ],
+    ids=["simulate_pair", "simulate_pair_reverse", "exhaustive", "simulate_multi"],
+)
+def test_simulator_refuses_one_shot_reception_schedule(replay):
+    # repeating the window forever would answer 49, as for the periodic schedule
+    with pytest.raises(ValueError, match="repetitive reception schedule"):
+        replay(*_one_shot_pair())
+
+
+def test_blocked_fraction_refuses_one_shot_reception_schedule():
+    p = ProtocolSpec(
+        BeaconSchedule((0,), 1, period=10),
+        ReceptionSchedule((ReceptionWindow(0, 5),), 10, repetitive=False),
+        RadioModel(omega=1),
+    )
+    with pytest.raises(ValueError, match="repetitive reception schedule"):
+        measured_blocked_fraction(p)
+
+
 def test_self_blocking_needs_reciprocal_gamma():
     p = ProtocolSpec(
         BeaconSchedule((0,), 1, period=10),
