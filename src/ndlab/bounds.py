@@ -1,11 +1,18 @@
 """Closed-form worst-case latency bounds.
 
-Results are exact ``Fraction`` values.  The bounds an eta sweep or a
-deviation grid evaluates per row work on the integer numerators and
-denominators of their arguments and build a single ``Fraction`` from them
-at the end.  The only non-rational evaluations in the whole module are the
-exponential in the collision probability and the root-mean-square gap of
-``pi0m_vs_symmetric``.
+Results are exact ``Fraction`` values.  Each bound an eta sweep or a
+deviation grid evaluates per row is split in two.  A private integer
+kernel (``_symmetric``, ``_mutual_exclusive``, ...) takes the integer
+numerators and denominators of its arguments, assumes they lie in the
+domain, and returns the bound as an unreduced ``(num, den)`` pair, plus
+``k`` and the branch where the bound has them.  The public function splits
+its arguments, raises ``DomainError`` outside the domain, and builds one
+``Fraction`` from the kernel's pair.  ``nd-lab bounds`` calls the kernels
+directly and writes each CSV cell as the int/int division ``num / den``,
+which Python rounds correctly, so it equals ``float(Fraction(num, den))``
+bit for bit.  The only non-rational evaluations in the whole module are
+the exponential in the collision probability and the root-mean-square gap
+of ``pi0m_vs_symmetric``.
 """
 
 from __future__ import annotations
@@ -71,7 +78,12 @@ def bound_unidirectional(gamma, beta, omega) -> Fraction:
         raise DomainError("gamma must lie in (0, 1]")
     if bn <= 0:
         raise DomainError("beta must be positive")
-    return Fraction(-(-gd // gn) * wn * bd, wd * bn)
+    return Fraction(*_unidirectional(gn, gd, bn, bd, wn, wd))
+
+
+def _unidirectional(gn, gd, bn, bd, wn, wd) -> tuple[int, int]:
+    """ceil(1/gamma) * omega / beta over the denominator wd * bn."""
+    return -(-gd // gn) * wn * bd, wd * bn
 
 
 def bound_symmetric(eta, omega, alpha) -> SymmetricBound:
@@ -87,17 +99,26 @@ def bound_symmetric(eta, omega, alpha) -> SymmetricBound:
     (n, d), (wn, wd), (p, q) = _ratio(eta), _ratio(omega), _ratio(alpha)
     if n <= 0:
         raise DomainError("eta must be positive")
+    sym = _symmetric(n, d, wn, wd, p, q)
+    if sym is None:
+        raise DomainError("eta > 2 leaves no room for a reception phase")
+    num, den, k, branch = sym
+    return SymmetricBound(Fraction(num, den), k, branch, Fraction(1, k))
+
+
+def _symmetric(n, d, wn, wd, p, q) -> tuple[int, int, int, str] | None:
+    """(num, den, k, branch) of the symmetric bound at eta = n/d > 0, or
+    None when eta > 2."""
     k_floor = 2 * d // n
     if k_floor < 1:
-        raise DomainError("eta > 2 leaves no room for a reception phase")
+        return None
     k_ceil = -(-2 * d // n)
     den_c, den_f = n * k_ceil - d, n * k_floor - d
     if _ceil_wins(k_ceil * k_ceil * den_f, k_floor * k_floor * den_c, wn * p):
         k, den, branch = k_ceil, den_c, "ceil"
     else:
         k, den, branch = k_floor, den_f, "floor"
-    latency = Fraction(k * k * wn * p * d, wd * q * den)
-    return SymmetricBound(latency, k, branch, Fraction(1, k))
+    return k * k * wn * p * d, wd * q * den, k, branch
 
 
 def bound_symmetric_approx(eta, omega, alpha) -> Fraction:
@@ -106,7 +127,11 @@ def bound_symmetric_approx(eta, omega, alpha) -> Fraction:
     (n, d), (wn, wd), (p, q) = _ratio(eta), _ratio(omega), _ratio(alpha)
     if n <= 0:
         raise DomainError("eta must be positive")
-    return Fraction(4 * p * wn * d * d, q * wd * n * n)
+    return Fraction(*_symmetric_approx(n, d, wn, wd, p, q))
+
+
+def _symmetric_approx(n, d, wn, wd, p, q) -> tuple[int, int]:
+    return 4 * p * wn * d * d, q * wd * n * n
 
 
 def bound_channel_constrained(eta, beta_m, omega, alpha) -> ChannelConstrainedBound:
@@ -159,16 +184,26 @@ def bound_mutual_exclusive(eta, omega, alpha) -> MutualExclusiveBound:
     (n, d), (wn, wd), (p, q) = _ratio(eta), _ratio(omega), _ratio(alpha)
     if n <= 0:
         raise DomainError("eta must be positive")
+    me = _mutual_exclusive(n, d, wn, wd, p, q)
+    if me is None:
+        raise DomainError("eta > 1 leaves no valid split")
+    num, den, k, branch = me
+    return MutualExclusiveBound(Fraction(num, den), k, branch)
+
+
+def _mutual_exclusive(n, d, wn, wd, p, q) -> tuple[int, int, int, str] | None:
+    """(num, den, k, branch) of the mutual-exclusive bound at eta = n/d > 0,
+    or None when eta > 1."""
     k_floor = d // n
     if k_floor < 1:
-        raise DomainError("eta > 1 leaves no valid split")
+        return None
     k_ceil = -(-d // n)
     den_c, den_f = 2 * n * k_ceil - d, 2 * n * k_floor - d
     if _ceil_wins(k_ceil * k_ceil * den_f, k_floor * k_floor * den_c, wn * p):
         k, den, branch = k_ceil, den_c, "ceil"
     else:
         k, den, branch = k_floor, den_f, "floor"
-    return MutualExclusiveBound(Fraction(2 * k * k * wn * p * d, wd * q * den), k, branch)
+    return 2 * k * k * wn * p * d, wd * q * den, k, branch
 
 
 def collision_probability(s: int, beta) -> float:
@@ -202,14 +237,19 @@ def bound_relaxed(gamma, beta, omega, radio: RadioModel, count_first_beacon: boo
         raise DomainError("relaxed bound assumes gamma = 1/k")
     if bn <= 0:
         raise DomainError("beta must be positive")
-    # over the common denominator wd * bn, with gamma = 1/gd
+    return Fraction(*_relaxed(gd, bn, bd, wn, wd, radio, count_first_beacon))
+
+
+def _relaxed(k, bn, bd, wn, wd, radio: RadioModel, count_first_beacon) -> tuple[int, int]:
+    """The relaxed bound at gamma = 1/k over the denominator wd * bn, the
+    one ``_unidirectional`` uses too."""
     contained = radio.semantics is Semantics.CONTAINED
     tx = bd * (radio.d_oTx * wd + wn)
     rx = bn * (radio.d_oRx * wd + (wn if contained else 0))
-    num = gd * (tx + rx)
+    num = k * (tx + rx)
     if count_first_beacon:
         num += wn * bn
-    return Fraction(num, wd * bn)
+    return num, wd * bn
 
 
 def relaxed_deviation(beta, k: int, omega, radio: RadioModel) -> Fraction:
@@ -242,22 +282,54 @@ def relaxed_deviation_range(
 
 def bound_slotted_full_duplex(eta, omega, alpha) -> Fraction:
     """Latency limit of one-beacon-per-slot designs on a radio that could
-    listen while transmitting, at the minimal slot length."""
+    listen while transmitting, at the minimal slot length:
+    (1 + alpha)^2 * omega / eta^2.
+
+    The model: every active slot has one layout, a reception window over
+    the slot with one beacon at its start that the radio sends while it
+    listens, and the slot is the shortest that layout allows.  The limit
+    holds only inside that model.  It is not a lower bound for this package's
+    slotted generators, which listen over the whole active slot, send
+    beacons in its first and last omega ticks (``protocols.gen_slotted``)
+    and take the slot length as a parameter:
+    ``gen_diffcode(builtin_difference_set(13), 8, 5, RadioModel(alpha=4,
+    omega=5))`` (eta 14/13) has oracle latency 104 against a limit of
+    21125/196 (about 107.8).
+    """
     (n, d), (wn, wd), (p, q) = _ratio(eta), _ratio(omega), _ratio(alpha)
     if n <= 0:
         raise DomainError("eta must be positive")
+    return Fraction(*_slotted_full_duplex(n, d, wn, wd, p, q))
+
+
+def _slotted_full_duplex(n, d, wn, wd, p, q) -> tuple[int, int]:
     # 1 + 2*alpha + alpha^2 = (q + p)^2 / q^2
-    return Fraction(wn * (q + p) ** 2 * d * d, wd * q * q * n * n)
+    return wn * (q + p) ** 2 * d * d, wd * q * q * n * n
 
 
 def bound_slotted_two_beacon(eta, omega, alpha) -> Fraction:
     """Latency limit of two-beacons-per-slot designs (one sent just outside
-    the slot boundary)."""
+    the slot boundary): (1/2 + 2 alpha + 2 alpha^2) * omega / eta^2.
+
+    The model: every active slot has one layout, a reception window over
+    the slot with one beacon at its start and one just past its end, and
+    the slot is the shortest that layout allows.  The limit holds only
+    inside that model.  It is not a lower bound for this package's slotted
+    generators, which send both beacons inside the slot
+    (``protocols.gen_slotted``) and take the slot length as a parameter:
+    ``gen_diffcode(builtin_difference_set(13), 8, 5, RadioModel(alpha=4,
+    omega=5))`` (eta 14/13) has oracle latency 104 against a limit of
+    68445/392 (about 174.6).
+    """
     (n, d), (wn, wd), (p, q) = _ratio(eta), _ratio(omega), _ratio(alpha)
     if n <= 0:
         raise DomainError("eta must be positive")
+    return Fraction(*_slotted_two_beacon(n, d, wn, wd, p, q))
+
+
+def _slotted_two_beacon(n, d, wn, wd, p, q) -> tuple[int, int]:
     # 1/2 + 2*alpha + 2*alpha^2 = (q + 2p)^2 / (2 q^2)
-    return Fraction(wn * (q + 2 * p) ** 2 * d * d, 2 * wd * q * q * n * n)
+    return wn * (q + 2 * p) ** 2 * d * d, 2 * wd * q * q * n * n
 
 
 def bound_slotted_channel(eta, beta, omega, alpha) -> Fraction:

@@ -103,83 +103,92 @@ def _parse_sweep(text: str):
     return lo, hi, step
 
 
-def _cell(fn, *args):
-    try:
-        v = fn(*args)
-    except _DOMAIN_ERRORS:
-        return ""
-    return float(v.latency if hasattr(v, "latency") else v)
-
-
 def cmd_bounds(args) -> int:
     tick = TimeBase(args.tick_ns)
     omega = tick.ticks_from_us(args.omega_us)
     alpha = args.alpha
-    if args.deviation and not (1 <= args.k_lo <= args.k_hi and args.beta_lo <= args.beta_hi):
-        raise ValueError("deviation grid needs 1 <= k_lo <= k_hi and beta_lo <= beta_hi")
+    if args.deviation:
+        if not (1 <= args.k_lo <= args.k_hi and 0 < args.beta_lo <= args.beta_hi <= 1):
+            raise ValueError(
+                "deviation grid needs 1 <= k_lo <= k_hi and 0 < beta_lo <= beta_hi <= 1"
+            )
+        radio = RadioModel(
+            alpha=alpha,
+            omega=omega,
+            d_oTx=tick.ticks_from_us(args.doTx_us),
+            d_oRx=tick.ticks_from_us(args.doRx_us),
+            semantics=Semantics.CONTAINED,
+        )
+        header = ["beta", "gamma", "ideal_ticks", "relaxed_ticks", "deviation"]
+        rows = _deviation_rows(
+            _grid(args.beta_lo, args.beta_hi, args.beta_steps),
+            _k_grid(args.k_lo, args.k_hi, args.beta_steps),
+            omega,
+            radio,
+        )
+    elif args.sweep is None:
+        return _fail(2, "usage", "either --sweep or --deviation is required")
+    else:
+        header = [
+            "eta",
+            "symmetric",
+            "symmetric_k",
+            "symmetric_branch",
+            "gamma_o",
+            "symmetric_approx",
+            "slotted_full_duplex",
+            "slotted_two_beacon",
+            "mutual_exclusive",
+        ]
+        rows = _sweep_rows(*args.sweep, omega, alpha)
     out, close = _open_out(args.out)
     try:
         w = csv.writer(out)
-        if args.deviation:
-            radio = RadioModel(
-                alpha=alpha,
-                omega=omega,
-                d_oTx=tick.ticks_from_us(args.doTx_us),
-                d_oRx=tick.ticks_from_us(args.doRx_us),
-                semantics=Semantics.CONTAINED,
-            )
-            w.writerow(["beta", "gamma", "ideal_ticks", "relaxed_ticks", "deviation"])
-            betas = _grid(args.beta_lo, args.beta_hi, args.beta_steps)
-            ks = _k_grid(args.k_lo, args.k_hi, args.beta_steps)
-            for beta in betas:
-                for k in ks:
-                    gamma = Fraction(1, k)
-                    ideal = bounds.bound_unidirectional(gamma, beta, omega)
-                    real = bounds.bound_relaxed(
-                        gamma, beta, omega, radio, count_first_beacon=True
-                    )
-                    dev = (real - ideal) / ideal
-                    w.writerow([float(beta), float(gamma), float(ideal), float(real), float(dev)])
-            return 0
-        if args.sweep is None:
-            return _fail(2, "usage", "either --sweep or --deviation is required")
-        lo, hi, step = args.sweep
-        w.writerow(
-            [
-                "eta",
-                "symmetric",
-                "symmetric_k",
-                "symmetric_branch",
-                "gamma_o",
-                "symmetric_approx",
-                "slotted_full_duplex",
-                "slotted_two_beacon",
-                "mutual_exclusive",
-            ]
-        )
-        # eta = n / den steps on integer numerators, with no Fraction sums
-        den = math.lcm(lo.denominator, step.denominator)
-        for n in range(int(lo * den), math.floor(hi * den) + 1, int(step * den)):
-            eta = Fraction(n, den)
-            try:
-                sym = bounds.bound_symmetric(eta, omega, alpha)
-                sym_cols = [float(sym.latency), sym.k, sym.branch, float(sym.gamma_o)]
-            except _DOMAIN_ERRORS:
-                sym_cols = ["", "", "", ""]
-            w.writerow(
-                [float(eta)]
-                + sym_cols
-                + [
-                    _cell(bounds.bound_symmetric_approx, eta, omega, alpha),
-                    _cell(bounds.bound_slotted_full_duplex, eta, omega, alpha),
-                    _cell(bounds.bound_slotted_two_beacon, eta, omega, alpha),
-                    _cell(bounds.bound_mutual_exclusive, eta, omega, alpha),
-                ]
-            )
+        w.writerow(header)
+        w.writerows(rows)
         return 0
     finally:
         if close:
             out.close()
+
+
+def _sweep_rows(lo: Fraction, hi: Fraction, step: Fraction, omega: int, alpha: Fraction):
+    """One row per eta = n / den of the sweep, each cell an int/int division
+    of a bound kernel's (num, den); eta > 2 blanks the symmetric cells and
+    eta > 1 the mutual-exclusive one."""
+    p, q = alpha.numerator, alpha.denominator
+    den = math.lcm(lo.denominator, step.denominator)
+    for n in range(int(lo * den), math.floor(hi * den) + 1, int(step * den)):
+        sym = bounds._symmetric(n, den, omega, 1, p, q)
+        if sym is None:
+            sym_cells = ["", "", "", ""]
+        else:
+            num, d, k, branch = sym
+            sym_cells = [num / d, k, branch, 1 / k]
+        approx_num, approx_den = bounds._symmetric_approx(n, den, omega, 1, p, q)
+        fd_num, fd_den = bounds._slotted_full_duplex(n, den, omega, 1, p, q)
+        tb_num, tb_den = bounds._slotted_two_beacon(n, den, omega, 1, p, q)
+        me = bounds._mutual_exclusive(n, den, omega, 1, p, q)
+        yield [
+            n / den,
+            *sym_cells,
+            approx_num / approx_den,
+            fd_num / fd_den,
+            tb_num / tb_den,
+            "" if me is None else me[0] / me[1],
+        ]
+
+
+def _deviation_rows(betas: list[Fraction], ks: list[int], omega: int, radio: RadioModel):
+    """One row per (beta, gamma = 1/k).  The ideal and relaxed kernels
+    return the same denominator, so the deviation (real - ideal) / ideal
+    divides their numerators alone."""
+    for beta in betas:
+        bn, bd = beta.numerator, beta.denominator
+        for k in ks:
+            ideal, den = bounds._unidirectional(1, k, bn, bd, omega, 1)
+            real, _ = bounds._relaxed(k, bn, bd, omega, 1, radio, True)
+            yield [bn / bd, 1 / k, ideal / den, real / den, (real - ideal) / ideal]
 
 
 def _grid(lo: Fraction, hi: Fraction, steps: int):

@@ -1,8 +1,11 @@
 import csv
+import hashlib
 import json
 import math
 from fractions import Fraction as F
 
+from hypothesis import given, settings
+import hypothesis.strategies as st
 import pytest
 
 from ndlab import (
@@ -16,7 +19,9 @@ from ndlab import (
     protocol_to_json,
     worst_case_latency_oracle,
 )
-from ndlab.cli import main
+from ndlab import bounds as bd
+from ndlab.cli import _grid, _k_grid, main
+from ndlab.errors import DomainError
 from ndlab.protocols import gen_optimal_unidirectional, gen_pi0m
 from helpers import MALFORMED_PROTOCOL_EDITS, beaconer, listener, with_field
 
@@ -93,6 +98,9 @@ def test_bounds_deviation_grid(tmp_path):
         ["--k-lo", "-5"],
         ["--k-lo", "20", "--k-hi", "10"],
         ["--beta-lo", "1/2", "--beta-hi", "1/4"],
+        ["--beta-lo", "0"],
+        ["--beta-lo", "1/2", "--beta-hi", "3"],
+        ["--omega-us", "0"],
     ],
 )
 def test_bounds_deviation_refuses_broken_grid(tmp_path, capsys, flags):
@@ -105,10 +113,152 @@ def test_bounds_deviation_refuses_broken_grid(tmp_path, capsys, flags):
     assert not out.exists()
 
 
-def test_bounds_requires_sweep_or_deviation(capsys):
-    rc = run(["bounds", "--omega-us", "32"])
+def test_bounds_requires_sweep_or_deviation(tmp_path, capsys):
+    out = tmp_path / "bounds.csv"
+    rc = run(["bounds", "--omega-us", "32", "--out", str(out)])
     assert rc == 2
     assert "usage" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# sha256 of CSVs recorded while every cell was still float() of a public
+# Fraction bound: the sweeps cross eta = 1 and eta = 2 (blank cells) with a
+# fractional alpha, a negative alpha and omega 0
+_PINNED_BOUNDS_CSVS = [
+    (
+        ["--sweep", "eta=0.05:2.5:0.05", "--alpha", "3/7", "--omega-us", "37"],
+        "9e70b5cdec432d49f5de21ffc8dbdb1e6e9fe4f8bbc6906b295730bbbc143a7c",
+    ),
+    (
+        ["--sweep", "eta=1/3:7/3:1/6", "--alpha=-2", "--omega-us", "11"],
+        "19dbf16626d343a6c866d93bbe19531e93f0641b5e117acc504c67ac9b0a774d",
+    ),
+    (
+        ["--sweep", "eta=0.1:2.2:0.1", "--alpha", "2", "--omega-us", "0"],
+        "555120ff147ede184293d2fd5f03af239706ebb14ecb99649b129747feef24b4",
+    ),
+    (
+        ["--deviation", "--omega-us", "32", "--doRx-us", "140", "--doTx-us", "140"],
+        "d35e2168cebac87ae54de54a54b1b907e7235311e1e515dfd072eefb17d67ddc",
+    ),
+    (
+        ["--deviation", "--omega-us", "13", "--doTx-us", "3", "--beta-lo", "1/100",
+         "--beta-hi", "1/2", "--k-lo", "1", "--k-hi", "50", "--beta-steps", "7"],
+        "7712672e3681d72dfe0d6e587f5ecb6d7b328f7821eb7979e5777ae4086c9e07",
+    ),
+]
+
+
+@pytest.mark.parametrize("flags, digest", _PINNED_BOUNDS_CSVS)
+def test_bounds_csv_digests_are_pinned(tmp_path, flags, digest):
+    out = tmp_path / "bounds.csv"
+    assert run(["bounds", *flags, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))[1:]
+
+
+def _cells(*values):
+    """CSV text of floats of exact values, ints and strings; None is blank."""
+    return ["" if v is None else str(float(v) if isinstance(v, F) else v) for v in values]
+
+
+def _or_none(fn, *args):
+    try:
+        return fn(*args)
+    except DomainError:
+        return None
+
+
+@st.composite
+def _sweeps(draw):
+    lo = draw(st.fractions(F(1, 30), F(5, 2), max_denominator=30))
+    step = draw(st.fractions(F(1, 40), F(1, 2), max_denominator=40))
+    hi = lo + draw(st.fractions(0, 3, max_denominator=20))
+    return lo, hi, step
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _sweeps(),
+    st.fractions(-3, 3, max_denominator=12),
+    st.integers(0, 300),
+    st.sampled_from((1000, 500, 250)),
+)
+def test_bounds_sweep_rows_equal_the_public_bounds(tmp_path_factory, sweep, alpha, omega_us, tick_ns):
+    lo, hi, step = sweep
+    out = tmp_path_factory.mktemp("sweep") / "sweep.csv"
+    assert run([
+        "bounds", "--sweep", f"eta={lo}:{hi}:{step}", f"--alpha={alpha}",
+        "--omega-us", str(omega_us), "--tick-ns", str(tick_ns), "--out", str(out),
+    ]) == 0
+    omega = omega_us * 1000 // tick_ns
+    want = []
+    eta = lo
+    while eta <= hi:
+        sym = _or_none(bd.bound_symmetric, eta, omega, alpha)
+        me = _or_none(bd.bound_mutual_exclusive, eta, omega, alpha)
+        want.append(_cells(
+            eta,
+            *((None,) * 4 if sym is None else (sym.latency, sym.k, sym.branch, sym.gamma_o)),
+            bd.bound_symmetric_approx(eta, omega, alpha),
+            bd.bound_slotted_full_duplex(eta, omega, alpha),
+            bd.bound_slotted_two_beacon(eta, omega, alpha),
+            None if me is None else me.latency,
+        ))
+        eta += step
+    assert _csv_rows(out) == want
+
+
+@st.composite
+def _beta_ranges(draw):
+    lo = draw(st.fractions(F(1, 20000), 1, max_denominator=20000))
+    return lo, draw(st.fractions(lo, 1, max_denominator=20000))
+
+
+@st.composite
+def _k_ranges(draw):
+    lo = draw(st.integers(1, 60))
+    return lo, draw(st.integers(lo, 3000))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _beta_ranges(),
+    _k_ranges(),
+    st.integers(1, 8),
+    st.integers(1, 200),
+    st.integers(0, 200),
+    st.integers(0, 200),
+)
+def test_bounds_deviation_rows_equal_the_public_bounds(
+    tmp_path_factory, betas, ks, steps, omega, do_tx, do_rx
+):
+    (beta_lo, beta_hi), (k_lo, k_hi) = betas, ks
+    out = tmp_path_factory.mktemp("dev") / "dev.csv"
+    assert run([
+        "bounds", "--deviation", "--omega-us", str(omega),
+        "--doTx-us", str(do_tx), "--doRx-us", str(do_rx),
+        "--beta-lo", str(beta_lo), "--beta-hi", str(beta_hi),
+        "--k-lo", str(k_lo), "--k-hi", str(k_hi), "--beta-steps", str(steps),
+        "--out", str(out),
+    ]) == 0
+    radio = RadioModel(omega=omega, d_oTx=do_tx, d_oRx=do_rx, semantics=Semantics.CONTAINED)
+    want = [
+        _cells(
+            beta,
+            F(1, k),
+            bd.bound_unidirectional(F(1, k), beta, omega),
+            bd.bound_relaxed(F(1, k), beta, omega, radio, count_first_beacon=True),
+            bd.relaxed_deviation(beta, k, omega, radio),
+        )
+        for beta in _grid(beta_lo, beta_hi, steps)
+        for k in _k_grid(k_lo, k_hi, steps)
+    ]
+    assert _csv_rows(out) == want
 
 
 def test_analyze_report(tmp_path):

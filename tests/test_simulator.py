@@ -1,5 +1,4 @@
 import hashlib
-import os
 import random
 from fractions import Fraction as F
 
@@ -93,16 +92,14 @@ def test_seeded_runs_are_identical():
     assert c != a
 
 
-def test_thread_count_does_not_change_results():
+def test_thread_count_does_not_change_results(monkeypatch):
+    # ND_LAB_THREADS once chose a thread pool size; a stale setting must
+    # still leave a seeded run unchanged
     e, f = optimal_pair()
     cfg = SimConfig((e, f), trials=300, seed=5, horizon=400)
     serial = simulate_multi(cfg)
-    os.environ["ND_LAB_THREADS"] = "4"
-    try:
-        threaded = simulate_multi(cfg)
-    finally:
-        del os.environ["ND_LAB_THREADS"]
-    assert serial == threaded
+    monkeypatch.setenv("ND_LAB_THREADS", "4")
+    assert simulate_multi(cfg) == serial
 
 
 def test_single_sender_never_collides():
