@@ -2,17 +2,22 @@
 
 Results are exact ``Fraction`` values.  Each bound an eta sweep or a
 deviation grid evaluates per row is split in two.  A private integer
-kernel (``_symmetric``, ``_mutual_exclusive``, ...) takes the integer
-numerators and denominators of its arguments, assumes they lie in the
-domain, and returns the bound as an unreduced ``(num, den)`` pair, plus
-``k`` and the branch where the bound has them.  The public function splits
-its arguments, raises ``DomainError`` outside the domain, and builds one
-``Fraction`` from the kernel's pair.  ``nd-lab bounds`` calls the kernels
-directly and writes each CSV cell as the int/int division ``num / den``,
-which Python rounds correctly, so it equals ``float(Fraction(num, den))``
-bit for bit.  The only non-rational evaluations in the whole module are
-the exponential in the collision probability and the root-mean-square gap
-of ``pi0m_vs_symmetric``.
+kernel (``_symmetric``, ``_relaxed``, ...) takes the integer numerators
+and denominators of its arguments, assumes they lie in the domain, and
+returns the bound as an unreduced ``(num, den)`` pair, plus ``k`` and the
+branch where the bound has them.  The public function splits its
+arguments, raises ``DomainError`` outside the domain, and builds one
+``Fraction`` from the kernel's pair.  The mutual-exclusive bound is twice
+the symmetric one at twice the duty cycle, so it reuses ``_symmetric``.
+
+``sweep_rows`` and ``deviation_rows`` yield the rows of the ``nd-lab
+bounds`` CSVs.  They call the kernels and write each cell as the int/int
+division ``num / den``, which Python rounds correctly, so it equals
+``float(Fraction(num, den))`` bit for bit; a cell outside the bound's
+domain is ``None``, which ``csv.writer`` writes blank.  The only
+non-rational evaluations in the whole module are the exponential in the
+collision probability and the root-mean-square gap of
+``pi0m_vs_symmetric``.
 """
 
 from __future__ import annotations
@@ -61,6 +66,15 @@ def _ratio(x) -> tuple[int, int]:
     return x.numerator, x.denominator
 
 
+def _rates(eta, omega, alpha) -> tuple[int, int, int, int, int, int]:
+    """Numerators and denominators of eta, omega and alpha, for a positive
+    eta."""
+    (n, d), (wn, wd), (p, q) = _ratio(eta), _ratio(omega), _ratio(alpha)
+    if n <= 0:
+        raise DomainError("eta must be positive")
+    return n, d, wn, wd, p, q
+
+
 def _ceil_wins(cross_c: int, cross_f: int, scale: int) -> bool:
     """Whether the ceil candidate scale * k_c^2 / den_c is at most the floor
     candidate scale * k_f^2 / den_f, read from the cross products
@@ -96,10 +110,7 @@ def bound_symmetric(eta, omega, alpha) -> SymmetricBound:
     k^2 * omega * alpha * d / (n*k - d), and n*k > d holds for both
     candidates whenever k_floor >= 1.
     """
-    (n, d), (wn, wd), (p, q) = _ratio(eta), _ratio(omega), _ratio(alpha)
-    if n <= 0:
-        raise DomainError("eta must be positive")
-    sym = _symmetric(n, d, wn, wd, p, q)
+    sym = _symmetric(*_rates(eta, omega, alpha))
     if sym is None:
         raise DomainError("eta > 2 leaves no room for a reception phase")
     num, den, k, branch = sym
@@ -124,10 +135,7 @@ def _symmetric(n, d, wn, wd, p, q) -> tuple[int, int, int, str] | None:
 def bound_symmetric_approx(eta, omega, alpha) -> Fraction:
     """Small-duty-cycle approximation 4*alpha*omega/eta**2; exact whenever
     2/eta is an integer."""
-    (n, d), (wn, wd), (p, q) = _ratio(eta), _ratio(omega), _ratio(alpha)
-    if n <= 0:
-        raise DomainError("eta must be positive")
-    return Fraction(*_symmetric_approx(n, d, wn, wd, p, q))
+    return Fraction(*_symmetric_approx(*_rates(eta, omega, alpha)))
 
 
 def _symmetric_approx(n, d, wn, wd, p, q) -> tuple[int, int]:
@@ -179,31 +187,15 @@ def bound_mutual_exclusive(eta, omega, alpha) -> MutualExclusiveBound:
     share the coverage work, halving the beacons each side needs.  With
     eta = n/d, k costs 2 * k^2 * omega * alpha * d / (2*n*k - d), and
     2*n*k > d holds for both integers bracketing 1/eta whenever
-    k_floor >= 1.
+    k_floor >= 1.  That is twice the symmetric bound at 2 * eta, with the
+    same k and branch, so ``_symmetric`` evaluates it.
     """
-    (n, d), (wn, wd), (p, q) = _ratio(eta), _ratio(omega), _ratio(alpha)
-    if n <= 0:
-        raise DomainError("eta must be positive")
-    me = _mutual_exclusive(n, d, wn, wd, p, q)
+    n, d, wn, wd, p, q = _rates(eta, omega, alpha)
+    me = _symmetric(2 * n, d, 2 * wn, wd, p, q)
     if me is None:
         raise DomainError("eta > 1 leaves no valid split")
     num, den, k, branch = me
     return MutualExclusiveBound(Fraction(num, den), k, branch)
-
-
-def _mutual_exclusive(n, d, wn, wd, p, q) -> tuple[int, int, int, str] | None:
-    """(num, den, k, branch) of the mutual-exclusive bound at eta = n/d > 0,
-    or None when eta > 1."""
-    k_floor = d // n
-    if k_floor < 1:
-        return None
-    k_ceil = -(-d // n)
-    den_c, den_f = 2 * n * k_ceil - d, 2 * n * k_floor - d
-    if _ceil_wins(k_ceil * k_ceil * den_f, k_floor * k_floor * den_c, wn * p):
-        k, den, branch = k_ceil, den_c, "ceil"
-    else:
-        k, den, branch = k_floor, den_f, "floor"
-    return 2 * k * k * wn * p * d, wd * q * den, k, branch
 
 
 def collision_probability(s: int, beta) -> float:
@@ -296,10 +288,7 @@ def bound_slotted_full_duplex(eta, omega, alpha) -> Fraction:
     omega=5))`` (eta 14/13) has oracle latency 104 against a limit of
     21125/196 (about 107.8).
     """
-    (n, d), (wn, wd), (p, q) = _ratio(eta), _ratio(omega), _ratio(alpha)
-    if n <= 0:
-        raise DomainError("eta must be positive")
-    return Fraction(*_slotted_full_duplex(n, d, wn, wd, p, q))
+    return Fraction(*_slotted_full_duplex(*_rates(eta, omega, alpha)))
 
 
 def _slotted_full_duplex(n, d, wn, wd, p, q) -> tuple[int, int]:
@@ -321,10 +310,7 @@ def bound_slotted_two_beacon(eta, omega, alpha) -> Fraction:
     omega=5))`` (eta 14/13) has oracle latency 104 against a limit of
     68445/392 (about 174.6).
     """
-    (n, d), (wn, wd), (p, q) = _ratio(eta), _ratio(omega), _ratio(alpha)
-    if n <= 0:
-        raise DomainError("eta must be positive")
-    return Fraction(*_slotted_two_beacon(n, d, wn, wd, p, q))
+    return Fraction(*_slotted_two_beacon(*_rates(eta, omega, alpha)))
 
 
 def _slotted_two_beacon(n, d, wn, wd, p, q) -> tuple[int, int]:
@@ -374,3 +360,59 @@ def pi0m_vs_symmetric(omega, alpha, steps: int = 1000) -> tuple[list[tuple], flo
         total += rel * rel
     return rows, math.sqrt(total / steps)
 
+
+
+# ---------------------------------------------------------------------------
+# CSV rows of nd-lab bounds
+# ---------------------------------------------------------------------------
+
+SWEEP_HEADER = ("eta", "symmetric", "symmetric_k", "symmetric_branch", "gamma_o",
+                "symmetric_approx", "slotted_full_duplex", "slotted_two_beacon",
+                "mutual_exclusive")
+
+
+def sweep_rows(lo, hi, step, omega, alpha):
+    """Yield one ``SWEEP_HEADER`` row per eta = lo, lo + step, ... <= hi,
+    for lo > 0 and step > 0.  Each cell is an int/int division of a
+    kernel's (num, den); eta > 2 blanks the symmetric cells and eta > 1
+    the mutual-exclusive one."""
+    lo, hi, step = rat(lo), rat(hi), rat(step)
+    (wn, wd), (p, q) = _ratio(omega), _ratio(alpha)
+    den = math.lcm(lo.denominator, step.denominator)
+    for n in range(int(lo * den), math.floor(hi * den) + 1, int(step * den)):
+        sym = _symmetric(n, den, wn, wd, p, q)
+        if sym is None:
+            sym_cells = (None, None, None, None)
+        else:
+            num, d, k, branch = sym
+            sym_cells = (num / d, k, branch, 1 / k)
+        approx_num, approx_den = _symmetric_approx(n, den, wn, wd, p, q)
+        fd_num, fd_den = _slotted_full_duplex(n, den, wn, wd, p, q)
+        tb_num, tb_den = _slotted_two_beacon(n, den, wn, wd, p, q)
+        me = _symmetric(2 * n, den, 2 * wn, wd, p, q)
+        yield [
+            n / den,
+            *sym_cells,
+            approx_num / approx_den,
+            fd_num / fd_den,
+            tb_num / tb_den,
+            None if me is None else me[0] / me[1],
+        ]
+
+
+DEVIATION_HEADER = ("beta", "gamma", "ideal_ticks", "relaxed_ticks", "deviation")
+
+
+def deviation_rows(betas, ks, omega, radio: RadioModel):
+    """Yield one ``DEVIATION_HEADER`` row per (beta, gamma = 1/k), for
+    betas in (0, 1] and integers k >= 1: the ideal bound, the fully
+    relaxed one and the ``relaxed_deviation`` between them.  Both kernels
+    return the same denominator, so the deviation (real - ideal) / ideal
+    divides their numerators alone."""
+    wn, wd = _ratio(omega)
+    for beta in betas:
+        bn, bd = _ratio(beta)
+        for k in ks:
+            ideal, den = _unidirectional(1, k, bn, bd, wn, wd)
+            real, _ = _relaxed(k, bn, bd, wn, wd, radio, True)
+            yield [bn / bd, 1 / k, ideal / den, real / den, (real - ideal) / ideal]

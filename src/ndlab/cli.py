@@ -11,7 +11,9 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 
@@ -41,7 +43,6 @@ from .protocols import (
     gen_uconnect,
 )
 from .schedule import (
-    ProtocolSpec,
     RadioModel,
     Semantics,
     TimeBase,
@@ -52,6 +53,7 @@ from .schedule import (
     strict_json,
     strict_object,
     transmission_duty_cycle,
+    write_json,
 )
 from .simulator import OffsetSampling, SimConfig, simulate_multi
 
@@ -78,10 +80,25 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
-def _open_out(path):
+@contextmanager
+def _output(path):
+    """``path`` opened for writing, or stdout when it is absent or ``-``."""
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="") as fh:
+            yield fh
+
+
+def _radio(args, tick: TimeBase, omega: int, **extra) -> RadioModel:
+    """The radio of the shared rate flags; ``extra`` sets the other fields."""
+    return RadioModel(
+        alpha=args.alpha,
+        omega=omega,
+        d_oTx=tick.ticks_from_us(args.doTx_us),
+        d_oRx=tick.ticks_from_us(args.doRx_us),
+        **extra,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -106,21 +123,14 @@ def _parse_sweep(text: str):
 def cmd_bounds(args) -> int:
     tick = TimeBase(args.tick_ns)
     omega = tick.ticks_from_us(args.omega_us)
-    alpha = args.alpha
     if args.deviation:
         if not (1 <= args.k_lo <= args.k_hi and 0 < args.beta_lo <= args.beta_hi <= 1):
             raise ValueError(
                 "deviation grid needs 1 <= k_lo <= k_hi and 0 < beta_lo <= beta_hi <= 1"
             )
-        radio = RadioModel(
-            alpha=alpha,
-            omega=omega,
-            d_oTx=tick.ticks_from_us(args.doTx_us),
-            d_oRx=tick.ticks_from_us(args.doRx_us),
-            semantics=Semantics.CONTAINED,
-        )
-        header = ["beta", "gamma", "ideal_ticks", "relaxed_ticks", "deviation"]
-        rows = _deviation_rows(
+        radio = _radio(args, tick, omega, semantics=Semantics.CONTAINED)
+        header = bounds.DEVIATION_HEADER
+        rows = bounds.deviation_rows(
             _grid(args.beta_lo, args.beta_hi, args.beta_steps),
             _k_grid(args.k_lo, args.k_hi, args.beta_steps),
             omega,
@@ -129,66 +139,13 @@ def cmd_bounds(args) -> int:
     elif args.sweep is None:
         return _fail(2, "usage", "either --sweep or --deviation is required")
     else:
-        header = [
-            "eta",
-            "symmetric",
-            "symmetric_k",
-            "symmetric_branch",
-            "gamma_o",
-            "symmetric_approx",
-            "slotted_full_duplex",
-            "slotted_two_beacon",
-            "mutual_exclusive",
-        ]
-        rows = _sweep_rows(*args.sweep, omega, alpha)
-    out, close = _open_out(args.out)
-    try:
+        header = bounds.SWEEP_HEADER
+        rows = bounds.sweep_rows(*args.sweep, omega, args.alpha)
+    with _output(args.out) as out:
         w = csv.writer(out)
         w.writerow(header)
         w.writerows(rows)
-        return 0
-    finally:
-        if close:
-            out.close()
-
-
-def _sweep_rows(lo: Fraction, hi: Fraction, step: Fraction, omega: int, alpha: Fraction):
-    """One row per eta = n / den of the sweep, each cell an int/int division
-    of a bound kernel's (num, den); eta > 2 blanks the symmetric cells and
-    eta > 1 the mutual-exclusive one."""
-    p, q = alpha.numerator, alpha.denominator
-    den = math.lcm(lo.denominator, step.denominator)
-    for n in range(int(lo * den), math.floor(hi * den) + 1, int(step * den)):
-        sym = bounds._symmetric(n, den, omega, 1, p, q)
-        if sym is None:
-            sym_cells = ["", "", "", ""]
-        else:
-            num, d, k, branch = sym
-            sym_cells = [num / d, k, branch, 1 / k]
-        approx_num, approx_den = bounds._symmetric_approx(n, den, omega, 1, p, q)
-        fd_num, fd_den = bounds._slotted_full_duplex(n, den, omega, 1, p, q)
-        tb_num, tb_den = bounds._slotted_two_beacon(n, den, omega, 1, p, q)
-        me = bounds._mutual_exclusive(n, den, omega, 1, p, q)
-        yield [
-            n / den,
-            *sym_cells,
-            approx_num / approx_den,
-            fd_num / fd_den,
-            tb_num / tb_den,
-            "" if me is None else me[0] / me[1],
-        ]
-
-
-def _deviation_rows(betas: list[Fraction], ks: list[int], omega: int, radio: RadioModel):
-    """One row per (beta, gamma = 1/k).  The ideal and relaxed kernels
-    return the same denominator, so the deviation (real - ideal) / ideal
-    divides their numerators alone."""
-    for beta in betas:
-        bn, bd = beta.numerator, beta.denominator
-        for k in ks:
-            ideal, den = bounds._unidirectional(1, k, bn, bd, omega, 1)
-            real, _ = bounds._relaxed(k, bn, bd, omega, 1, radio, True)
-            yield [bn / bd, 1 / k, ideal / den, real / den, (real - ideal) / ideal]
+    return 0
 
 
 def _grid(lo: Fraction, hi: Fraction, steps: int):
@@ -210,53 +167,20 @@ def _k_grid(k_lo: int, k_hi: int, points: int):
 # generate
 # ---------------------------------------------------------------------------
 
-def _radio_from_args(args, tick: TimeBase, omega: int) -> RadioModel:
-    return RadioModel(
-        alpha=args.alpha,
-        omega=omega,
-        d_oTx=tick.ticks_from_us(args.doTx_us),
-        d_oRx=tick.ticks_from_us(args.doRx_us),
+def cmd_generate(args) -> int:
+    tick = TimeBase(args.tick_ns)
+    omega = tick.ticks_from_us(args.omega_us)
+    radio = _radio(
+        args,
+        tick,
+        omega,
         d_oTxRx=tick.ticks_from_us(args.doTxRx_us),
         d_oRxTx=tick.ticks_from_us(args.doRxTx_us),
         semantics=Semantics.CONTAINED if args.contained else Semantics.IDEAL,
     )
-
-
-def cmd_generate(args) -> int:
-    tick = TimeBase(args.tick_ns)
-    omega = tick.ticks_from_us(args.omega_us)
-    radio = _radio_from_args(args, tick, omega)
-    kind = args.kind
-    if kind == "optimal":
-        window = None if args.window_us is None else tick.ticks_from_us(args.window_us)
-        proto = gen_optimal_unidirectional(args.inv_gamma, args.beta, omega, radio, window)
-    elif kind == "pi0m":
-        proto = gen_pi0m(args.m, tick.ticks_from_us(args.d_us), omega, radio, args.delta)
-    elif kind == "disco":
-        proto = gen_disco(args.p1, args.p2, tick.ticks_from_us(args.slot_us), omega, radio)
-    elif kind == "searchlight":
-        proto = gen_searchlight_striped(
-            args.t_slots, tick.ticks_from_us(args.slot_us), omega, radio
-        )
-    elif kind == "uconnect":
-        proto = gen_uconnect(args.p, tick.ticks_from_us(args.slot_us), omega, radio)
-    elif kind == "diffcode":
-        if args.elements:
-            ds = DifferenceSet(args.modulus, tuple(int(x) for x in args.elements.split(",")))
-        else:
-            ds = builtin_difference_set(args.modulus)
-        proto = gen_diffcode(ds, tick.ticks_from_us(args.slot_us), omega, radio)
-    else:  # pragma: no cover - argparse enforces choices
-        return _fail(2, "usage", f"unknown generator {kind!r}")
-    proto = ProtocolSpec(proto.beacons, proto.receptions, proto.radio, tick)
-    doc = protocol_to_json(proto)
-    out, close = _open_out(args.out)
-    try:
-        json.dump(doc, out, indent=2, sort_keys=True)
-        out.write("\n")
-    finally:
-        if close:
-            out.close()
+    proto = args.generator(args, tick.ticks_from_us, omega, radio)
+    with _output(args.out) as out:
+        write_json(protocol_to_json(replace(proto, tick=tick)), out)
     return 0
 
 
@@ -272,8 +196,6 @@ def cmd_analyze(args) -> int:
     # the oracle trims windows by the transmitter's beacon, so the map does too
     radio = replace(f.radio, omega=e.beacons.beacon_duration)
     cov = build_coverage_map(e.beacons.emission_times, f.receptions, radio)
-    if args.coverage_csv:
-        cov.write_csv(args.coverage_csv)
     rep = analyze(cov)
     oracle = worst_case_latency_oracle(
         e, f, method=args.method, max_hyperperiod=args.max_hyperperiod
@@ -294,13 +216,11 @@ def cmd_analyze(args) -> int:
         bound = bounds.bound_unidirectional(gamma, beta, e.beacons.beacon_duration)
         report["bound_unidirectional_ticks"] = float(bound)
         report["gap_ratio"] = float((Fraction(oracle) - bound) / bound)
-    out, close = _open_out(args.out)
-    try:
-        json.dump(report, out, indent=2, sort_keys=True)
-        out.write("\n")
-    finally:
-        if close:
-            out.close()
+    # written only now, so that a refused pair leaves no coverage CSV
+    if args.coverage_csv:
+        cov.write_csv(args.coverage_csv)
+    with _output(args.out) as out:
+        write_json(report, out)
     return 0
 
 
@@ -334,12 +254,9 @@ def cmd_simulate(args) -> int:
     )
     outcome = simulate_multi(cfg)
 
-    import os
-
     os.makedirs(args.out_dir, exist_ok=True)
-    trials_path = os.path.join(args.out_dir, "trials.csv")
-    with open(trials_path, "w", newline="") as fh:
-        w = csv.writer(fh)
+    with _output(os.path.join(args.out_dir, "trials.csv")) as out:
+        w = csv.writer(out)
         w.writerow(["trial_id", "phases", "latency_ticks", "collided_first", "failed"])
         for i in range(outcome.trials):
             w.writerow(
@@ -371,9 +288,8 @@ def cmd_simulate(args) -> int:
         "collision_rate_within_3sigma": abs(float(emp) - model_p) <= 3.0 * sigma,
         "latency_budget": cfg.latency_budget,
     }
-    with open(os.path.join(args.out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with _output(os.path.join(args.out_dir, "summary.json")) as out:
+        write_json(summary, out)
     return 0
 
 
@@ -381,16 +297,18 @@ def cmd_simulate(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_radio_flags(p: argparse.ArgumentParser):
+def _add_rate_flags(p: argparse.ArgumentParser):
     p.add_argument("--omega-us", type=int, required=True, help="beacon length in us")
     p.add_argument("--tick-ns", type=int, default=1000)
     p.add_argument("--alpha", type=_rational, default=Fraction(1))
-    p.add_argument("--contained", action="store_true",
-                   help="beacons must fit whole windows to be received")
     p.add_argument("--doTx-us", type=int, default=0)
     p.add_argument("--doRx-us", type=int, default=0)
-    p.add_argument("--doTxRx-us", type=int, default=0)
-    p.add_argument("--doRxTx-us", type=int, default=0)
+
+
+def _difference_set(args) -> DifferenceSet:
+    if args.elements:
+        return DifferenceSet(args.modulus, tuple(int(x) for x in args.elements.split(",")))
+    return builtin_difference_set(args.modulus)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -404,11 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--sweep", type=_parse_sweep, help="eta=lo:hi:step")
     b.add_argument("--deviation", action="store_true",
                    help="relaxed-vs-ideal deviation grid instead of an eta sweep")
-    b.add_argument("--omega-us", type=int, required=True)
-    b.add_argument("--tick-ns", type=int, default=1000)
-    b.add_argument("--alpha", type=_rational, default=Fraction(1))
-    b.add_argument("--doTx-us", type=int, default=0)
-    b.add_argument("--doRx-us", type=int, default=0)
+    _add_rate_flags(b)
     b.add_argument("--beta-lo", type=_rational, default=Fraction(11, 20000))
     b.add_argument("--beta-hi", type=_rational, default=Fraction(111, 2000))
     b.add_argument("--beta-steps", type=int, default=12)
@@ -417,6 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--out", default=None)
     b.set_defaults(fn=cmd_bounds)
 
+    # each kind's generator(args, ticks_from_us, omega, radio) sits beside its flags
     g = sub.add_parser("generate", help="emit a protocol description as JSON")
     gsub = g.add_subparsers(dest="kind", required=True)
 
@@ -424,37 +339,54 @@ def build_parser() -> argparse.ArgumentParser:
     go.add_argument("--inv-gamma", type=int, required=True, metavar="K")
     go.add_argument("--beta", type=_rational, required=True)
     go.add_argument("--window-us", type=int, default=None)
-    _add_radio_flags(go)
+    go.set_defaults(generator=lambda a, us, omega, radio: gen_optimal_unidirectional(
+        a.inv_gamma, a.beta, omega, radio, None if a.window_us is None else us(a.window_us)
+    ))
 
     gp = gsub.add_parser("pi0m", help="periodic-interval schedule")
     gp.add_argument("--m", type=int, required=True)
     gp.add_argument("--d-us", type=int, required=True)
     gp.add_argument("--delta", type=int, default=1)
-    _add_radio_flags(gp)
+    gp.set_defaults(generator=lambda a, us, omega, radio: gen_pi0m(
+        a.m, us(a.d_us), omega, radio, a.delta
+    ))
 
     gd = gsub.add_parser("disco", help="coprime-period slotted schedule")
     gd.add_argument("--p1", type=int, required=True)
     gd.add_argument("--p2", type=int, required=True)
     gd.add_argument("--slot-us", type=int, required=True)
-    _add_radio_flags(gd)
+    gd.set_defaults(generator=lambda a, us, omega, radio: gen_disco(
+        a.p1, a.p2, us(a.slot_us), omega, radio
+    ))
 
     gs = gsub.add_parser("searchlight", help="anchor-plus-probe slotted schedule")
     gs.add_argument("--t-slots", type=int, required=True)
     gs.add_argument("--slot-us", type=int, required=True)
-    _add_radio_flags(gs)
+    gs.set_defaults(generator=lambda a, us, omega, radio: gen_searchlight_striped(
+        a.t_slots, us(a.slot_us), omega, radio
+    ))
 
     gu = gsub.add_parser("uconnect", help="prime-period slotted schedule")
     gu.add_argument("--p", type=int, required=True)
     gu.add_argument("--slot-us", type=int, required=True)
-    _add_radio_flags(gu)
+    gu.set_defaults(generator=lambda a, us, omega, radio: gen_uconnect(
+        a.p, us(a.slot_us), omega, radio
+    ))
 
     gc = gsub.add_parser("diffcode", help="difference-set slotted schedule")
     gc.add_argument("--modulus", type=int, required=True)
     gc.add_argument("--elements", default=None, help="comma-separated residues")
     gc.add_argument("--slot-us", type=int, required=True)
-    _add_radio_flags(gc)
+    gc.set_defaults(generator=lambda a, us, omega, radio: gen_diffcode(
+        _difference_set(a), us(a.slot_us), omega, radio
+    ))
 
     for sp in (go, gp, gd, gs, gu, gc):
+        _add_rate_flags(sp)
+        sp.add_argument("--contained", action="store_true",
+                        help="beacons must fit whole windows to be received")
+        sp.add_argument("--doTxRx-us", type=int, default=0)
+        sp.add_argument("--doRxTx-us", type=int, default=0)
         sp.add_argument("--out", default=None)
         sp.set_defaults(fn=cmd_generate)
 

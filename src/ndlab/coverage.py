@@ -133,27 +133,18 @@ def analyze(cov: CoverageMap) -> DeterminismReport:
 def _report(span_sets, period: int, cover: int) -> DeterminismReport:
     """Determinism verdicts on per-beacon covered offset sets over one
     period; ``cover`` is the most offsets a single beacon can cover."""
-    uncovered = iv.complement(iv.union(*span_sets), period)
+    covered = iv.union(*span_sets)
+    uncovered = iv.complement(covered, period)
+    coverage_lambda = sum(iv.measure(spans) for spans in span_sets)
     return DeterminismReport(
         deterministic=not uncovered,
         uncovered=uncovered,
-        redundant=_overlapping(span_sets),
-        coverage_lambda=sum(iv.measure(spans) for spans in span_sets),
+        # the sets' measures add up past their union exactly when some
+        # tick lies in two of them
+        redundant=coverage_lambda > iv.measure(covered),
+        coverage_lambda=coverage_lambda,
         min_beacons=ceil(period / cover) if cover else None,
     )
-
-
-def _overlapping(span_sets) -> bool:
-    """Whether some tick lies in two of the span sets (depth >= 2)."""
-    events = sorted(
-        (x, d) for spans in span_sets for a, b in spans for x, d in ((a, 1), (b, -1))
-    )
-    depth = 0
-    for _, delta in events:
-        depth += delta
-        if depth >= 2:
-            return True
-    return False
 
 
 def min_beacons(receptions: ReceptionSchedule, radio: RadioModel) -> int:

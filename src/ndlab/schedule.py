@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
 
 
 def rat(x) -> Fraction:
@@ -93,8 +92,6 @@ class ReceptionSchedule:
             prev_end = w.end
         if prev_end > self.period:
             raise ValueError("windows must fit inside the period")
-        if self.listen_ticks > self.period:
-            raise ValueError("total listening time cannot exceed the period")
 
     @property
     def listen_ticks(self) -> int:
@@ -223,14 +220,7 @@ def effective_rates(p: ProtocolSpec) -> tuple[Fraction, Fraction]:
     """(beta, gamma) including switching overheads: every beacon costs an
     extra d_oTx of active time and every window an extra d_oRx."""
     b, c, r = p.beacons, p.receptions, p.radio
-    if b.count == 0:
-        beta = Fraction(0)
-    elif b.repetitive:
-        beta = Fraction(b.count * (b.beacon_duration + r.d_oTx), b.period)
-    else:
-        beta = transmission_duty_cycle(b) + Fraction(
-            (b.count - 1) * r.d_oTx, b.emission_times[-1] - b.emission_times[0]
-        )
+    beta = transmission_duty_cycle(b) * (b.beacon_duration + r.d_oTx) / b.beacon_duration
     gamma = Fraction(sum(w.duration + r.d_oRx for w in c.windows), c.period)
     return beta, gamma
 
@@ -336,10 +326,16 @@ def protocol_from_json(doc: dict) -> ProtocolSpec:
     return ProtocolSpec(beacons, receptions, radio, tick)
 
 
+def write_json(doc, fh) -> None:
+    """``doc`` as indented JSON with sorted keys and a final newline: the
+    one layout of every JSON file this package writes."""
+    json.dump(doc, fh, indent=2, sort_keys=True)
+    fh.write("\n")
+
+
 def save_protocol(p: ProtocolSpec, path) -> None:
     with open(path, "w") as fh:
-        json.dump(protocol_to_json(p), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        write_json(protocol_to_json(p), fh)
 
 
 def load_protocol(path) -> ProtocolSpec:

@@ -20,7 +20,7 @@ from typing import Sequence
 from . import intervals as iv
 from .coverage import effective_window_spans
 from .errors import DomainError
-from .schedule import ProtocolSpec, Semantics, transmission_duty_cycle
+from .schedule import ProtocolSpec, Semantics, reception_duty_cycle, transmission_duty_cycle
 
 
 class OffsetSampling(Enum):
@@ -301,7 +301,7 @@ def self_blocking_probability(p: ProtocolSpec) -> Fraction:
     beta = transmission_duty_cycle(p.beacons)
     if beta == 0:
         return Fraction(0)
-    gamma = Fraction(p.receptions.listen_ticks, p.receptions.period)
+    gamma = reception_duty_cycle(p.receptions)
     if (1 / gamma).denominator != 1:
         raise DomainError("blocked-fraction analysis assumes gamma = 1/k")
     r = p.radio

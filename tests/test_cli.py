@@ -2,6 +2,10 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
 from fractions import Fraction as F
 
 from hypothesis import given, settings
@@ -22,7 +26,17 @@ from ndlab import (
 from ndlab import bounds as bd
 from ndlab.cli import _grid, _k_grid, main
 from ndlab.errors import DomainError
-from ndlab.protocols import gen_optimal_unidirectional, gen_pi0m
+from ndlab.protocols import (
+    DifferenceSet,
+    builtin_difference_set,
+    gen_diffcode,
+    gen_disco,
+    gen_optimal_unidirectional,
+    gen_pi0m,
+    gen_searchlight_striped,
+    gen_uconnect,
+)
+from ndlab.schedule import TimeBase
 from helpers import MALFORMED_PROTOCOL_EDITS, beaconer, listener, with_field
 
 
@@ -30,16 +44,71 @@ def run(args):
     return main(args)
 
 
-def test_generate_round_trips_through_loader(tmp_path):
+# (argv after "generate", tick_ns, the library call the document must equal)
+_GENERATE_CASES = {
+    "optimal": (
+        ["optimal", "--inv-gamma", "4", "--beta", "1/100", "--omega-us", "1"],
+        1000,
+        lambda: gen_optimal_unidirectional(4, F(1, 100), 1),
+    ),
+    "optimal-window": (
+        ["optimal", "--inv-gamma", "3", "--beta", "1/50", "--omega-us", "1",
+         "--window-us", "10", "--contained", "--tick-ns", "500"],
+        500,
+        lambda: gen_optimal_unidirectional(
+            3, F(1, 50), 2, RadioModel(omega=2, semantics=Semantics.CONTAINED), 20
+        ),
+    ),
+    "pi0m": (
+        ["pi0m", "--m", "3", "--d-us", "40", "--delta", "2", "--omega-us", "2"],
+        1000,
+        lambda: gen_pi0m(3, 40, 2, RadioModel(omega=2), 2),
+    ),
+    "disco": (
+        ["disco", "--p1", "3", "--p2", "5", "--slot-us", "20", "--omega-us", "2",
+         "--alpha", "3/2", "--doTx-us", "1", "--doRx-us", "2", "--doTxRx-us", "1",
+         "--doRxTx-us", "3"],
+        1000,
+        lambda: gen_disco(3, 5, 20, 2, RadioModel(
+            alpha=F(3, 2), omega=2, d_oTx=1, d_oRx=2, d_oTxRx=1, d_oRxTx=3
+        )),
+    ),
+    "searchlight": (
+        ["searchlight", "--t-slots", "4", "--slot-us", "10", "--omega-us", "1",
+         "--tick-ns", "250"],
+        250,
+        lambda: gen_searchlight_striped(4, 40, 4, RadioModel(omega=4)),
+    ),
+    "uconnect": (
+        ["uconnect", "--p", "5", "--slot-us", "20", "--omega-us", "2"],
+        1000,
+        lambda: gen_uconnect(5, 20, 2, RadioModel(omega=2)),
+    ),
+    "diffcode": (
+        ["diffcode", "--modulus", "7", "--slot-us", "20", "--omega-us", "2"],
+        1000,
+        lambda: gen_diffcode(builtin_difference_set(7), 20, 2, RadioModel(omega=2)),
+    ),
+    "diffcode-elements": (
+        ["diffcode", "--modulus", "7", "--elements", "0,1,3", "--slot-us", "20",
+         "--omega-us", "2", "--contained"],
+        1000,
+        lambda: gen_diffcode(
+            DifferenceSet(7, (0, 1, 3)), 20, 2,
+            RadioModel(omega=2, semantics=Semantics.CONTAINED),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GENERATE_CASES))
+def test_generate_round_trips_through_loader(tmp_path, case):
+    argv, tick_ns, make = _GENERATE_CASES[case]
     out = tmp_path / "p.json"
-    rc = run([
-        "generate", "optimal", "--inv-gamma", "4", "--beta", "1/100",
-        "--omega-us", "1", "--out", str(out),
-    ])
-    assert rc == 0
-    p = load_protocol(out)
-    assert p == gen_optimal_unidirectional(4, F(1, 100), 1)
-    assert protocol_to_json(p) == json.loads(out.read_text())
+    assert run(["generate", *argv, "--out", str(out)]) == 0
+    want = replace(make(), tick=TimeBase(tick_ns))
+    assert json.loads(out.read_text()) == protocol_to_json(want)
+    assert load_protocol(out) == want
 
 
 def test_generate_rejects_non_coprime_disco(tmp_path, capsys):
@@ -119,6 +188,20 @@ def test_bounds_requires_sweep_or_deviation(tmp_path, capsys):
     assert rc == 2
     assert "usage" in capsys.readouterr().err
     assert not out.exists()
+    for sweep, why in [
+        ("eta=1/2:1", "sweep must look like"),
+        ("eta=a:1:1/2", "sweep must look like"),
+        ("gamma=1/2:1:1/2", "only eta sweeps"),
+        ("eta=1/2:1:0", "bad sweep range"),
+        ("eta=1/2:1:-1/2", "bad sweep range"),
+        ("eta=1:1/2:1/2", "bad sweep range"),
+        ("eta=0:1:1/2", "bad sweep range"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            run(["bounds", "--sweep", sweep, "--omega-us", "32", "--out", str(out)])
+        assert exc.value.code == 2
+        assert why in capsys.readouterr().err
+        assert not out.exists()
 
 
 # sha256 of CSVs recorded while every cell was still float() of a public
@@ -340,6 +423,27 @@ def test_analyze_answers_pair_whose_lcm_exceeds_the_budget(tmp_path):
     assert rep["unbounded"] is False
 
 
+@pytest.mark.parametrize(
+    "transmitter, receiver, flags, code",
+    [
+        # the oracle refuses a one-shot reception schedule (usage error)
+        (beaconer([0], 10), listener([(0, 3)], 10, repetitive=False), [], 2),
+        # the worst case lies past the hyperperiod budget
+        (gen_pi0m(3, 1000, 1), gen_pi0m(3, 1000, 1), ["--max-hyperperiod", "10"], 3),
+    ],
+    ids=["one-shot-receiver", "over-budget"],
+)
+def test_analyze_refusal_writes_no_coverage_csv(tmp_path, transmitter, receiver, flags, code):
+    pe, pf = tmp_path / "e.json", tmp_path / "f.json"
+    pe.write_text(json.dumps(protocol_to_json(transmitter)))
+    pf.write_text(json.dumps(protocol_to_json(receiver)))
+    cov, out = tmp_path / "cov.csv", tmp_path / "report.json"
+    argv = ["analyze", str(pe), str(pf), "--coverage-csv", str(cov), "--out", str(out)]
+    assert run(argv + flags) == code
+    assert not cov.exists()
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field, value", MALFORMED_PROTOCOL_EDITS)
 def test_analyze_rejects_malformed_protocol(tmp_path, capsys, field, value):
     doc = protocol_to_json(gen_optimal_unidirectional(4, F(1, 100), 1))
@@ -476,3 +580,26 @@ def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         run(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_python_m_entry_point(tmp_path):
+    src = os.path.dirname(os.path.dirname(bd.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def python_m(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "ndlab", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    ok = python_m("bounds", "--sweep", "eta=1/2:1:1/2", "--omega-us", "1")
+    assert ok.returncode == 0, ok.stderr
+    lines = ok.stdout.splitlines()
+    assert lines[0] == (
+        "eta,symmetric,symmetric_k,symmetric_branch,gamma_o,symmetric_approx,"
+        "slotted_full_duplex,slotted_two_beacon,mutual_exclusive"
+    )
+    assert len(lines) == 3
+    bad = python_m("bogus")
+    assert bad.returncode == 2
+    assert "invalid choice" in bad.stderr

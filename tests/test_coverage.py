@@ -367,6 +367,16 @@ def test_coverage_trichotomy(seed):
         assert not rep.deterministic
     if not rep.redundant and rep.coverage_lambda == r.period:
         assert rep.deterministic
+    # independent reference: count the beacons that cover each tick
+    t0 = b.emission_times[0]
+    mult = [
+        sum(any(a <= (phi + tau - t0) % r.period < e for a, e in r.spans())
+            for tau in b.emission_times)
+        for phi in range(r.period)
+    ]
+    assert rep.coverage_lambda == sum(mult)
+    assert rep.deterministic == all(m > 0 for m in mult)
+    assert rep.redundant == any(m > 1 for m in mult)
 
 
 @settings(deadline=None, max_examples=40)

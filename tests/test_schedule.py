@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction as F
 
 import hypothesis.strategies as st
@@ -107,6 +108,11 @@ def test_transmit_side_overhead_inflates_beta():
     assert beta == F(2 * (2 + 3), 100)
     assert gamma == F(10 + 5, 100)
     assert total_duty_cycle(p) == beta + gamma
+    # a finite sequence: three beacons span 80 ticks, two gaps of active time
+    finite = replace(p, beacons=BeaconSchedule((10, 50, 90), 2))
+    beta, gamma = effective_rates(finite)
+    assert beta == F(2 * (2 + 3), 80)
+    assert gamma == F(10 + 5, 100)
 
 
 def test_radio_model_rejects_floats():
