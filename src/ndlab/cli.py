@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import replace
 from fractions import Fraction
 
@@ -82,12 +82,19 @@ def _rational(text: str) -> Fraction:
 
 @contextmanager
 def _output(path):
-    """``path`` opened for writing, or stdout when it is absent or ``-``."""
+    """``path`` opened for writing, or stdout when it is absent or ``-``.
+    A file is removed again when the block fails, so a failed command
+    leaves no partial output behind."""
     if path in (None, "-"):
         yield sys.stdout
-    else:
-        with open(path, "w", newline="") as fh:
+        return
+    fh = open(path, "w", newline="")
+    try:
+        with fh:
             yield fh
+    except BaseException:
+        os.remove(path)
+        raise
 
 
 def _radio(args, tick: TimeBase, omega: int, **extra) -> RadioModel:
@@ -216,11 +223,12 @@ def cmd_analyze(args) -> int:
         bound = bounds.bound_unidirectional(gamma, beta, e.beacons.beacon_duration)
         report["bound_unidirectional_ticks"] = float(bound)
         report["gap_ratio"] = float((Fraction(oracle) - bound) / bound)
-    # written only now, so that a refused pair leaves no coverage CSV
-    if args.coverage_csv:
-        cov.write_csv(args.coverage_csv)
-    with _output(args.out) as out:
-        write_json(report, out)
+    # opened only now, so that a refused pair leaves no coverage CSV; if
+    # either file cannot be written, the other is removed too
+    with ExitStack() as files:
+        if args.coverage_csv:
+            cov.write_csv(files.enter_context(_output(args.coverage_csv)))
+        write_json(report, files.enter_context(_output(args.out)))
     return 0
 
 
@@ -232,6 +240,21 @@ def _config_int(doc: dict, key: str, default: int | None = None) -> int | None:
     """An integer field of a simulate config, or null where the default is
     null; floats, strings and booleans are refused rather than coerced."""
     return strict_json(doc.get(key, default), f"config field {key!r}", null=default is None)
+
+
+def _latency_quantiles(latencies) -> dict | None:
+    """min, nearest-rank p50 and p95, and max of the discovered trials'
+    latencies; None when no trial discovered."""
+    found = sorted(lat for lat in latencies if lat is not None)
+    if not found:
+        return None
+    n = len(found)
+    return {
+        "min": found[0],
+        "p50": found[-(-50 * n // 100) - 1],
+        "p95": found[-(-95 * n // 100) - 1],
+        "max": found[-1],
+    }
 
 
 _CONFIG_KEYS = ("devices", "trials", "seed", "horizon", "offset_sampling", "latency_budget")
@@ -254,21 +277,6 @@ def cmd_simulate(args) -> int:
     )
     outcome = simulate_multi(cfg)
 
-    os.makedirs(args.out_dir, exist_ok=True)
-    with _output(os.path.join(args.out_dir, "trials.csv")) as out:
-        w = csv.writer(out)
-        w.writerow(["trial_id", "phases", "latency_ticks", "collided_first", "failed"])
-        for i in range(outcome.trials):
-            w.writerow(
-                [
-                    i,
-                    ";".join(str(p) for p in outcome.phases[i]),
-                    "" if outcome.latencies[i] is None else outcome.latencies[i],
-                    int(outcome.first_beacon_collided[i]),
-                    int(outcome.failed[i]),
-                ]
-            )
-
     senders = sum(1 for d in devices if d.beacons.count > 0)
     beta = transmission_duty_cycle(devices[0].beacons)
     model_p = bounds.collision_probability(senders, beta)
@@ -287,9 +295,24 @@ def cmd_simulate(args) -> int:
         "collision_rate_3sigma": 3.0 * sigma,
         "collision_rate_within_3sigma": abs(float(emp) - model_p) <= 3.0 * sigma,
         "latency_budget": cfg.latency_budget,
+        "latency_ticks": _latency_quantiles(outcome.latencies),
     }
-    with _output(os.path.join(args.out_dir, "summary.json")) as out:
-        write_json(summary, out)
+
+    rows = zip(outcome.phases, outcome.latencies, outcome.first_beacon_collided, outcome.failed)
+    os.makedirs(args.out_dir, exist_ok=True)
+    # if either file cannot be written, the other is removed too
+    with ExitStack() as files:
+        trials, report = (
+            files.enter_context(_output(os.path.join(args.out_dir, name)))
+            for name in ("trials.csv", "summary.json")
+        )
+        w = csv.writer(trials)
+        w.writerow(["trial_id", "phases", "latency_ticks", "collided_first", "failed"])
+        w.writerows(
+            (i, ";".join(map(str, phases)), "" if lat is None else lat, int(first), int(failed))
+            for i, (phases, lat, first, failed) in enumerate(rows)
+        )
+        write_json(summary, report)
     return 0
 
 

@@ -75,11 +75,11 @@ class CoverageMap:
             for a, b in spans:
                 yield (i, a, b)
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["beacon_index", "interval_start", "interval_end"])
-            w.writerows(self.csv_rows())
+    def write_csv(self, fh) -> None:
+        """The map as CSV on ``fh``, a text file opened with ``newline=""``."""
+        w = csv.writer(fh)
+        w.writerow(["beacon_index", "interval_start", "interval_end"])
+        w.writerows(self.csv_rows())
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ turnaround-padded duration of its own beacon.
 
 from __future__ import annotations
 
+import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -227,6 +228,23 @@ def _derive_seed(seed: int, trial: int) -> int:
     return (seed * 0x9E3779B97F4A7C15 + trial * 0xBF58476D1CE4E5B9 + 1) % (1 << 64)
 
 
+def _draw_phases(rng: random.Random, seed: int, periods: Sequence[int]) -> tuple[int, ...]:
+    """``random.Random(seed).randrange(p)`` for each period in turn, drawn on
+    ``rng`` after reseeding it.  For p >= 1 CPython's ``randrange(p)`` takes
+    ``getrandbits(p.bit_length())`` until the value falls below p; calling
+    that directly skips the argument checks and one generator per trial."""
+    rng.seed(seed)
+    bits = rng.getrandbits
+    phases = []
+    for p in periods:
+        k = p.bit_length()
+        r = bits(k)
+        while r >= p:
+            r = bits(k)
+        phases.append(r)
+    return tuple(phases)
+
+
 def _trial_runner(cfg: SimConfig, horizon: int):
     """Compile the devices once; the returned run(phases) plays one trial."""
     devices = [_CompiledDevice(spec) for spec in cfg.devices]
@@ -235,9 +253,18 @@ def _trial_runner(cfg: SimConfig, horizon: int):
     # the receiver's own beacons also collide with the joiner's
     jammers = [(i, d.jammer(joiner.omega)) for i, d in enumerate(devices) if i and d.taus]
     budget = cfg.latency_budget
+    # the joiner's emission times, hears (receiver t_c, and its t_b when it
+    # sends) and each jammer's overlaps repeat with these periods, so every
+    # test at t + cycle repeats the one at t: a first success, if any, comes
+    # within one cycle of the first emission
+    periods = [joiner.t_b, devices[1].t_c] + [devices[i].t_b for i, _ in jammers]
+    cycle = None if None in periods else lcm(*periods)
 
     def collided(phases: Sequence[int], t: int) -> bool:
-        return any(overlaps(phases[i], t) for i, overlaps in jammers)
+        for i, overlaps in jammers:
+            if overlaps(phases[i], t):
+                return True
+        return False
 
     def run(phases: Sequence[int]):
         emissions = joiner.emissions(phases[0], horizon)
@@ -245,10 +272,13 @@ def _trial_runner(cfg: SimConfig, horizon: int):
         if first is None:
             return None, False, None, True
         first_collided = collided(phases, first)
+        last = horizon if cycle is None else first + cycle - 1
 
         latency = None
         covering_collided = None
         for t in chain((first,), emissions):
+            if t > last:
+                break
             if not hears(phases[1], t):
                 continue
             hit = first_collided if t == first else collided(phases, t)
@@ -267,9 +297,17 @@ def _trial_runner(cfg: SimConfig, horizon: int):
 def simulate_multi(cfg: SimConfig) -> SimOutcome:
     """Seeded multi-device trials; identical config and seed give an
     identical outcome.  Trials run serially: the engine is pure Python and
-    bound by the interpreter lock, so threads cannot speed it up."""
-    import random
+    bound by the interpreter lock, so threads cannot speed it up.
 
+    When the joiner, the receiver and every other sender repeat, a trial's
+    tests repeat after one joint cycle (the lcm of the joiner's beacon
+    period, the receiver's reception period and the beacon period of each
+    other device that sends), so a trial with no success one cycle after
+    its first emission never succeeds and its scan stops there.  The
+    horizon then only truncates: once it reaches one cycle past the first
+    emission, a longer one changes no outcome.  A non-repetitive device
+    has no cycle, and its trials scan to the horizon.
+    """
     if cfg.offset_sampling is OffsetSampling.EXHAUSTIVE_TICKS:
         if len(cfg.devices) != 2:
             raise ValueError("exhaustive phase sweep supports exactly two devices")
@@ -279,11 +317,10 @@ def simulate_multi(cfg: SimConfig) -> SimOutcome:
     else:
         horizon = cfg.horizon or 4 * max(d.device_period for d in cfg.devices)
         periods = [d.device_period for d in cfg.devices]
-        phases = []
-        for i in range(cfg.trials):
-            rng = random.Random(_derive_seed(cfg.seed, i))
-            phases.append(tuple(rng.randrange(p) for p in periods))
-        phases = tuple(phases)
+        rng = random.Random()
+        phases = tuple(
+            _draw_phases(rng, _derive_seed(cfg.seed, i), periods) for i in range(cfg.trials)
+        )
 
     run = _trial_runner(cfg, horizon)
     lat, first, cover, failed = zip(*map(run, phases))

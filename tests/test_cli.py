@@ -444,6 +444,20 @@ def test_analyze_refusal_writes_no_coverage_csv(tmp_path, transmitter, receiver,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad", ["out", "coverage-csv"])
+def test_analyze_unwritable_output_leaves_no_file(tmp_path, capsys, bad):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(protocol_to_json(gen_optimal_unidirectional(4, F(1, 100), 1))))
+    files = {"coverage-csv": tmp_path / "cov.csv", "out": tmp_path / "report.json"}
+    files[bad] = tmp_path / "missing-dir" / files[bad].name
+    argv = ["analyze", str(path), str(path)]
+    for flag, target in files.items():
+        argv += [f"--{flag}", str(target)]
+    assert run(argv) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
+    assert sorted(os.listdir(tmp_path)) == ["d.json"]
+
+
 @pytest.mark.parametrize("field, value", MALFORMED_PROTOCOL_EDITS)
 def test_analyze_rejects_malformed_protocol(tmp_path, capsys, field, value):
     doc = protocol_to_json(gen_optimal_unidirectional(4, F(1, 100), 1))
@@ -491,6 +505,34 @@ def test_simulate_outputs_and_reproducibility(tmp_path):
     rows = list(csv.DictReader((d1 / "trials.csv").open()))
     assert len(rows) == 500
     assert set(rows[0]) == {"trial_id", "phases", "latency_ticks", "collided_first", "failed"}
+    found = [int(r["latency_ticks"]) for r in rows if r["latency_ticks"]]
+    quantiles = summary["latency_ticks"]
+    assert (quantiles["min"], quantiles["max"]) == (min(found), max(found))
+    for key, share in (("p50", 0.50), ("p95", 0.95)):
+        # nearest rank: the smallest latency with that share at or below it
+        q = quantiles[key]
+        assert sum(x <= q for x in found) >= share * len(found) > sum(x < q for x in found)
+
+
+def test_simulate_unwritable_summary_leaves_no_trials_csv(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    (out_dir / "summary.json").mkdir(parents=True)
+    assert run(["simulate", str(sim_config(tmp_path, trials=20)), "--out-dir", str(out_dir)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "IsADirectoryError"
+    assert os.listdir(out_dir) == ["summary.json"]
+
+
+def test_simulate_summary_latency_is_null_without_discovery(tmp_path):
+    # a 2-tick beacon never fits the 1-tick window under CONTAINED semantics
+    e = beaconer([0], 10, omega=2)
+    f = listener([(0, 1)], 10, omega=2, semantics=Semantics.CONTAINED)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"devices": [protocol_to_json(p) for p in (e, f)], "trials": 5}))
+    out_dir = tmp_path / "out"
+    assert run(["simulate", str(path), "--out-dir", str(out_dir)]) == 0
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary["failure_rate"] == 1.0
+    assert summary["latency_ticks"] is None
 
 
 @pytest.mark.parametrize(

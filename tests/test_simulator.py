@@ -1,8 +1,11 @@
 import hashlib
 import random
 from fractions import Fraction as F
+from math import lcm
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from ndlab import (
     BeaconSchedule,
@@ -23,6 +26,7 @@ from ndlab import (
     worst_case_latency_oracle,
 )
 from ndlab.protocols import gen_disco
+from ndlab.simulator import _CompiledDevice, _derive_seed, _draw_phases
 from helpers import beaconer, listener, random_protocol, random_reception
 
 
@@ -427,3 +431,112 @@ def test_exhaustive_pair_worst_cases_are_pinned():
         for self_blocking in (False, True)
     ]
     assert _digest(got) == PINNED_OUTCOMES["exhaustive_pair_worst_case"]
+
+
+# ---------------------------------------------------------------------------
+# phase sampling and the one-cycle stop
+# ---------------------------------------------------------------------------
+
+SAMPLER_PERIODS = (1, 2, 3, 255, 256, 257, 1500, 20000)
+
+
+def test_phase_sampler_matches_stdlib_randrange():
+    rng = random.Random()
+    for seed in range(4):
+        for trial in range(50):
+            s = _derive_seed(seed, trial)
+            for p in SAMPLER_PERIODS:
+                assert _draw_phases(rng, s, (p,)) == (random.Random(s).randrange(p),)
+            want = random.Random(s)
+            assert _draw_phases(rng, s, SAMPLER_PERIODS) == tuple(
+                want.randrange(p) for p in SAMPLER_PERIODS
+            )
+
+
+def test_cycle_cut_makes_a_long_horizon_free():
+    # emissions every 12 ticks meet the 18-tick reception period in only
+    # one residue class mod 6, so half the phase pairs never discover; an
+    # uncut scan would check about 10**9 / 12 emissions for each of them
+    e, f = beaconer([0], 12), listener([(0, 3)], 18)
+    cycle = lcm(12, 18)
+    far = simulate_multi(SimConfig((e, f), trials=40, seed=3, horizon=10**9))
+    near = simulate_multi(SimConfig((e, f), trials=40, seed=3, horizon=3 * cycle))
+    assert far == near
+    assert None in far.latencies
+    assert any(lat is not None for lat in far.latencies)
+
+
+def _trial_rows(out):
+    return list(
+        zip(out.latencies, out.first_beacon_collided, out.covering_beacon_collided, out.failed)
+    )
+
+
+def _uncut_replay(cfg: SimConfig, phases):
+    """Each trial of simulate_multi scanned to the config's horizon: every
+    emission is tested, with no stop after one joint cycle."""
+    devices = [_CompiledDevice(d) for d in cfg.devices]
+    omega = devices[0].omega
+    hears = devices[1].listener(omega, self_blocking=True)
+    jammers = [(i, d.jammer(omega)) for i, d in enumerate(devices) if i and d.taus]
+    out = []
+    for ph in phases:
+        emissions = list(devices[0].emissions(ph[0], cfg.horizon))
+        hits = [any(jam(ph[i], t) for i, jam in jammers) for t in emissions]
+        heard = [hit for t, hit in zip(emissions, hits) if hears(ph[1], t)]
+        lat = next((t for t, hit in zip(emissions, hits) if hears(ph[1], t) and not hit), None)
+        failed = lat is None or (cfg.latency_budget is not None and lat > cfg.latency_budget)
+        out.append((lat, bool(hits) and hits[0], heard[0] if heard else None, failed))
+    return out
+
+
+#: Beacon and reception periods whose joint cycles all divide 60.
+_SMALL_PERIODS = (4, 6, 10, 12, 15, 20, 30)
+
+
+def _repetitive_device(rng: random.Random) -> ProtocolSpec:
+    omega = rng.randrange(1, 3)
+    radio = RadioModel(
+        omega=omega,
+        d_oTxRx=rng.randrange(3),
+        d_oRxTx=rng.randrange(3),
+        semantics=rng.choice((Semantics.IDEAL, Semantics.CONTAINED)),
+    )
+    t_c = rng.choice(_SMALL_PERIODS)
+    start = rng.randrange(t_c)
+    windows = (ReceptionWindow(start, rng.randrange(1, t_c - start + 1)),)
+    while True:
+        t_b = rng.choice(_SMALL_PERIODS)
+        times = sorted(rng.sample(range(t_b), rng.randrange(3)))
+        try:
+            beacons = BeaconSchedule(tuple(times), omega, t_b)
+            return ProtocolSpec(beacons, ReceptionSchedule(windows, t_c), radio)
+        except ValueError:
+            continue
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+def test_outcome_is_fixed_one_cycle_past_the_largest_period(seed, cycles):
+    rng = random.Random(seed)
+    devices = tuple(_repetitive_device(rng) for _ in range(rng.randrange(2, 5)))
+    cycle = lcm(*(d.device_period for d in devices))  # a whole number of joint cycles
+    base = max(d.device_period for d in devices) + cycle
+    budget = rng.choice((None, cycle // 2))
+    near, far = (
+        SimConfig(devices, trials=20, seed=seed, horizon=h, latency_budget=budget)
+        for h in (base, base + cycles * cycle)
+    )
+    out = simulate_multi(far)
+    assert simulate_multi(near) == out
+    assert _uncut_replay(far, out.phases) == _trial_rows(out)
+
+
+def test_cycle_cut_keeps_a_success_on_the_last_tick_of_the_cycle():
+    # at phases (11, 0) the emissions are 1, 12, 13, 24, 25, 36, ... and the
+    # receiver hears only t = 36 = first + cycle - 1 of them
+    e, f = beaconer([0, 11], 12), listener([(0, 1)], 18)
+    cfg = SimConfig((e, f), offset_sampling=OffsetSampling.EXHAUSTIVE_TICKS, horizon=4 * 36)
+    out = simulate_multi(cfg)
+    assert out.latencies[out.phases.index((11, 0))] == 36
+    assert _uncut_replay(cfg, out.phases) == _trial_rows(out)
