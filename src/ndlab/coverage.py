@@ -18,12 +18,18 @@ from __future__ import annotations
 import csv
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from math import ceil, lcm
+from math import lcm
 from typing import Sequence
 
 from . import intervals as iv
 from .errors import HyperperiodTooLarge, InfeasibleError, MisalignedPeriods
-from .schedule import ProtocolSpec, RadioModel, ReceptionSchedule, Semantics
+from .schedule import (
+    ProtocolSpec,
+    RadioModel,
+    ReceptionSchedule,
+    ceil_div,
+    effective_window_spans,
+)
 
 
 class _Sentinel:
@@ -42,22 +48,6 @@ NOT_COVERED = _Sentinel("NOT_COVERED")
 UNBOUNDED = _Sentinel("UNBOUNDED")
 
 DEFAULT_HYPERPERIOD_BUDGET = 10_000_000
-
-
-def effective_window_spans(
-    receptions: ReceptionSchedule, semantics: Semantics, omega: int
-) -> tuple[tuple[int, int], ...]:
-    """Window spans a beacon start may fall into and still be received.
-
-    Under CONTAINED semantics a beacon starting in the last ``omega`` ticks
-    of a window does not fit, so each span loses its tail; windows shorter
-    than the beacon contribute nothing.
-    """
-    if semantics is Semantics.CONTAINED:
-        spans = [(w.start, w.end - omega) for w in receptions.windows]
-    else:
-        spans = [(w.start, w.end) for w in receptions.windows]
-    return iv.normalize(spans)
 
 
 @dataclass(frozen=True)
@@ -143,7 +133,7 @@ def _report(span_sets, period: int, cover: int) -> DeterminismReport:
         # tick lies in two of them
         redundant=coverage_lambda > iv.measure(covered),
         coverage_lambda=coverage_lambda,
-        min_beacons=ceil(period / cover) if cover else None,
+        min_beacons=ceil_div(period, cover) if cover else None,
     )
 
 
@@ -157,7 +147,7 @@ def min_beacons(receptions: ReceptionSchedule, radio: RadioModel) -> int:
     cover = iv.measure(eff)
     if cover <= 0:
         raise InfeasibleError("no window can contain a whole beacon")
-    return ceil(receptions.period / cover)
+    return ceil_div(receptions.period, cover)
 
 
 def beacon_to_beacon_latency(cov: CoverageMap, phi1: int):
@@ -245,7 +235,7 @@ def worst_case_latency_oracle(
         raise ValueError(f"unknown oracle method: {method!r}")
     # covering all t_c offsets takes ceil(t_c / cover) beacons or more, and
     # the last of them lies at least (that many - 1) * min(gaps) past the first
-    too_far = (ceil(t_c / cover) - 1) * min(gaps) >= limit
+    too_far = (ceil_div(t_c, cover) - 1) * min(gaps) >= limit
     worst = UNBOUNDED if too_far else sweep(t_c, eff, gaps, limit)
     if worst is UNBOUNDED and overrun is not None:
         raise overrun

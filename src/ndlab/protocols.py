@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import ceil, gcd
+from math import gcd
 
 from .errors import DomainError, InfeasibleError, NeedsFinerTicks
 from .schedule import (
@@ -20,6 +20,7 @@ from .schedule import (
     ReceptionSchedule,
     ReceptionWindow,
     Semantics,
+    ceil_div,
     rat,
 )
 
@@ -129,7 +130,7 @@ def gen_searchlight_striped(t_slots: int, slot_length: int, omega: int, radio: R
     positions 1..ceil(t/2), one per period."""
     if t_slots < 2:
         raise DomainError("need at least two slots per period")
-    probes = ceil(t_slots / 2)
+    probes = ceil_div(t_slots, 2)
     active = []
     for i in range(probes):
         active.append(i * t_slots)

@@ -13,6 +13,14 @@ from enum import Enum
 from fractions import Fraction
 from math import lcm
 
+from . import intervals as iv
+
+
+def ceil_div(a: int, b: int) -> int:
+    """Exact ceil(a / b) for integers; ``math.ceil(a / b)`` goes through a
+    float, which rounds once a or b passes 2**53."""
+    return -(-a // b)
+
 
 def rat(x) -> Fraction:
     """Coerce to an exact rational. Floats are refused on purpose.  A
@@ -51,6 +59,22 @@ class Semantics(Enum):
 
     IDEAL = "ideal"
     CONTAINED = "contained"
+
+
+def effective_window_spans(
+    receptions: ReceptionSchedule, semantics: Semantics, omega: int
+) -> tuple[tuple[int, int], ...]:
+    """Window spans a beacon start may fall into and still be received.
+
+    Under CONTAINED semantics a beacon starting in the last ``omega`` ticks
+    of a window does not fit, so each span loses its tail; windows shorter
+    than the beacon contribute nothing.
+    """
+    if semantics is Semantics.CONTAINED:
+        spans = [(w.start, w.end - omega) for w in receptions.windows]
+    else:
+        spans = [(w.start, w.end) for w in receptions.windows]
+    return iv.normalize(spans)
 
 
 @dataclass(frozen=True)

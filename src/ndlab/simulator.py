@@ -14,14 +14,19 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, product
-from math import lcm
+from itertools import chain, count, product, repeat
+from math import inf, lcm
 from typing import Sequence
 
 from . import intervals as iv
-from .coverage import effective_window_spans
 from .errors import DomainError
-from .schedule import ProtocolSpec, Semantics, reception_duty_cycle, transmission_duty_cycle
+from .schedule import (
+    ProtocolSpec,
+    Semantics,
+    effective_window_spans,
+    reception_duty_cycle,
+    transmission_duty_cycle,
+)
 
 
 class OffsetSampling(Enum):
@@ -98,18 +103,16 @@ class _CompiledDevice:
         else:
             self.blocked = ()
 
-    def emissions(self, phase: int, t_max: int):
-        """Global emission start times in (0, t_max], lazily and sorted."""
-        if self.t_b is None:
-            yield from (tau - phase for tau in self.taus if 0 < tau - phase <= t_max)
+    def emissions(self, phase: int):
+        """Global emission start times after 0, lazily and sorted; those of
+        a repetitive schedule never end (a silent one has none)."""
+        t_b = self.t_b
+        if t_b is None or not self.taus:
+            yield from (tau - phase for tau in self.taus if tau > phase)
             return
-        if not self.taus:
-            return
-        firsts = sorted((tau - phase - 1) % self.t_b + 1 for tau in self.taus)
-        for base in range(0, t_max, self.t_b):
+        firsts = sorted([(tau - phase - 1) % t_b + 1 for tau in self.taus])
+        for base in count(0, t_b):
             for t in firsts:
-                if base + t > t_max:
-                    return
                 yield base + t
 
     def jammer(self, width: int):
@@ -155,8 +158,72 @@ class _CompiledDevice:
         )
 
 
-def _first_heard(emissions, hears, phase: int):
-    return next((t for t in emissions if hears(phase, t)), None)
+# ---------------------------------------------------------------------------
+# one scan: the joiner's emissions against the receiver and the interferers
+# ---------------------------------------------------------------------------
+
+def _trial_runner(
+    joiner: _CompiledDevice,
+    receiver: _CompiledDevice,
+    interferers: Sequence[_CompiledDevice],
+    horizon: int | None = None,
+    budget: int | None = None,
+    self_blocking: bool = True,
+):
+    """run(phase_joiner, phase_receiver, interferer_phases=()) plays one
+    trial and returns (latency, first beacon collided, covering beacon
+    collided, failed).  Every interferer must send, and a finite beacon
+    list among them needs a horizon.
+
+    The joiner's emissions, hears (the receiver's t_c, and its t_b when its
+    own beacons deafen it) and each interferer's overlaps repeat with their
+    periods, so every test at t + cycle, their lcm, repeats the one at t: a
+    first success comes within one cycle of the first emission, where a
+    repetitive joiner's scan stops.  A finite beacon list has no cycle and
+    is scanned to its end.  A horizon only cuts the scan shorter.
+    """
+    hears = receiver.listener(joiner.omega, self_blocking)
+    jams = [d.jammer(joiner.omega) for d in interferers]
+    periods = [joiner.t_b, receiver.t_c] + [d.t_b for d in interferers]
+    if self_blocking and receiver.blocked:
+        periods.append(receiver.t_b)
+    reach = inf if None in periods else lcm(*periods) - 1  # scan [first, first + reach]
+    end = inf if horizon is None else horizon
+
+    def collided(phases: Sequence[int], t: int) -> bool:
+        for overlaps, phase in zip(jams, phases):
+            if overlaps(phase, t):
+                return True
+        return False
+
+    def run(phase_joiner: int, phase_receiver: int, interferer_phases: Sequence[int] = ()):
+        emissions = joiner.emissions(phase_joiner)
+        first = next(emissions, None)
+        if first is None or first > end:
+            return None, False, None, True
+        first_collided = collided(interferer_phases, first)
+        last = first + reach
+        if last > end:
+            last = end
+
+        latency = None
+        covering_collided = None
+        for t in chain((first,), emissions):
+            if t > last:
+                break
+            if not hears(phase_receiver, t):
+                continue
+            hit = first_collided if t == first else collided(interferer_phases, t)
+            if covering_collided is None:
+                covering_collided = hit
+            if not hit:
+                latency = t
+                break
+
+        failed = latency is None or (budget is not None and latency > budget)
+        return latency, first_collided, covering_collided, failed
+
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -168,30 +235,24 @@ def simulate_pair(
     f: ProtocolSpec,
     phase_e: int = 0,
     phase_f: int = 0,
-    horizon: int | None = None,
     self_blocking: bool = True,
 ) -> tuple[int | None, int | None]:
     """Replay both devices from the in-range instant at the given phases.
 
     Returns (latency of f hearing e, latency of e hearing f); None when a
-    direction does not succeed within the horizon.
+    direction never succeeds.  Each direction is one scan of _trial_runner
+    with no interferers, so it stops one joint cycle past its first
+    emission.
     """
-    if horizon is None:
-        horizon = 2 * lcm(e.device_period, f.device_period)
     dev_e, dev_f = _CompiledDevice(e), _CompiledDevice(f)
-    lat_ef = _first_heard(
-        dev_e.emissions(phase_e, horizon), dev_f.listener(dev_e.omega, self_blocking), phase_f
-    )
-    lat_fe = _first_heard(
-        dev_f.emissions(phase_f, horizon), dev_e.listener(dev_f.omega, self_blocking), phase_e
-    )
-    return lat_ef, lat_fe
+    ef = _trial_runner(dev_e, dev_f, (), self_blocking=self_blocking)
+    fe = _trial_runner(dev_f, dev_e, (), self_blocking=self_blocking)
+    return ef(phase_e, phase_f)[0], fe(phase_f, phase_e)[0]
 
 
 def exhaustive_pair_worst_case(
     e: ProtocolSpec,
     f: ProtocolSpec,
-    horizon: int | None = None,
     self_blocking: bool = False,
 ):
     """Worst f-hears-e latency over every pair of device phases.
@@ -199,24 +260,17 @@ def exhaustive_pair_worst_case(
     Without self-blocking that direction only depends on the transmitter
     phase modulo its beacon period and the receiver phase modulo its
     reception period, so those grids are swept.  None when some phase pair
-    never discovers within the horizon.
+    never discovers.
     """
-    worst = 0
     p_e = e.beacons.period if (e.beacons.repetitive and not self_blocking) else e.device_period
     p_f = f.receptions.period if not self_blocking else f.device_period
-    if horizon is None:
-        horizon = 2 * lcm(e.device_period, f.device_period)
-    dev_e = _CompiledDevice(e)
-    hears = _CompiledDevice(f).listener(dev_e.omega, self_blocking)
-    for pe in range(p_e):
-        emissions = list(dev_e.emissions(pe, horizon))
-        if not emissions:
+    run = _trial_runner(_CompiledDevice(e), _CompiledDevice(f), (), self_blocking=self_blocking)
+    worst = 0
+    for pe, pf in product(range(p_e), range(p_f)):
+        lat = run(pe, pf)[0]
+        if lat is None:
             return None
-        for pf in range(p_f):
-            lat = _first_heard(emissions, hears, pf)
-            if lat is None:
-                return None
-            worst = max(worst, lat)
+        worst = max(worst, lat)
     return worst
 
 
@@ -245,68 +299,15 @@ def _draw_phases(rng: random.Random, seed: int, periods: Sequence[int]) -> tuple
     return tuple(phases)
 
 
-def _trial_runner(cfg: SimConfig, horizon: int):
-    """Compile the devices once; the returned run(phases) plays one trial."""
-    devices = [_CompiledDevice(spec) for spec in cfg.devices]
-    joiner = devices[0]
-    hears = devices[1].listener(joiner.omega, self_blocking=True)
-    # the receiver's own beacons also collide with the joiner's
-    jammers = [(i, d.jammer(joiner.omega)) for i, d in enumerate(devices) if i and d.taus]
-    budget = cfg.latency_budget
-    # the joiner's emission times, hears (receiver t_c, and its t_b when it
-    # sends) and each jammer's overlaps repeat with these periods, so every
-    # test at t + cycle repeats the one at t: a first success, if any, comes
-    # within one cycle of the first emission
-    periods = [joiner.t_b, devices[1].t_c] + [devices[i].t_b for i, _ in jammers]
-    cycle = None if None in periods else lcm(*periods)
-
-    def collided(phases: Sequence[int], t: int) -> bool:
-        for i, overlaps in jammers:
-            if overlaps(phases[i], t):
-                return True
-        return False
-
-    def run(phases: Sequence[int]):
-        emissions = joiner.emissions(phases[0], horizon)
-        first = next(emissions, None)
-        if first is None:
-            return None, False, None, True
-        first_collided = collided(phases, first)
-        last = horizon if cycle is None else first + cycle - 1
-
-        latency = None
-        covering_collided = None
-        for t in chain((first,), emissions):
-            if t > last:
-                break
-            if not hears(phases[1], t):
-                continue
-            hit = first_collided if t == first else collided(phases, t)
-            if covering_collided is None:
-                covering_collided = hit
-            if not hit:
-                latency = t
-                break
-
-        failed = latency is None or (budget is not None and latency > budget)
-        return latency, first_collided, covering_collided, failed
-
-    return run
-
-
 def simulate_multi(cfg: SimConfig) -> SimOutcome:
     """Seeded multi-device trials; identical config and seed give an
     identical outcome.  Trials run serially: the engine is pure Python and
     bound by the interpreter lock, so threads cannot speed it up.
 
-    When the joiner, the receiver and every other sender repeat, a trial's
-    tests repeat after one joint cycle (the lcm of the joiner's beacon
-    period, the receiver's reception period and the beacon period of each
-    other device that sends), so a trial with no success one cycle after
-    its first emission never succeeds and its scan stops there.  The
-    horizon then only truncates: once it reaches one cycle past the first
-    emission, a longer one changes no outcome.  A non-repetitive device
-    has no cycle, and its trials scan to the horizon.
+    Every device after the joiner that sends interferes, the receiver
+    included.  A trial stops one joint cycle past its first emission (see
+    _trial_runner), so a horizon beyond that changes no outcome; a
+    non-repetitive device has no cycle, and its trials scan to the horizon.
     """
     if cfg.offset_sampling is OffsetSampling.EXHAUSTIVE_TICKS:
         if len(cfg.devices) != 2:
@@ -322,8 +323,14 @@ def simulate_multi(cfg: SimConfig) -> SimOutcome:
             _draw_phases(rng, _derive_seed(cfg.seed, i), periods) for i in range(cfg.trials)
         )
 
-    run = _trial_runner(cfg, horizon)
-    lat, first, cover, failed = zip(*map(run, phases))
+    devices = [_CompiledDevice(spec) for spec in cfg.devices]
+    senders = [i for i in range(1, len(devices)) if devices[i].taus]
+    run = _trial_runner(
+        devices[0], devices[1], [devices[i] for i in senders], horizon, cfg.latency_budget
+    )
+    cols = list(zip(*phases))
+    interfering = zip(*(cols[i] for i in senders)) if senders else repeat(())
+    lat, first, cover, failed = zip(*map(run, cols[0], cols[1], interfering))
     return SimOutcome(phases, lat, first, cover, failed, cfg.latency_budget)
 
 
@@ -356,17 +363,8 @@ def measured_blocked_fraction(p: ProtocolSpec) -> Fraction:
         raise ValueError("measurement needs a repetitive reception schedule")
     period = p.device_period
     t_b, t_c = p.beacons.period, p.receptions.period
-    r = p.radio
-    windows = []
-    for m in range(period // t_c):
-        for w in p.receptions.windows:
-            windows.append((w.start + m * t_c, w.end + m * t_c))
-    windows = iv.normalize(windows)
-    blocked = []
-    for n in range(period // t_b):
-        for tau in p.beacons.emission_times:
-            s = tau + n * t_b
-            blocked.append((s - r.d_oRxTx, s + r.omega + r.d_oTxRx))
-    blocked = iv.shift_mod(blocked, 0, period)
+    windows = [(a + k, b + k) for k in range(0, period, t_c) for a, b in p.receptions.spans()]
+    own = _CompiledDevice(p).blocked
+    blocked = [(a + k, b + k) for k in range(0, period, t_b) for a, b in own]
     lost = iv.measure(iv.intersect(windows, blocked))
     return Fraction(lost, iv.measure(windows))

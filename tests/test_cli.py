@@ -20,6 +20,7 @@ from ndlab import (
     ReceptionWindow,
     Semantics,
     load_protocol,
+    min_beacons,
     protocol_to_json,
     worst_case_latency_oracle,
 )
@@ -134,7 +135,8 @@ def test_bounds_sweep_columns(tmp_path):
         "--omega-us", "32", "--out", str(out),
     ])
     assert rc == 0
-    rows = list(csv.DictReader(out.open()))
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 5
     row = rows[1]  # eta = 0.02
     assert float(row["eta"]) == 0.02
@@ -154,7 +156,8 @@ def test_bounds_deviation_grid(tmp_path):
         "--beta-steps", "4", "--out", str(out),
     ])
     assert rc == 0
-    rows = list(csv.DictReader(out.open()))
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
     devs = [float(r["deviation"]) for r in rows]
     assert min(devs) == pytest.approx(4.378, abs=0.01)
     assert max(devs) == pytest.approx(4.676, abs=0.01)
@@ -399,6 +402,23 @@ def test_analyze_coverage_map_trims_windows_by_the_transmitted_beacon(tmp_path):
     assert rep["min_beacons"] == 9
 
 
+def test_min_beacons_is_exact_past_float_precision(tmp_path):
+    # (2**60 + 1) / 2**59 lies just above 2, but its float quotient rounds
+    # to 2.0; the oracle needs three beacons too
+    e = beaconer([0], 2**59 + 7)
+    f = listener([(0, 2**59)], 2**60 + 1)
+    assert min_beacons(f.receptions, f.radio) == 3
+    pe, pf = tmp_path / "e.json", tmp_path / "f.json"
+    pe.write_text(json.dumps(protocol_to_json(e)))
+    pf.write_text(json.dumps(protocol_to_json(f)))
+    out = tmp_path / "report.json"
+    args = ["analyze", str(pe), str(pf), "--max-hyperperiod", str(10**40), "--out", str(out)]
+    assert run(args) == 0
+    rep = json.loads(out.read_text())
+    assert rep["min_beacons"] == 3
+    assert rep["oracle_latency_ticks"] == 3 * (2**59 + 7)
+
+
 def test_analyze_hyperperiod_budget_exit_3(tmp_path, capsys):
     e = beaconer([0], 10007)
     f = listener([(0, 4)], 9973)
@@ -502,7 +522,8 @@ def test_simulate_outputs_and_reproducibility(tmp_path):
     assert 0 <= summary["first_collision_rate"] <= 1
     expected = 1 - math.exp(-2 * 1 * (4 / 80))
     assert summary["collision_model_probability"] == pytest.approx(expected)
-    rows = list(csv.DictReader((d1 / "trials.csv").open()))
+    with (d1 / "trials.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 500
     assert set(rows[0]) == {"trial_id", "phases", "latency_ticks", "collided_first", "failed"}
     found = [int(r["latency_ticks"]) for r in rows if r["latency_ticks"]]
@@ -613,7 +634,8 @@ def test_exhaustive_pair_simulation_matches_oracle(tmp_path):
     path.write_text(json.dumps(cfg))
     out_dir = tmp_path / "out"
     assert run(["simulate", str(path), "--out-dir", str(out_dir)]) == 0
-    rows = list(csv.DictReader((out_dir / "trials.csv").open()))
+    with (out_dir / "trials.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
     worst = max(int(r["latency_ticks"]) for r in rows)
     assert worst == worst_case_latency_oracle(e, f)
 

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction as F
+from itertools import product, takewhile
 from math import lcm
 
 import hypothesis.strategies as st
@@ -27,7 +28,7 @@ from ndlab import (
 )
 from ndlab.protocols import gen_disco
 from ndlab.simulator import _CompiledDevice, _derive_seed, _draw_phases
-from helpers import beaconer, listener, random_protocol, random_reception
+from helpers import beaconer, listener, random_beacons, random_protocol, random_reception
 
 
 def optimal_pair():
@@ -163,6 +164,27 @@ def test_blocked_fraction_with_turnarounds():
     assert measured_blocked_fraction(p) == F(39, 400)
 
 
+def test_blocked_fraction_equals_a_per_tick_count():
+    # several beacons per period, turnarounds on both sides, and blocked
+    # spans that run past either end of the device period
+    rng = random.Random(17)
+    wrapped = several = 0
+    for _ in range(200):
+        omega = rng.randrange(1, 4)
+        r = RadioModel(omega=omega, d_oTxRx=rng.randrange(6), d_oRxTx=rng.randrange(6))
+        p = ProtocolSpec(random_beacons(rng, omega), random_reception(rng), r)
+        period, t_b, t_c = p.device_period, p.beacons.period, p.receptions.period
+        listening = {x for x in range(period) for a, b in p.receptions.spans() if a <= x % t_c < b}
+        blocked = set()
+        for s in (tau + k * t_b for k in range(period // t_b) for tau in p.beacons.emission_times):
+            span = range(s - r.d_oRxTx, s + omega + r.d_oTxRx)
+            wrapped += span.start < 0 or span.stop > period
+            blocked.update(x % period for x in span)
+        several += p.beacons.count > 1
+        assert measured_blocked_fraction(p) == F(len(listening & blocked), len(listening))
+    assert wrapped and several
+
+
 def test_blocked_fraction_silent_device_is_zero():
     p = listener([(0, 10)], 10)
     assert self_blocking_probability(p) == 0
@@ -241,12 +263,10 @@ def test_random_protocol_pair_engines_agree():
         pe = rng.randrange(e.device_period)
         pf = rng.randrange(f.device_period)
         want = pairwise_latency(e, f, pe, pf)
+        got, _ = simulate_pair(e, f, pe, pf, self_blocking=False)
         if isinstance(want, int):
-            got, _ = simulate_pair(e, f, pe, pf, horizon=want + 1, self_blocking=False)
             assert got == want
         else:
-            base = max(e.device_period, f.device_period)
-            got, _ = simulate_pair(e, f, pe, pf, horizon=32 * base, self_blocking=False)
             assert got is None
 
 
@@ -466,6 +486,25 @@ def test_cycle_cut_makes_a_long_horizon_free():
     assert any(lat is not None for lat in far.latencies)
 
 
+def _uncut_pair(e, f, phase_e, phase_f, horizon, self_blocking):
+    """f hearing e at the given phases, every emission up to the horizon
+    tested, with no stop after one joint cycle."""
+    dev_e = _CompiledDevice(e)
+    hears = _CompiledDevice(f).listener(dev_e.omega, self_blocking)
+    emissions = takewhile(lambda t: t <= horizon, dev_e.emissions(phase_e))
+    return next((t for t in emissions if hears(phase_f, t)), None)
+
+
+def test_finite_beacon_list_is_heard_past_twice_the_joint_period():
+    # the beacon at 100 lies far past 2 * lcm(2, 10) = 20, where pair
+    # replays once stopped looking; the one at 7 misses the window
+    e = ProtocolSpec(
+        BeaconSchedule((7, 100), 1), ReceptionSchedule((ReceptionWindow(0, 1),), 2), RadioModel()
+    )
+    f = listener([(0, 3)], 10)
+    assert simulate_pair(e, f, 0, 0) == (100, None)
+
+
 def _trial_rows(out):
     return list(
         zip(out.latencies, out.first_beacon_collided, out.covering_beacon_collided, out.failed)
@@ -481,7 +520,7 @@ def _uncut_replay(cfg: SimConfig, phases):
     jammers = [(i, d.jammer(omega)) for i, d in enumerate(devices) if i and d.taus]
     out = []
     for ph in phases:
-        emissions = list(devices[0].emissions(ph[0], cfg.horizon))
+        emissions = list(takewhile(lambda t: t <= cfg.horizon, devices[0].emissions(ph[0])))
         hits = [any(jam(ph[i], t) for i, jam in jammers) for t in emissions]
         heard = [hit for t, hit in zip(emissions, hits) if hears(ph[1], t)]
         lat = next((t for t, hit in zip(emissions, hits) if hears(ph[1], t) and not hit), None)
@@ -540,3 +579,24 @@ def test_cycle_cut_keeps_a_success_on_the_last_tick_of_the_cycle():
     out = simulate_multi(cfg)
     assert out.latencies[out.phases.index((11, 0))] == 36
     assert _uncut_replay(cfg, out.phases) == _trial_rows(out)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_pair_replays_equal_an_uncut_scan(seed, self_blocking):
+    rng = random.Random(seed)
+    e, f = _repetitive_device(rng), _repetitive_device(rng)
+    # the first emission comes within 30 ticks and the joint cycle divides 60
+    horizon = 4 * 60
+    for _ in range(10):
+        pe, pf = rng.randrange(e.device_period), rng.randrange(f.device_period)
+        assert simulate_pair(e, f, pe, pf, self_blocking=self_blocking) == (
+            _uncut_pair(e, f, pe, pf, horizon, self_blocking),
+            _uncut_pair(f, e, pf, pe, horizon, self_blocking),
+        )
+    lats = [
+        _uncut_pair(e, f, pe, pf, horizon, self_blocking)
+        for pe, pf in product(range(e.device_period), range(f.device_period))
+    ]
+    worst = None if None in lats else max(lats)
+    assert exhaustive_pair_worst_case(e, f, self_blocking=self_blocking) == worst
