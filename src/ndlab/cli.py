@@ -275,11 +275,13 @@ def cmd_simulate(args) -> int:
         offset_sampling=OffsetSampling(doc.get("offset_sampling", "uniform_random")),
         latency_budget=_config_int(doc, "latency_budget"),
     )
-    outcome = simulate_multi(cfg)
-
+    # the summary's collision model can refuse the config (a one-beacon
+    # finite joiner has no rate), so it is worked out before any trial runs
     senders = sum(1 for d in devices if d.beacons.count > 0)
     beta = transmission_duty_cycle(devices[0].beacons)
     model_p = bounds.collision_probability(senders, beta)
+    outcome = simulate_multi(cfg)
+
     emp = outcome.first_collision_rate
     n = outcome.trials
     sigma = math.sqrt(model_p * (1.0 - model_p) / n) if n else 0.0

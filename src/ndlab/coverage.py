@@ -7,16 +7,20 @@ redundancy, total coverage and worst-case discovery latency.
 
 The worst-case latency oracle sweeps coverage endpoints, cutting each
 shifted window out of the edge list of the not yet covered offsets
-(``method="endpoints"``, the default).  A per-tick sweep
-(``method="full"``, slow and obviously correct) is kept as the independent
-reference engine; the two must always agree and the tests enforce that.
-Both charge the hyperperiod budget on the joint time a scan looks at.
+(``method="endpoints"``, the default).  A beacon step places each window
+with one modulo, splits it only where it wraps past the reception period
+and cuts the parts in place: one bisect per part that meets no uncovered
+offset, two and a slice move per part that does, and no interval list.
+A per-tick sweep (``method="full"``, slow and obviously correct) is kept
+as the independent reference engine; the two must always agree and the
+tests enforce that.  Both charge the hyperperiod budget on the joint time
+a scan looks at.
 """
 
 from __future__ import annotations
 
 import csv
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import lcm
 from typing import Sequence
@@ -260,12 +264,40 @@ def _oracle_full(t_c, eff, gaps, limit):
     return best
 
 
+def _cut(rem: list[int], x: int, y: int) -> int | None:
+    """Remove the ticks [x, y) from the edge list ``rem`` in place; return
+    the first of them that was still in it, or None when none was, in which
+    case ``rem`` is left as it is."""
+    lo = bisect_right(rem, x)
+    if lo & 1:
+        first = x
+        if rem[lo - 1] == x:
+            lo -= 1  # the run starting at x loses its start
+    elif lo < len(rem) and rem[lo] < y:
+        first = rem[lo]
+    else:
+        return None  # [x, y) holds no uncovered tick
+    # rem[lo:hi] are the edges in [x, y]; x stays as an end if lo is odd,
+    # y comes in as a start if hi is odd
+    hi = bisect_right(rem, y, lo)
+    if hi & 1:
+        rem[lo:hi] = (x, y) if lo & 1 else (y,)
+    elif lo & 1:
+        rem[lo:hi] = (x,)
+    else:
+        del rem[lo:hi]
+    return first
+
+
 def _oracle_endpoints(t_c, eff, gaps, limit):
     # The first-hit latency is piecewise constant in the offset, and each
     # piece is bounded by shifted window endpoints; tracking the not yet
     # covered offsets as the edge list ``rem`` therefore finds the exact
-    # maximum.  Cutting [x, y) out of it keeps x if tick x - 1 is uncovered
-    # and y if tick y is, so a step moves one slice per window piece.
+    # maximum.  A beacon step places each window piece with one modulo,
+    # splits it only where it wraps past t_c and cuts the parts out of
+    # ``rem``; the order of the cuts does not change the result, and a step
+    # changes ``rem`` exactly when one of its cuts removes a tick.
+    pieces = [(a, min(b - a, t_c)) for a, b in eff]  # a full period covers all
     m = len(gaps)
     best = 0
     for j in range(m):
@@ -274,15 +306,15 @@ def _oracle_endpoints(t_c, eff, gaps, limit):
         shift = 0
         i = j
         while rem and shift < limit:
-            for x, y in iv.shift_mod(eff, shift % t_c, t_c):
-                lo = bisect_left(rem, x)
-                hi = bisect_right(rem, y, lo)
-                if lo == hi and not lo & 1:
-                    continue  # the piece lies in covered offsets only
-                cut = [x] * (lo & 1) + [y] * (hi & 1)
-                if rem[lo:hi] != cut:
+            for a, length in pieces:
+                x = (a - shift) % t_c
+                y = x + length
+                if y > t_c:
+                    if _cut(rem, 0, y - t_c) is not None:
+                        worst = shift
+                    y = t_c
+                if _cut(rem, x, y) is not None:
                     worst = shift
-                    rem[lo:hi] = cut
             shift += gaps[i % m]
             i += 1
         if rem:

@@ -172,22 +172,25 @@ def _trial_runner(
 ):
     """run(phase_joiner, phase_receiver, interferer_phases=()) plays one
     trial and returns (latency, first beacon collided, covering beacon
-    collided, failed).  Every interferer must send, and a finite beacon
-    list among them needs a horizon.
+    collided, failed).  Every interferer must send.
 
     The joiner's emissions, hears (the receiver's t_c, and its t_b when its
-    own beacons deafen it) and each interferer's overlaps repeat with their
-    periods, so every test at t + cycle, their lcm, repeats the one at t: a
-    first success comes within one cycle of the first emission, where a
-    repetitive joiner's scan stops.  A finite beacon list has no cycle and
-    is scanned to its end.  A horizon only cuts the scan shorter.
+    own beacons deafen it) and each repetitive interferer's overlaps repeat
+    with their periods, so every test at t + cycle, their lcm, repeats the
+    one at t.  A finite interferer is silent once its last beacon ends, so a
+    repetitive joiner's scan stops one cycle past the later of its first
+    emission and that end: a first success comes within it.  A finite
+    joiner has no cycle and is scanned to its last beacon.  A horizon only
+    cuts the scan shorter.
     """
     hears = receiver.listener(joiner.omega, self_blocking)
     jams = [d.jammer(joiner.omega) for d in interferers]
-    periods = [joiner.t_b, receiver.t_c] + [d.t_b for d in interferers]
+    periods = [receiver.t_c] + [d.t_b for d in interferers if d.t_b is not None]
     if self_blocking and receiver.blocked:
         periods.append(receiver.t_b)
-    reach = inf if None in periods else lcm(*periods) - 1  # scan [first, first + reach]
+    reach = inf if joiner.t_b is None else lcm(joiner.t_b, *periods) - 1
+    # (index, end of the last beacon at phase 0) of each finite interferer
+    quiet = [(k, d.taus[-1] + d.omega) for k, d in enumerate(interferers) if d.t_b is None]
     end = inf if horizon is None else horizon
 
     def collided(phases: Sequence[int], t: int) -> bool:
@@ -202,7 +205,11 @@ def _trial_runner(
         if first is None or first > end:
             return None, False, None, True
         first_collided = collided(interferer_phases, first)
-        last = first + reach
+        last = first
+        for k, quiet_at in quiet:
+            if quiet_at - interferer_phases[k] > last:
+                last = quiet_at - interferer_phases[k]
+        last += reach
         if last > end:
             last = end
 
@@ -305,18 +312,17 @@ def simulate_multi(cfg: SimConfig) -> SimOutcome:
     bound by the interpreter lock, so threads cannot speed it up.
 
     Every device after the joiner that sends interferes, the receiver
-    included.  A trial stops one joint cycle past its first emission (see
-    _trial_runner), so a horizon beyond that changes no outcome; a
-    non-repetitive device has no cycle, and its trials scan to the horizon.
+    included.  A trial stops one joint cycle past its first emission, or
+    past the end of a finite interferer's last beacon if that is later; a
+    finite joiner is scanned to its last beacon (see _trial_runner).  The
+    config's horizon, if any, only cuts the scan shorter.
     """
     if cfg.offset_sampling is OffsetSampling.EXHAUSTIVE_TICKS:
         if len(cfg.devices) != 2:
             raise ValueError("exhaustive phase sweep supports exactly two devices")
         e, f = cfg.devices
-        horizon = cfg.horizon or 2 * lcm(e.device_period, f.device_period)
         phases = tuple(product(range(e.device_period), range(f.device_period)))
     else:
-        horizon = cfg.horizon or 4 * max(d.device_period for d in cfg.devices)
         periods = [d.device_period for d in cfg.devices]
         rng = random.Random()
         phases = tuple(
@@ -326,7 +332,7 @@ def simulate_multi(cfg: SimConfig) -> SimOutcome:
     devices = [_CompiledDevice(spec) for spec in cfg.devices]
     senders = [i for i in range(1, len(devices)) if devices[i].taus]
     run = _trial_runner(
-        devices[0], devices[1], [devices[i] for i in senders], horizon, cfg.latency_budget
+        devices[0], devices[1], [devices[i] for i in senders], cfg.horizon, cfg.latency_budget
     )
     cols = list(zip(*phases))
     interfering = zip(*(cols[i] for i in senders)) if senders else repeat(())

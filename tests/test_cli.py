@@ -609,6 +609,26 @@ def test_simulate_refuses_one_shot_reception_schedule(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_simulate_refuses_one_beacon_finite_joiner_before_any_trial(
+    tmp_path, capsys, monkeypatch
+):
+    def no_trials(cfg):
+        raise AssertionError("trials ran for a config the summary refuses")
+
+    monkeypatch.setattr("ndlab.cli.simulate_multi", no_trials)
+    path = sim_config(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["devices"][0]["beacons"].update(times=[5], period=None)
+    path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    assert run(["simulate", str(path), "--out-dir", str(out_dir)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert [json.loads(line) for line in lines] == [
+        {"error": "ValueError", "detail": "a finite sequence needs >= 2 beacons to define a rate"}
+    ]
+    assert not out_dir.exists()
+
+
 def test_simulate_accepts_null_horizon_and_budget(tmp_path):
     path = sim_config(tmp_path, trials=20)
     doc = json.loads(path.read_text())

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 from math import lcm
@@ -26,8 +27,16 @@ from ndlab import (
     pairwise_latency,
     worst_case_latency_oracle,
 )
-from ndlab.coverage import quadruple_sides
-from ndlab.protocols import gen_optimal_unidirectional, gen_pi0m
+from ndlab.coverage import DEFAULT_HYPERPERIOD_BUDGET, _cut, quadruple_sides
+from ndlab.protocols import (
+    builtin_difference_set,
+    gen_diffcode,
+    gen_disco,
+    gen_optimal_unidirectional,
+    gen_pi0m,
+    gen_searchlight_striped,
+    gen_uconnect,
+)
 from helpers import (
     absolute_first_hit,
     beaconer,
@@ -324,6 +333,131 @@ def test_pairwise_latency_counts_wait_to_first_landing_beacon():
     # in-range right at an emission: that beacon is in flight, next counts
     assert pairwise_latency(e, f, phase_e=0, phase_f=0) == 10
     assert pairwise_latency(e, f, phase_e=9, phase_f=0) == 1
+
+
+# ---------------------------------------------------------------------------
+# regression pin: sha256 of repr() of the oracle's answers and refusals on a
+# fixed suite, recorded before the endpoints sweep was rewritten, so any
+# drift in an answer or in an exception type fails here
+# ---------------------------------------------------------------------------
+
+#: A budget under which most generator pairs below, and about half the random
+#: pairs, raise HyperperiodTooLarge.
+SMALL_BUDGET = 29
+
+
+def _oracle_pin_pairs():
+    rng = random.Random(12)
+    pairs = []
+    for _ in range(200):
+        omega = rng.randrange(1, 4)
+        semantics = rng.choice((Semantics.IDEAL, Semantics.CONTAINED))
+        e, f = (
+            ProtocolSpec(
+                random_beacons(rng, omega),
+                random_reception(rng),
+                RadioModel(omega=omega, semantics=semantics),
+            )
+            for _ in range(2)
+        )
+        pairs.append((e, f))
+    contained = RadioModel(omega=2, semantics=Semantics.CONTAINED)
+    generated = [
+        gen_optimal_unidirectional(2, F(1, 10), 1),
+        gen_optimal_unidirectional(5, F(1, 8), 2),
+        gen_optimal_unidirectional(3, F(1, 6), 2, contained),
+        gen_pi0m(3, 10, 1),
+        gen_pi0m(5, 20, 2, delta=3),
+        gen_disco(2, 3, 4, 1),
+        gen_disco(3, 5, 6, 2),
+        gen_disco(2, 5, 5, 2, contained),
+        gen_searchlight_striped(4, 4, 1),
+        gen_searchlight_striped(5, 6, 2),
+        gen_uconnect(3, 4, 1),
+        gen_uconnect(5, 4, 2),
+        gen_diffcode(builtin_difference_set(7), 4, 1),
+        gen_diffcode(builtin_difference_set(13), 6, 2),
+    ]
+    pairs += [(p, p) for p in generated]
+    pairs += [(p, q) for p, q in zip(generated, generated[1:])]
+    pairs.append((beaconer([0], 7), listener([(0, 1)], 1009)))
+    return pairs
+
+
+def _oracle_outcome(e, f, budget):
+    try:
+        return worst_case_latency_oracle(e, f, max_hyperperiod=budget)
+    except HyperperiodTooLarge as exc:
+        return type(exc).__name__, str(exc)
+
+
+ORACLE_PIN = "dbf07230ae0be40f12ebe2773291973eb1d9a32158ee31b42e705e36361056c8"
+
+
+def test_oracle_answers_are_pinned():
+    got = [
+        _oracle_outcome(e, f, budget)
+        for e, f in _oracle_pin_pairs()
+        for budget in (DEFAULT_HYPERPERIOD_BUDGET, SMALL_BUDGET)
+    ]
+    assert any(isinstance(out, tuple) for out in got)
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == ORACLE_PIN
+
+
+# ---------------------------------------------------------------------------
+# endpoints sweep edge cases, each against the per-tick reference
+# ---------------------------------------------------------------------------
+
+CONTAINED2 = dict(omega=2, semantics=Semantics.CONTAINED)
+
+#: name -> (transmitter, receiver, worst-case latency).  Each pair's sweep
+#: meets the named case at least once.
+SWEEP_EDGE_CASES = {
+    # at shift 7 the piece [1, 2) ends where the uncovered run [2, 4) starts
+    "piece_ends_where_a_run_starts": (beaconer([0, 3], 7), listener([(0, 1)], 4), 24),
+    # at shift 6 the window wraps to [4, 5) and [0, 1); the part [4, 5)
+    # starts where the uncovered run [3, 4) ends
+    "piece_starts_where_a_run_ends": (beaconer([0, 1, 4], 6), listener([(0, 2)], 5), 9),
+    # a piece lands on the covered tick 2 between the uncovered runs
+    # [1, 2) and [3, 4)
+    "covered_gap_equal_to_the_piece": (beaconer([0, 1, 3], 7), listener([(0, 1)], 4), 16),
+    # at shift 4 the window [3, 5) lands on [6, 8) and splits at t_c = 7
+    "piece_wraps_past_the_period": (beaconer([0], 4), listener([(3, 2)], 7), 20),
+    "windows_touch_across_the_period": (
+        beaconer([0], 3), listener([(0, 2), (6, 2)], 8), 9
+    ),
+    "full_period_window": (beaconer([0, 2], 5), listener([(0, 6)], 6), 3),
+    # a 1-tick window cannot contain a 2-tick beacon and drops out
+    "contained_trims_a_window_to_nothing": (
+        beaconer([0], 4, omega=2), listener([(0, 1), (4, 3)], 9, **CONTAINED2), 36
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_EDGE_CASES))
+def test_endpoints_sweep_edge_cases_match_the_reference(name):
+    e, f, want = SWEEP_EDGE_CASES[name]
+    assert worst_case_latency_oracle(e, f, method="full") == want
+    assert worst_case_latency_oracle(e, f, method="endpoints") == want
+
+
+def test_cut_changes_nothing_where_no_tick_is_uncovered():
+    rem = [2, 5, 8, 10]
+    # ends where a run starts, fills the covered gap between two runs,
+    # starts where the last run ends, lies inside a covered gap
+    for x, y in ((0, 2), (5, 8), (10, 12), (6, 7)):
+        assert _cut(rem, x, y) is None
+    assert rem == [2, 5, 8, 10]
+
+
+def test_cut_removes_ticks_and_returns_the_first():
+    rem = [2, 5, 8, 10]
+    assert _cut(rem, 0, 3) == 2 and rem == [3, 5, 8, 10]  # trims a run's start
+    assert _cut(rem, 4, 9) == 4 and rem == [3, 4, 9, 10]  # spans a gap
+    assert _cut(rem, 3, 4) == 3 and rem == [9, 10]  # removes a whole run
+    assert _cut(rem, 0, 20) == 9 and rem == []
+    rem = [0, 10]
+    assert _cut(rem, 4, 6) == 4 and rem == [0, 4, 6, 10]  # splits a run
 
 
 # ---------------------------------------------------------------------------

@@ -495,14 +495,32 @@ def _uncut_pair(e, f, phase_e, phase_f, horizon, self_blocking):
     return next((t for t in emissions if hears(phase_f, t)), None)
 
 
-def test_finite_beacon_list_is_heard_past_twice_the_joint_period():
-    # the beacon at 100 lies far past 2 * lcm(2, 10) = 20, where pair
-    # replays once stopped looking; the one at 7 misses the window
+def _late_beacon_pair():
+    """A finite joiner whose second beacon lies far past every device
+    period, against a listener that hears it and not the first."""
     e = ProtocolSpec(
         BeaconSchedule((7, 100), 1), ReceptionSchedule((ReceptionWindow(0, 1),), 2), RadioModel()
     )
-    f = listener([(0, 3)], 10)
+    return e, listener([(0, 3)], 10)
+
+
+def test_finite_beacon_list_is_heard_past_twice_the_joint_period():
+    # the beacon at 100 lies far past 2 * lcm(2, 10) = 20, where pair
+    # replays once stopped looking; the one at 7 misses the window
+    e, f = _late_beacon_pair()
     assert simulate_pair(e, f, 0, 0) == (100, None)
+
+
+@pytest.mark.parametrize("sampling", list(OffsetSampling))
+def test_finite_joiner_is_scanned_to_its_last_beacon(sampling):
+    # with no horizon, no guess such as 2 * lcm(2, 10) or 4 * 10 cuts the
+    # scan before the beacon at 100
+    e, f = _late_beacon_pair()
+    out = simulate_multi(SimConfig((e, f), trials=20, offset_sampling=sampling))
+    assert out.latencies == tuple(simulate_pair(e, f, pe, pf)[0] for pe, pf in out.phases)
+    assert max(lat for lat in out.latencies if lat is not None) >= 99
+    if sampling is OffsetSampling.EXHAUSTIVE_TICKS:
+        assert out.latencies[out.phases.index((0, 0))] == 100
 
 
 def _trial_rows(out):
@@ -568,6 +586,35 @@ def test_outcome_is_fixed_one_cycle_past_the_largest_period(seed, cycles):
     )
     out = simulate_multi(far)
     assert simulate_multi(near) == out
+    assert _uncut_replay(far, out.phases) == _trial_rows(out)
+
+
+def _finite_device(rng: random.Random) -> ProtocolSpec:
+    """A device with one to three beacons at ticks below 90 that never
+    repeat, and a repetitive reception schedule with a period from
+    _SMALL_PERIODS."""
+    omega = rng.randrange(1, 3)
+    t_c = rng.choice(_SMALL_PERIODS)
+    times = sorted(rng.sample(range(0, 90, omega), rng.randrange(1, 4)))
+    return ProtocolSpec(
+        BeaconSchedule(tuple(times), omega, period=None),
+        ReceptionSchedule((ReceptionWindow(0, 1),), t_c),
+        RadioModel(omega=omega),
+    )
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, 2**32 - 1))
+def test_finite_devices_are_heard_to_their_end_without_a_horizon(seed):
+    rng = random.Random(seed)
+    devices = [_repetitive_device(rng) for _ in range(2)]
+    devices += [_finite_device(rng) for _ in range(rng.randrange(1, 3))]
+    rng.shuffle(devices)  # the joiner and the receiver may be finite, too
+    budget = rng.choice((None, 30))
+    out = simulate_multi(SimConfig(devices, trials=20, seed=seed, latency_budget=budget))
+    # a repetitive joiner emits within 30 ticks, every finite beacon ends
+    # before tick 92 and the joint cycle divides 60, so tick 240 is far enough
+    far = SimConfig(devices, trials=20, seed=seed, horizon=240, latency_budget=budget)
     assert _uncut_replay(far, out.phases) == _trial_rows(out)
 
 
