@@ -1,16 +1,18 @@
 """Event-driven discovery simulation with a pure-ALOHA collision model.
 
 An independent replay engine: it never consults the coverage machinery, so
-agreement between the two is a meaningful check.  Transmissions of
-different devices that overlap in time destroy each other for every
-receiver; a device that transmits while scanning cannot hear for the
-turnaround-padded duration of its own beacon.
+agreement between the two is a meaningful check.  One overlap rule decides
+both collision and self-deafness: transmissions of different devices that
+overlap in time destroy each other for every receiver, and a device that
+transmits while scanning cannot hear while its own turnaround-padded beacon
+overlaps the remote one.  A device with a finite beacon list is deaf only
+during those padded beacons and hears again after its last one.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -88,20 +90,20 @@ class _CompiledDevice:
     so every trial of a call shares one instance and supplies the phase."""
 
     def __init__(self, spec: ProtocolSpec):
-        b, r = spec.beacons, spec.radio
+        b = spec.beacons
         self.spec = spec
         self.omega = b.beacon_duration
         self.taus = b.emission_times
         self.t_b = b.period if b.repetitive else None
         self.t_c = spec.receptions.period
-        self.contained = r.semantics is Semantics.CONTAINED
-        # own transmissions block reception from turnaround-before to
-        # turnaround-after the beacon
-        if self.taus and self.t_b is not None:
-            spans = [(tau - r.d_oRxTx, tau + self.omega + r.d_oTxRx) for tau in self.taus]
-            self.blocked = iv.shift_mod(spans, 0, self.t_b)
-        else:
-            self.blocked = ()
+
+    def overlapping(self, width: int, before: int = 0, after: int = 0) -> list[int]:
+        """Edge list of the device times x at which [x, x + width) overlaps
+        a beacon widened by ``before`` ticks ahead and ``after`` behind: in
+        [0, t_b) for a repetitive schedule, absolute for a finite one."""
+        spans = [(tau - before - width + 1, tau + self.omega + after) for tau in self.taus]
+        t_b = self.t_b
+        return iv.edges(iv.normalize(spans) if t_b is None else iv.shift_mod(spans, 0, t_b))
 
     def emissions(self, phase: int):
         """Global emission start times after 0, lazily and sorted; those of
@@ -116,46 +118,40 @@ class _CompiledDevice:
                 yield base + t
 
     def jammer(self, width: int):
-        """overlaps(phase, t): whether any of this device's beacons (running
-        forever) overlaps the global interval [t, t + width).  The device
-        must have beacons."""
-        span = width + self.omega - 1  # number of overlapping start ticks
-        # a beacon at global s overlaps when 0 <= s + omega - 1 - t < span,
-        # so only the first such mark at or after t needs a look
-        marks = [tau + self.omega - 1 for tau in self.taus]  # sorted, as the taus are
-        t_b = self.t_b
+        """overlaps(phase, t): whether any of this device's beacons overlaps
+        the global interval [t, t + width); a repetitive schedule runs
+        forever, a finite one is silent after its last beacon."""
+        busy, t_b = self.overlapping(width), self.t_b
         if t_b is None:
-            marks.append(float("inf"))
-            return lambda phase, t: marks[bisect_left(marks, phase + t)] - phase - t < span
-        if span >= t_b:
-            return lambda phase, t: True
-        marks = sorted(x % t_b for x in marks)
-        marks.append(marks[0] + t_b)  # the next period's first mark
-
-        def overlaps(phase: int, t: int) -> bool:
-            q = (phase + t) % t_b
-            return marks[bisect_left(marks, q)] - q < span
-
-        return overlaps
+            return lambda phase, t: bisect_right(busy, phase + t) & 1
+        return lambda phase, t: bisect_right(busy, (phase + t) % t_b) & 1
 
     def listener(self, tx_omega: int, self_blocking: bool):
-        """hears(phase, t): whether a remote beacon of tx_omega ticks starting
-        at global t is received."""
-        spec = self.spec
+        """(hears, deaf): hears(phase, t) says whether a remote beacon of
+        tx_omega ticks starting at global t is received.  With self_blocking
+        the jammer's overlap rule gives the device times deaf at which an
+        own beacon, padded by the turnarounds, overlaps that beacon's start
+        (IDEAL) or all of it (CONTAINED); a finite beacon list deafens only
+        there, so the device hears again after its last beacon."""
+        spec, r = self.spec, self.spec.radio
         if not spec.receptions.repetitive:
             raise ValueError("the simulator needs a repetitive reception schedule")
-        eff = iv.edges(effective_window_spans(spec.receptions, spec.radio.semantics, tx_omega))
+        eff = iv.edges(effective_window_spans(spec.receptions, r.semantics, tx_omega))
+        width = tx_omega if r.semantics is Semantics.CONTAINED else 1
+        deaf = self.overlapping(width, r.d_oRxTx, r.d_oTxRx) if self_blocking else []
         t_c, t_b = self.t_c, self.t_b
-        if not (self_blocking and self.blocked):
-            return lambda phase, t: bisect_right(eff, (phase + t) % t_c) & 1
-        # under CONTAINED the whole beacon [v, v + tx_omega) must miss the
-        # blocked spans, so a blocked [a, b) deafens every v in [a - tx_omega + 1, b)
-        reach = tx_omega - 1 if self.contained else 0
-        deaf = iv.edges(iv.shift_mod([(a - reach, b) for a, b in self.blocked], 0, t_b))
-        return lambda phase, t: (
-            bisect_right(eff, (phase + t) % t_c) & 1
-            and not bisect_right(deaf, (phase + t) % t_b) & 1
-        )
+        if not deaf:
+            hears = lambda phase, t: bisect_right(eff, (phase + t) % t_c) & 1
+        elif t_b is None:
+            hears = lambda phase, t: (
+                bisect_right(eff, (phase + t) % t_c) & 1 and not bisect_right(deaf, phase + t) & 1
+            )
+        else:
+            hears = lambda phase, t: (
+                bisect_right(eff, (phase + t) % t_c) & 1
+                and not bisect_right(deaf, (phase + t) % t_b) & 1
+            )
+        return hears, deaf
 
 
 # ---------------------------------------------------------------------------
@@ -175,19 +171,22 @@ def _trial_runner(
     collided, failed).  Every interferer must send.
 
     The joiner's emissions, hears (the receiver's t_c, and its t_b when its
-    own beacons deafen it) and each repetitive interferer's overlaps repeat
-    with their periods, so every test at t + cycle, their lcm, repeats the
-    one at t.  A finite interferer is silent once its last beacon ends, so a
-    repetitive joiner's scan stops one cycle past the later of its first
-    emission and that end: a first success comes within it.  A finite
-    joiner has no cycle and is scanned to its last beacon.  A horizon only
-    cuts the scan shorter.
+    own repeating beacons deafen it) and each repetitive interferer's
+    overlaps repeat with their periods, so every test at t + cycle, their
+    lcm, repeats the one at t.  A finite interferer is silent once its last
+    beacon ends, and a receiver deafened by a finite beacon list hears again
+    at the last edge of its deaf list, so a repetitive joiner's scan stops
+    one cycle past the latest of its first emission and those ends: a first
+    success comes within it.  A finite joiner has no cycle and is scanned to
+    its last beacon.  A horizon only cuts the scan shorter.
     """
-    hears = receiver.listener(joiner.omega, self_blocking)
+    hears, deaf = receiver.listener(joiner.omega, self_blocking)
     jams = [d.jammer(joiner.omega) for d in interferers]
     periods = [receiver.t_c] + [d.t_b for d in interferers if d.t_b is not None]
-    if self_blocking and receiver.blocked:
+    if deaf and receiver.t_b is not None:
         periods.append(receiver.t_b)
+    # the device time at which a finite receiver's own beacons stop deafening it
+    deaf_end = deaf[-1] if deaf and receiver.t_b is None else -inf
     reach = inf if joiner.t_b is None else lcm(joiner.t_b, *periods) - 1
     # (index, end of the last beacon at phase 0) of each finite interferer
     quiet = [(k, d.taus[-1] + d.omega) for k, d in enumerate(interferers) if d.t_b is None]
@@ -205,7 +204,7 @@ def _trial_runner(
         if first is None or first > end:
             return None, False, None, True
         first_collided = collided(interferer_phases, first)
-        last = first
+        last = max(first, deaf_end - phase_receiver)
         for k, quiet_at in quiet:
             if quiet_at - interferer_phases[k] > last:
                 last = quiet_at - interferer_phases[k]
@@ -249,7 +248,7 @@ def simulate_pair(
     Returns (latency of f hearing e, latency of e hearing f); None when a
     direction never succeeds.  Each direction is one scan of _trial_runner
     with no interferers, so it stops one joint cycle past its first
-    emission.
+    emission or, if later, past the end of a finite receiver's deafness.
     """
     dev_e, dev_f = _CompiledDevice(e), _CompiledDevice(f)
     ef = _trial_runner(dev_e, dev_f, (), self_blocking=self_blocking)
@@ -313,9 +312,9 @@ def simulate_multi(cfg: SimConfig) -> SimOutcome:
 
     Every device after the joiner that sends interferes, the receiver
     included.  A trial stops one joint cycle past its first emission, or
-    past the end of a finite interferer's last beacon if that is later; a
-    finite joiner is scanned to its last beacon (see _trial_runner).  The
-    config's horizon, if any, only cuts the scan shorter.
+    past the end of a finite interferer's last beacon or of a finite
+    receiver's deafness if that is later; a finite joiner is scanned to its
+    last beacon (see _trial_runner).  The horizon only cuts it shorter.
     """
     if cfg.offset_sampling is OffsetSampling.EXHAUSTIVE_TICKS:
         if len(cfg.devices) != 2:
@@ -370,7 +369,7 @@ def measured_blocked_fraction(p: ProtocolSpec) -> Fraction:
     period = p.device_period
     t_b, t_c = p.beacons.period, p.receptions.period
     windows = [(a + k, b + k) for k in range(0, period, t_c) for a, b in p.receptions.spans()]
-    own = _CompiledDevice(p).blocked
-    blocked = [(a + k, b + k) for k in range(0, period, t_b) for a, b in own]
+    own = _CompiledDevice(p).overlapping(1, p.radio.d_oRxTx, p.radio.d_oTxRx)
+    blocked = [(a + k, b + k) for k in range(0, period, t_b) for a, b in zip(own[::2], own[1::2])]
     lost = iv.measure(iv.intersect(windows, blocked))
     return Fraction(lost, iv.measure(windows))

@@ -93,6 +93,66 @@ def absolute_first_hit(beacon_times, rec: ReceptionSchedule, phi1: int, copies: 
     return None
 
 
+def _beacon_starts(beacons: BeaconSchedule, lo: int, hi: int) -> list[int]:
+    """Sorted device-time beacon starts in [lo, hi); a repetitive schedule
+    is unrolled one period at a time, backwards and forwards from 0."""
+    taus = beacons.emission_times
+    if not beacons.repetitive:
+        return [s for s in taus if lo <= s < hi]
+    base = 0
+    while taus and base + taus[-1] >= lo:
+        base -= beacons.period
+    out = []
+    while taus and base + taus[0] < hi:
+        out += [base + tau for tau in taus if lo <= base + tau < hi]
+        base += beacons.period
+    return out
+
+
+def per_tick_pair(e: ProtocolSpec, f: ProtocolSpec, self_blocking: bool, horizon: int):
+    """Independent per-tick reference for f hearing e, with no modulo and no
+    simulator internals.  Returns latency(phase_e, phase_f): the first
+    global tick t in [1, horizon] at which e starts a beacon that f hears,
+    or None, for phases below the devices' periods.
+
+    Every schedule is unrolled onto an absolute tick axis of f's device
+    time.  A beacon of omega ticks starting at x is received when x lies in
+    a window occurrence; under CONTAINED it must not start in the
+    occurrence's last omega ticks either.  With self_blocking, f is deaf
+    while any of its own beacons, padded by d_oRxTx ahead and d_oTxRx
+    behind, overlaps the beacon's start (IDEAL) or its whole length
+    (CONTAINED).
+    """
+    omega, r = e.beacons.beacon_duration, f.radio
+    contained = r.semantics is Semantics.CONTAINED
+    tail = omega if contained else 0  # last window ticks a beacon may not start in
+    need = omega if contained else 1  # beacon ticks that must miss an own beacon
+    span = f.device_period + horizon + 1
+    heard = [False] * span
+    for base in range(0, span, f.receptions.period):
+        for w in f.receptions.windows:
+            for x in range(base + w.start, min(base + w.end - tail, span)):
+                heard[x] = True
+    if self_blocking:
+        busy = [False] * (span + need)
+        pad = f.beacons.beacon_duration + r.d_oTxRx
+        for s in _beacon_starts(f.beacons, -pad, span + need + r.d_oRxTx):
+            for y in range(max(0, s - r.d_oRxTx), min(s + pad, span + need)):
+                busy[y] = True
+        heard = [ok and not any(busy[x : x + need]) for x, ok in enumerate(heard)]
+    starts = _beacon_starts(e.beacons, 1, e.device_period + horizon + 1)
+
+    def latency(phase_e: int, phase_f: int):
+        for s in starts:
+            if s > phase_e + horizon:
+                break
+            if s > phase_e and heard[phase_f + s - phase_e]:
+                return s - phase_e
+        return None
+
+    return latency
+
+
 #: (dotted field, value) edits that turn a valid protocol document into one
 #: the loader must refuse with ValueError instead of coercing or ignoring.
 MALFORMED_PROTOCOL_EDITS = (

@@ -6,7 +6,7 @@ from math import lcm
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from ndlab import (
     BeaconSchedule,
@@ -28,7 +28,14 @@ from ndlab import (
 )
 from ndlab.protocols import gen_disco
 from ndlab.simulator import _CompiledDevice, _derive_seed, _draw_phases
-from helpers import beaconer, listener, random_beacons, random_protocol, random_reception
+from helpers import (
+    beaconer,
+    listener,
+    per_tick_pair,
+    random_beacons,
+    random_protocol,
+    random_reception,
+)
 
 
 def optimal_pair():
@@ -272,7 +279,10 @@ def test_random_protocol_pair_engines_agree():
 
 # ---------------------------------------------------------------------------
 # regression pins: sha256 of repr() of each result, recorded before the
-# simulator core was rewritten, so any drift in outcomes fails here
+# simulator core was rewritten, so any drift in outcomes fails here; the
+# random configs, pair replays and exhaustive worst cases were re-recorded
+# once a receiver with a finite beacon list deafened itself, with every
+# changed entry equal to a per-tick reference
 # ---------------------------------------------------------------------------
 
 def _digest(value) -> str:
@@ -409,9 +419,9 @@ PINNED_OUTCOMES = {
     "exhaustive_disco": "5a9ff17c405bc18bdad37127cecc0caab19f427f426b61945cf4ec840726a6e3",
     "exhaustive_self_blocking": "651b4f7a83109c8bb6ddcdd4a44f5e8b8542f018f939e83df0680bd5b310ff40",
     "non_repetitive": "5563277fe3552c9a59f6cd827b087f01968b968e160bdb03dd9d1ec8d98d2b25",
-    "random_configs": "1e4ae1c2a72002cfe78505073707ce997d30022ea538c323477e4714a814e586",
-    "simulate_pair": "ed9e0389f045d3f2550f4db3d40f21725c429848a28237b10cffac21c39194ac",
-    "exhaustive_pair_worst_case": "4bf5fe2bbfdf9b001b4d284d3a4cc0034bf2d501872703ff752d0bf8233cf1a2",
+    "random_configs": "5d46aa83a7302ce7c8e3a692d79e22f9da7198b1bae8fc629ca3c61e21c34070",
+    "simulate_pair": "f38395029d7d3b267737c364f1530dea504bea7ee1b0c63dc596438d00724e90",
+    "exhaustive_pair_worst_case": "f427b9a25531b4a3329ea4421eae811c713a24c386d666b9366df52686c36fd0",
 }
 
 
@@ -490,7 +500,7 @@ def _uncut_pair(e, f, phase_e, phase_f, horizon, self_blocking):
     """f hearing e at the given phases, every emission up to the horizon
     tested, with no stop after one joint cycle."""
     dev_e = _CompiledDevice(e)
-    hears = _CompiledDevice(f).listener(dev_e.omega, self_blocking)
+    hears, _ = _CompiledDevice(f).listener(dev_e.omega, self_blocking)
     emissions = takewhile(lambda t: t <= horizon, dev_e.emissions(phase_e))
     return next((t for t in emissions if hears(phase_f, t)), None)
 
@@ -534,7 +544,7 @@ def _uncut_replay(cfg: SimConfig, phases):
     emission is tested, with no stop after one joint cycle."""
     devices = [_CompiledDevice(d) for d in cfg.devices]
     omega = devices[0].omega
-    hears = devices[1].listener(omega, self_blocking=True)
+    hears, _ = devices[1].listener(omega, self_blocking=True)
     jammers = [(i, d.jammer(omega)) for i, d in enumerate(devices) if i and d.taus]
     out = []
     for ph in phases:
@@ -591,20 +601,28 @@ def test_outcome_is_fixed_one_cycle_past_the_largest_period(seed, cycles):
 
 def _finite_device(rng: random.Random) -> ProtocolSpec:
     """A device with one to three beacons at ticks below 90 that never
-    repeat, and a repetitive reception schedule with a period from
-    _SMALL_PERIODS."""
+    repeat, turnarounds below 4 ticks, and one reception window of a
+    repetitive schedule with a period from _SMALL_PERIODS."""
     omega = rng.randrange(1, 3)
+    radio = RadioModel(
+        omega=omega,
+        d_oTxRx=rng.randrange(4),
+        d_oRxTx=rng.randrange(4),
+        semantics=rng.choice((Semantics.IDEAL, Semantics.CONTAINED)),
+    )
     t_c = rng.choice(_SMALL_PERIODS)
+    start = rng.randrange(t_c)
+    windows = (ReceptionWindow(start, rng.randrange(1, t_c - start + 1)),)
     times = sorted(rng.sample(range(0, 90, omega), rng.randrange(1, 4)))
     return ProtocolSpec(
-        BeaconSchedule(tuple(times), omega, period=None),
-        ReceptionSchedule((ReceptionWindow(0, 1),), t_c),
-        RadioModel(omega=omega),
+        BeaconSchedule(tuple(times), omega, period=None), ReceptionSchedule(windows, t_c), radio
     )
 
 
 @settings(deadline=None, max_examples=100)
 @given(st.integers(0, 2**32 - 1))
+@example(89)  # a finite receiver deaf 3 ticks past its last beacon, at 60
+@example(1497)  # the same with one beacon, at 48
 def test_finite_devices_are_heard_to_their_end_without_a_horizon(seed):
     rng = random.Random(seed)
     devices = [_repetitive_device(rng) for _ in range(2)]
@@ -612,8 +630,9 @@ def test_finite_devices_are_heard_to_their_end_without_a_horizon(seed):
     rng.shuffle(devices)  # the joiner and the receiver may be finite, too
     budget = rng.choice((None, 30))
     out = simulate_multi(SimConfig(devices, trials=20, seed=seed, latency_budget=budget))
-    # a repetitive joiner emits within 30 ticks, every finite beacon ends
-    # before tick 92 and the joint cycle divides 60, so tick 240 is far enough
+    # a repetitive joiner emits within 30 ticks, every finite beacon ends,
+    # turnaround included, before tick 95 and the joint cycle divides 60, so
+    # tick 240 is far enough
     far = SimConfig(devices, trials=20, seed=seed, horizon=240, latency_budget=budget)
     assert _uncut_replay(far, out.phases) == _trial_rows(out)
 
@@ -647,3 +666,35 @@ def test_pair_replays_equal_an_uncut_scan(seed, self_blocking):
     ]
     worst = None if None in lats else max(lats)
     assert exhaustive_pair_worst_case(e, f, self_blocking=self_blocking) == worst
+
+
+def test_finite_beacon_list_deafens_its_receiver():
+    # the receiver listens all of its 20-tick period and sends one 2-tick
+    # beacon at 5 that never repeats: that beacon deafens it to the
+    # joiner's at 5, and it hears the joiner's next one, at 25
+    e = beaconer([5], 20, omega=2)
+    f = ProtocolSpec(
+        BeaconSchedule((5,), 2, period=None),
+        ReceptionSchedule((ReceptionWindow(0, 20),), 20),
+        RadioModel(omega=2),
+    )
+    assert simulate_pair(e, f) == (25, None)
+    assert simulate_pair(e, f, self_blocking=False) == (5, None)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2**32 - 1))
+def test_pair_replays_equal_a_per_tick_reference(seed):
+    rng = random.Random(seed)
+    e, f = (_finite_device(rng) if rng.random() < 0.4 else _repetitive_device(rng) for _ in "ef")
+    # as above, tick 240 lies one joint cycle past every first emission and
+    # every end of a finite device's beacons
+    for self_blocking in (False, True):
+        ef, fe = per_tick_pair(e, f, self_blocking, 240), per_tick_pair(f, e, self_blocking, 240)
+        for _ in range(10):
+            pe, pf = rng.randrange(e.device_period), rng.randrange(f.device_period)
+            got = simulate_pair(e, f, pe, pf, self_blocking=self_blocking)
+            assert got == (ef(pe, pf), fe(pf, pe))
+        lats = [ef(pe, pf) for pe, pf in product(range(e.device_period), range(f.device_period))]
+        worst = None if None in lats else max(lats)
+        assert exhaustive_pair_worst_case(e, f, self_blocking=self_blocking) == worst
