@@ -5,22 +5,26 @@ in-range beacon within the receiver's period, which beacon (if any) is the
 first to land inside a reception window.  From it we get determinism,
 redundancy, total coverage and worst-case discovery latency.
 
-The worst-case latency oracle sweeps coverage endpoints, cutting each
-shifted window out of the edge list of the not yet covered offsets
-(``method="endpoints"``, the default).  A beacon step places each window
-with one modulo, splits it only where it wraps past the reception period
-and cuts the parts in place: one bisect per part that meets no uncovered
-offset, two and a slice move per part that does, and no interval list.
-A per-tick sweep (``method="full"``, slow and obviously correct) is kept
-as the independent reference engine; the two must always agree and the
-tests enforce that.  Both charge the hyperperiod budget on the joint time
-a scan looks at.
+The worst-case latency oracle sweeps coverage endpoints forward from the
+transmitter's beacon 0 (``method="endpoints"``, the default).  The worst
+in-range instant falls just after a heard beacon, so the sweep measures,
+for every receiver offset, the wait from each heard beacon of the first
+period to the next heard one: m + S beacon steps for m beacons per period
+and a longest wait of S steps.  It keeps two sets of offsets as sorted
+runs and edits them in place: those beacon 0's scan has not heard
+yet, which prove UNBOUNDED, and pending runs tagged with the beacon they
+were last heard at.  A beacon step places each window with one modulo and
+splits it only where it wraps past the reception period.  A per-tick
+sweep (``method="full"``, slow and obviously correct) is kept as the
+independent reference engine; the two must always agree and the tests
+enforce that.  Both charge the hyperperiod budget on the joint time a scan
+from any starting beacon looks at.
 """
 
 from __future__ import annotations
 
 import csv
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import lcm
 from typing import Sequence
@@ -289,38 +293,94 @@ def _cut(rem: list[int], x: int, y: int) -> int | None:
     return first
 
 
+def _hear(starts, ends, tags, x, y, tag):
+    """Offsets [x, y) hear a beacon: close the pending runs there and return
+    the oldest tag among them, or None when no pending offset lies there.
+    The runs are ``[starts[i], ends[i])``, sorted, disjoint and tagged with
+    the beacon they were last heard at.  A ``tag`` other than None restarts
+    all of [x, y) as one run heard at ``tag``."""
+    lo = bisect_right(ends, x)
+    hi = bisect_left(starts, y, lo)
+    if lo == hi:
+        if tag is not None:
+            starts.insert(lo, x)
+            ends.insert(lo, y)
+            tags.insert(lo, tag)
+        return None
+    oldest = tags[lo] if hi - lo == 1 else min(tags[lo:hi])
+    if starts[lo] < x and ends[lo] > y:  # [x, y) splits one run in two
+        if tag is None:
+            starts.insert(lo + 1, y)
+            ends.insert(lo, x)
+            tags.insert(lo, oldest)
+        else:
+            starts[lo + 1 : lo + 1] = (x, y)
+            ends[lo:lo] = (x, y)
+            tags[lo + 1 : lo + 1] = (tag, oldest)
+        return oldest
+    if starts[lo] < x:  # the first run keeps its head
+        ends[lo] = x
+        lo += 1
+    if ends[hi - 1] > y:  # the last run keeps its tail
+        starts[hi - 1] = y
+        hi -= 1
+    # the runs lo .. hi-1 lie inside [x, y)
+    if tag is None:
+        del starts[lo:hi], ends[lo:hi], tags[lo:hi]
+    else:
+        starts[lo:hi] = (x,)
+        ends[lo:hi] = (y,)
+        tags[lo:hi] = (tag,)
+    return oldest
+
+
 def _oracle_endpoints(t_c, eff, gaps, limit):
-    # The first-hit latency is piecewise constant in the offset, and each
-    # piece is bounded by shifted window endpoints; tracking the not yet
-    # covered offsets as the edge list ``rem`` therefore finds the exact
-    # maximum.  A beacon step places each window piece with one modulo,
-    # splits it only where it wraps past t_c and cuts the parts out of
-    # ``rem``; the order of the cuts does not change the result, and a step
-    # changes ``rem`` exactly when one of its cuts removes a tick.
+    # Exact because the worst start comes just after a heard beacon: a start
+    # one beacon earlier waits for the same next hit plus one more gap, and
+    # shifting the offset by t_b maps beacon k + m onto beacon k.  So one
+    # forward sweep from beacon 0 measures, for every offset, the wait from
+    # each heard beacon among 0 .. m-1 to the next heard one.  ``rem`` holds
+    # the offsets beacon 0's scan has not heard yet and alone proves
+    # UNBOUNDED.  The pending runs (see _hear) hold offsets last heard at a
+    # beacon h < m: beacons 0 .. m-1 restart the runs they hear, later ones
+    # only close them, and closing at beacon k is a wait of times[k] -
+    # times[h].  A run still pending at shift ``limit`` past beacon h + 1 is
+    # a failed scan from h + 1.  The first-hit latency is piecewise constant
+    # between shifted window endpoints, so edge lists find the exact maximum;
+    # a step places each window piece with one modulo and splits it only
+    # where it wraps past t_c.
     pieces = [(a, min(b - a, t_c)) for a, b in eff]  # a full period covers all
     m = len(gaps)
+    times = [0]  # emission offsets of beacons 0 .. m
+    for g in gaps:
+        times.append(times[-1] + g)
+    rem = [0, t_c]
+    starts, ends, tags = [], [], []
     best = 0
-    for j in range(m):
-        wait = gaps[(j - 1) % m]
-        rem = [0, t_c]
-        shift = 0
-        i = j
-        while rem and shift < limit:
-            for a, length in pieces:
-                x = (a - shift) % t_c
-                y = x + length
-                if y > t_c:
-                    if _cut(rem, 0, y - t_c) is not None:
-                        worst = shift
-                    y = t_c
-                if _cut(rem, x, y) is not None:
-                    worst = shift
-            shift += gaps[i % m]
-            i += 1
-        if rem:
+    shift = 0
+    k = 0
+    while k < m or rem or tags:
+        if rem and shift >= limit:
             return UNBOUNDED
-        if wait + worst > best:
-            best = wait + worst
+        if tags and shift - times[min(tags) + 1] >= limit:
+            return UNBOUNDED
+        tag = k if k < m else None
+        for a, length in pieces:
+            x = (a - shift) % t_c
+            y = x + length
+            if y > t_c:
+                parts = ((0, y - t_c), (x, t_c))
+            else:
+                parts = ((x, y),)
+            for x, y in parts:
+                if rem:
+                    _cut(rem, x, y)
+                if tags or tag is not None:
+                    h = _hear(starts, ends, tags, x, y, tag)
+                    if h is not None and shift - times[h] > best:
+                        best = shift - times[h]
+        shift += gaps[k % m]
+        k += 1
     return best
 
 

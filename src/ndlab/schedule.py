@@ -66,9 +66,11 @@ def effective_window_spans(
 ) -> tuple[tuple[int, int], ...]:
     """Window spans a beacon start may fall into and still be received.
 
-    Under CONTAINED semantics a beacon starting in the last ``omega`` ticks
-    of a window does not fit, so each span loses its tail; windows shorter
-    than the beacon contribute nothing.
+    Under CONTAINED semantics a beacon starting at ``s`` in the window
+    ``[start, end)`` is received iff ``start <= s < end - omega``: each span
+    loses its last ``omega`` ticks, so the beacon must end before the
+    window's last tick, and a window ``omega`` ticks long or shorter
+    contributes nothing.
     """
     if semantics is Semantics.CONTAINED:
         spans = [(w.start, w.end - omega) for w in receptions.windows]

@@ -153,6 +153,35 @@ def per_tick_pair(e: ProtocolSpec, f: ProtocolSpec, self_blocking: bool, horizon
     return latency
 
 
+def per_tick_max_gap(e: ProtocolSpec, f: ProtocolSpec):
+    """Independent reference for the worst-case latency of f hearing e, by
+    brute force over one joint cycle, with no coverage internals.
+
+    For each receiver offset it lists the start times of e's beacons over
+    one lcm of the two periods that land where f hears them, and takes the
+    largest cyclic gap between consecutive heard beacons: the worst
+    in-range instant falls just after a heard beacon.  A beacon starting at
+    x is heard when x lies in a window, and under CONTAINED not in the
+    window's last omega ticks.  Returns None if some offset hears nothing.
+    """
+    b, r = e.beacons, f.receptions
+    tail = b.beacon_duration if f.radio.semantics is Semantics.CONTAINED else 0
+    heard = [False] * r.period
+    for w in r.windows:
+        for x in range(w.start, w.end - tail):
+            heard[x] = True
+    cycle = math.lcm(b.period, r.period)
+    starts = [base + tau for base in range(0, cycle, b.period) for tau in b.emission_times]
+    worst = 0
+    for phi in range(r.period):
+        hits = [s for s in starts if heard[(phi + s) % r.period]]
+        if not hits:
+            return None
+        gaps = [y - x for x, y in zip(hits, hits[1:])] + [hits[0] + cycle - hits[-1]]
+        worst = max(worst, *gaps)
+    return worst
+
+
 #: (dotted field, value) edits that turn a valid protocol document into one
 #: the loader must refuse with ValueError instead of coercing or ignoring.
 MALFORMED_PROTOCOL_EDITS = (

@@ -25,9 +25,10 @@ from ndlab import (
     check_correlated_quadruple,
     min_beacons,
     pairwise_latency,
+    simulate_pair,
     worst_case_latency_oracle,
 )
-from ndlab.coverage import DEFAULT_HYPERPERIOD_BUDGET, _cut, quadruple_sides
+from ndlab.coverage import DEFAULT_HYPERPERIOD_BUDGET, _cut, _hear, quadruple_sides
 from ndlab.protocols import (
     builtin_difference_set,
     gen_diffcode,
@@ -41,6 +42,7 @@ from helpers import (
     absolute_first_hit,
     beaconer,
     listener,
+    per_tick_max_gap,
     random_beacons,
     random_protocol,
     random_reception,
@@ -74,6 +76,25 @@ def test_contained_mode_drops_window_tail():
     radio = RadioModel(omega=1, semantics=Semantics.CONTAINED)
     cov = build_coverage_map([0], rec([(2, 3)], 10), radio)
     assert cov.per_beacon == (((2, 4),),)
+
+
+def test_contained_window_must_outlast_the_beacon_by_a_tick():
+    # a beacon starting at s is received iff start <= s < end - omega: in
+    # the window [4, 7) a 2-tick beacon may start at 4, not at 5, though a
+    # beacon at 5 would end on the window's last tick
+    e = beaconer([0], 20, omega=2)
+    f = listener([(4, 3)], 20, semantics=Semantics.CONTAINED)
+    # phase_e 19: the first beacon starts 1 tick into range, at f's tick phase_f + 1
+    assert pairwise_latency(e, f, 19, 3) == 1
+    assert simulate_pair(e, f, 19, 3, self_blocking=False)[0] == 1
+    assert pairwise_latency(e, f, 19, 4) is NOT_COVERED
+    assert simulate_pair(e, f, 19, 4, self_blocking=False)[0] is None
+    # a window exactly omega long hears nothing
+    f = listener([(4, 2)], 20, semantics=Semantics.CONTAINED)
+    assert worst_case_latency_oracle(e, f) is UNBOUNDED
+    for phase_f in range(20):
+        assert pairwise_latency(e, f, 19, phase_f) is NOT_COVERED
+        assert simulate_pair(e, f, 19, phase_f, self_blocking=False)[0] is None
 
 
 def test_csv_rows():
@@ -253,7 +274,7 @@ def test_pairwise_latency_charges_the_same_budget():
         pairwise_latency(e, f, 0, 100, max_hyperperiod=10_000)
 
 
-def _oracle_or_overrun(e, f, method, budget):
+def _oracle_or_overrun(e, f, method, budget=DEFAULT_HYPERPERIOD_BUDGET):
     try:
         return worst_case_latency_oracle(e, f, method=method, max_hyperperiod=budget)
     except HyperperiodTooLarge as exc:
@@ -410,8 +431,9 @@ def test_oracle_answers_are_pinned():
 
 CONTAINED2 = dict(omega=2, semantics=Semantics.CONTAINED)
 
-#: name -> (transmitter, receiver, worst-case latency).  Each pair's sweep
-#: meets the named case at least once.
+#: name -> (transmitter, receiver, worst-case latency[, budget]).  Each
+#: pair's sweep meets the named case at least once.  A latency of
+#: ("overrun", lcm, budget) is a HyperperiodTooLarge refusal.
 SWEEP_EDGE_CASES = {
     # at shift 7 the piece [1, 2) ends where the uncovered run [2, 4) starts
     "piece_ends_where_a_run_starts": (beaconer([0, 3], 7), listener([(0, 1)], 4), 24),
@@ -431,14 +453,34 @@ SWEEP_EDGE_CASES = {
     "contained_trims_a_window_to_nothing": (
         beaconer([0], 4, omega=2), listener([(0, 1), (4, 3)], 9, **CONTAINED2), 36
     ),
+    # below, a pending run holds offsets heard at one of the first m beacons
+    # and not since, tagged with that beacon
+    # beacon 1 at shift 2 hears [3, 4) inside the run [2, 5) heard at beacon 0
+    "heard_piece_splits_a_run": (beaconer([0], 2), listener([(0, 1), (2, 3)], 5), 4),
+    # beacon 1 leaves [0, 1) and [2, 3) heard last at beacon 1 and [1, 2) at
+    # beacon 0; beacon 2 hears [1, 3), across both tags
+    "piece_spans_runs_of_two_beacons": (beaconer([0, 1], 2), listener([(0, 2)], 3), 2),
+    # offset 1 is first heard at beacon 1, which then starts its run
+    "first_hearing_after_beacon_0": (beaconer([0, 1], 4), listener([(0, 1)], 2), 4),
+    # beacon 2 at shift 7 hears [5, 6) and [0, 2) across t_c = 6, and both
+    # parts close runs
+    "wrapped_piece_closes_runs_at_both_ends": (
+        beaconer([0, 2], 7), listener([(0, 3)], 6), 16
+    ),
+    # offsets [2, 3) are heard at beacon 0 and missed by beacon 1; beacon 0's
+    # own scan finishes at shift 1, but the scan from beacon 1 needs shift 2,
+    # which a budget of 1 tick does not reach
+    "restarted_run_exceeds_the_budget": (
+        beaconer([1, 2], 3), listener([(1, 2)], 3), ("overrun", 3, 1), 1
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SWEEP_EDGE_CASES))
 def test_endpoints_sweep_edge_cases_match_the_reference(name):
-    e, f, want = SWEEP_EDGE_CASES[name]
-    assert worst_case_latency_oracle(e, f, method="full") == want
-    assert worst_case_latency_oracle(e, f, method="endpoints") == want
+    e, f, want, *budget = SWEEP_EDGE_CASES[name]
+    assert _oracle_or_overrun(e, f, "full", *budget) == want
+    assert _oracle_or_overrun(e, f, "endpoints", *budget) == want
 
 
 def test_cut_changes_nothing_where_no_tick_is_uncovered():
@@ -458,6 +500,33 @@ def test_cut_removes_ticks_and_returns_the_first():
     assert _cut(rem, 0, 20) == 9 and rem == []
     rem = [0, 10]
     assert _cut(rem, 4, 6) == 4 and rem == [0, 4, 6, 10]  # splits a run
+
+
+def test_hear_restarts_the_runs_it_hears_and_returns_the_oldest_tag():
+    starts, ends, tags = [], [], []
+    assert _hear(starts, ends, tags, 2, 5, 0) is None  # a first hearing
+    assert (starts, ends, tags) == ([2], [5], [0])
+    assert _hear(starts, ends, tags, 3, 4, 1) == 0  # splits a run in two
+    assert (starts, ends, tags) == ([2, 3, 4], [3, 4, 5], [0, 1, 0])
+    assert _hear(starts, ends, tags, 0, 2, 2) is None  # ends where a run starts
+    assert (starts, ends, tags) == ([0, 2, 3, 4], [2, 3, 4, 5], [2, 0, 1, 0])
+    assert _hear(starts, ends, tags, 1, 4, 3) == 0  # trims one run, spans two
+    assert (starts, ends, tags) == ([0, 1, 4], [1, 4, 5], [2, 3, 0])
+
+
+def test_hear_without_a_tag_only_closes_runs():
+    starts, ends, tags = [0, 4, 8], [2, 6, 10], [2, 0, 1]
+    assert _hear(starts, ends, tags, 2, 4, None) is None  # the gap between runs
+    assert (starts, ends, tags) == ([0, 4, 8], [2, 6, 10], [2, 0, 1])
+    assert _hear(starts, ends, tags, 8, 9, None) == 1  # trims a run's start
+    assert _hear(starts, ends, tags, 4, 5, None) == 0
+    assert (starts, ends, tags) == ([0, 5, 9], [2, 6, 10], [2, 0, 1])
+    assert _hear(starts, ends, tags, 1, 10, None) == 0  # the oldest of three
+    assert (starts, ends, tags) == ([0], [1], [2])
+    assert _hear(starts, ends, tags, 0, 3, None) == 2 and starts == ends == tags == []
+    starts, ends, tags = [0], [10], [4]
+    assert _hear(starts, ends, tags, 4, 6, None) == 4  # splits a run in two
+    assert (starts, ends, tags) == ([0, 6], [4, 10], [4, 4])
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +591,25 @@ def test_oracle_paths_agree(seed):
     full = worst_case_latency_oracle(e, f, method="full")
     ends = worst_case_latency_oracle(e, f, method="endpoints")
     assert full is ends or full == ends
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 10**9))
+def test_oracle_equals_the_per_tick_max_gap(seed):
+    rng = random.Random(seed)
+    omega = rng.randrange(1, 3)
+    radio = RadioModel(omega=omega, semantics=rng.choice(list(Semantics)))
+    f = ProtocolSpec(random_beacons(rng, omega), random_reception(rng), radio)
+    beacons = random_beacons(rng, omega)
+    t_c = f.receptions.period
+    if rng.random() < 0.5:  # t_b == t_c, as in the slotted protocols
+        slots = range(0, t_c - omega + 1, 2 * omega)
+        times = sorted(rng.sample(slots, min(len(slots), rng.randrange(1, 4))))
+        beacons = BeaconSchedule(tuple(times), omega, period=t_c)
+    e = ProtocolSpec(beacons, random_reception(rng), radio)
+    got = worst_case_latency_oracle(e, f)
+    want = per_tick_max_gap(e, f)
+    assert got == want if want is not None else got is UNBOUNDED
 
 
 def test_nonrepetitive_map_has_no_wraparound():
