@@ -16,6 +16,7 @@ import sys
 from contextlib import ExitStack, contextmanager
 from dataclasses import replace
 from fractions import Fraction
+from itertools import count
 
 from . import bounds
 from .coverage import (
@@ -261,6 +262,13 @@ _CONFIG_KEYS = ("devices", "trials", "seed", "horizon", "offset_sampling", "late
 
 
 def cmd_simulate(args) -> int:
+    """Run a simulate config and write trials.csv and summary.json.
+
+    The trials come from simulate_multi, where each trial costs about one
+    reseed of the phase generator.  The csv writer is fed column iterators,
+    not one tuple per row: a ``%d;...;%d`` format of the phases, the
+    latencies (csv writes None as an empty cell) and the flags as 0/1.
+    """
     with open(args.config) as fh:
         doc = strict_object(json.load(fh), "config", _CONFIG_KEYS)
     devices = tuple(
@@ -300,7 +308,14 @@ def cmd_simulate(args) -> int:
         "latency_ticks": _latency_quantiles(outcome.latencies),
     }
 
-    rows = zip(outcome.phases, outcome.latencies, outcome.first_beacon_collided, outcome.failed)
+    fmt = ";".join(["%d"] * len(devices))
+    rows = zip(
+        count(),
+        map(fmt.__mod__, outcome.phases),
+        outcome.latencies,
+        map(int, outcome.first_beacon_collided),
+        map(int, outcome.failed),
+    )
     os.makedirs(args.out_dir, exist_ok=True)
     # if either file cannot be written, the other is removed too
     with ExitStack() as files:
@@ -310,10 +325,7 @@ def cmd_simulate(args) -> int:
         )
         w = csv.writer(trials)
         w.writerow(["trial_id", "phases", "latency_ticks", "collided_first", "failed"])
-        w.writerows(
-            (i, ";".join(map(str, phases)), "" if lat is None else lat, int(first), int(failed))
-            for i, (phases, lat, first, failed) in enumerate(rows)
-        )
+        w.writerows(rows)
         write_json(summary, report)
     return 0
 

@@ -16,7 +16,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, count, product, repeat
+from itertools import product, repeat
 from math import inf, lcm
 from typing import Sequence
 
@@ -105,18 +105,6 @@ class _CompiledDevice:
         t_b = self.t_b
         return iv.edges(iv.normalize(spans) if t_b is None else iv.shift_mod(spans, 0, t_b))
 
-    def emissions(self, phase: int):
-        """Global emission start times after 0, lazily and sorted; those of
-        a repetitive schedule never end (a silent one has none)."""
-        t_b = self.t_b
-        if t_b is None or not self.taus:
-            yield from (tau - phase for tau in self.taus if tau > phase)
-            return
-        firsts = sorted([(tau - phase - 1) % t_b + 1 for tau in self.taus])
-        for base in count(0, t_b):
-            for t in firsts:
-                yield base + t
-
     def jammer(self, width: int):
         """overlaps(phase, t): whether any of this device's beacons overlaps
         the global interval [t, t + width); a repetitive schedule runs
@@ -170,6 +158,14 @@ def _trial_runner(
     trial and returns (latency, first beacon collided, covering beacon
     collided, failed).  Every interferer must send.
 
+    A trial builds the joiner's emission offsets with one bisect_right
+    rotation of its taus, reduced modulo t_b and sorted once per call, at
+    p, the phase modulo t_b: the taus above p, then those at or below it
+    one period later, less p, are the emissions in (0, t_b], and the scan
+    steps through them by t_b.  A finite joiner keeps the taus above its
+    phase and has no later period.  With no interferers no collision test
+    runs.
+
     The joiner's emissions, hears (the receiver's t_c, and its t_b when its
     own repeating beacons deafen it) and each repetitive interferer's
     overlaps repeat with their periods, so every test at t + cycle, their
@@ -182,12 +178,21 @@ def _trial_runner(
     """
     hears, deaf = receiver.listener(joiner.omega, self_blocking)
     jams = [d.jammer(joiner.omega) for d in interferers]
+    jammed = bool(jams)
     periods = [receiver.t_c] + [d.t_b for d in interferers if d.t_b is not None]
     if deaf and receiver.t_b is not None:
         periods.append(receiver.t_b)
     # the device time at which a finite receiver's own beacons stop deafening it
-    deaf_end = deaf[-1] if deaf and receiver.t_b is None else -inf
-    reach = inf if joiner.t_b is None else lcm(joiner.t_b, *periods) - 1
+    deaf_end = deaf[-1] if deaf and receiver.t_b is None else None
+    t_b = joiner.t_b
+    # a repetitive schedule may start at or past its period: reduce its taus
+    # (distinct, as they span less than a period) into [0, t_b)
+    taus = joiner.taus if t_b is None else tuple(sorted(tau % t_b for tau in joiner.taus))
+    m = len(taus)
+    # the taus, then the taus one period later: rotating at k takes ring[k:k + m]
+    ring = taus if t_b is None else taus + tuple(tau + t_b for tau in taus)
+    n = len(ring)
+    reach = inf if t_b is None else lcm(t_b, *periods) - 1
     # (index, end of the last beacon at phase 0) of each finite interferer
     quiet = [(k, d.taus[-1] + d.omega) for k, d in enumerate(interferers) if d.t_b is None]
     end = inf if horizon is None else horizon
@@ -199,35 +204,37 @@ def _trial_runner(
         return False
 
     def run(phase_joiner: int, phase_receiver: int, interferer_phases: Sequence[int] = ()):
-        emissions = joiner.emissions(phase_joiner)
-        first = next(emissions, None)
-        if first is None or first > end:
+        p = phase_joiner if t_b is None else phase_joiner % t_b
+        k = bisect_right(taus, p)
+        if k == n:
             return None, False, None, True
-        first_collided = collided(interferer_phases, first)
-        last = max(first, deaf_end - phase_receiver)
-        for k, quiet_at in quiet:
-            if quiet_at - interferer_phases[k] > last:
-                last = quiet_at - interferer_phases[k]
+        first = ring[k] - p
+        if first > end:
+            return None, False, None, True
+        first_collided = jammed and collided(interferer_phases, first)
+        last = first if deaf_end is None else max(first, deaf_end - phase_receiver)
+        for j, quiet_at in quiet:
+            if quiet_at - interferer_phases[j] > last:
+                last = quiet_at - interferer_phases[j]
         last += reach
         if last > end:
             last = end
 
-        latency = None
         covering_collided = None
-        for t in chain((first,), emissions):
-            if t > last:
-                break
-            if not hears(phase_receiver, t):
-                continue
-            hit = first_collided if t == first else collided(interferer_phases, t)
-            if covering_collided is None:
-                covering_collided = hit
-            if not hit:
-                latency = t
-                break
-
-        failed = latency is None or (budget is not None and latency > budget)
-        return latency, first_collided, covering_collided, failed
+        emitted = ring[k : k + m]
+        for base in (-p,) if t_b is None else range(-p, last - p, t_b):
+            for t in emitted:
+                t += base
+                if t > last:
+                    break
+                if not hears(phase_receiver, t):
+                    continue
+                hit = jammed and (first_collided if t == first else collided(interferer_phases, t))
+                if covering_collided is None:
+                    covering_collided = hit
+                if not hit:
+                    return t, first_collided, covering_collided, budget is not None and t > budget
+        return None, first_collided, covering_collided, True
 
     return run
 
@@ -292,7 +299,8 @@ def _draw_phases(rng: random.Random, seed: int, periods: Sequence[int]) -> tuple
     """``random.Random(seed).randrange(p)`` for each period in turn, drawn on
     ``rng`` after reseeding it.  For p >= 1 CPython's ``randrange(p)`` takes
     ``getrandbits(p.bit_length())`` until the value falls below p; calling
-    that directly skips the argument checks and one generator per trial."""
+    that directly skips the argument checks and one generator per trial.
+    The one reseed per trial is the floor of a trial's cost."""
     rng.seed(seed)
     bits = rng.getrandbits
     phases = []

@@ -38,6 +38,22 @@ def beaconer(times, t_b, omega=1, alpha=1, semantics=Semantics.IDEAL):
     )
 
 
+def c7_devices(s: int) -> tuple[ProtocolSpec, ...]:
+    """Criterion-7 collision set-up: one-beacon senders at beta = 1/200 with
+    omega = 100 ticks, and an always-on receiver in second place."""
+    sender = ProtocolSpec(
+        BeaconSchedule((0,), 100, period=20000),
+        ReceptionSchedule((ReceptionWindow(0, 1),), 20000),
+        RadioModel(omega=100),
+    )
+    receiver = ProtocolSpec(
+        BeaconSchedule((), 100, period=None),
+        ReceptionSchedule((ReceptionWindow(0, 20000),), 20000),
+        RadioModel(omega=100),
+    )
+    return (sender, receiver) + (sender,) * (s - 1)
+
+
 def random_reception(rng: random.Random, t_max: int = 24) -> ReceptionSchedule:
     t_c = rng.randrange(4, t_max)
     wins = []
@@ -109,25 +125,20 @@ def _beacon_starts(beacons: BeaconSchedule, lo: int, hi: int) -> list[int]:
     return out
 
 
-def per_tick_pair(e: ProtocolSpec, f: ProtocolSpec, self_blocking: bool, horizon: int):
-    """Independent per-tick reference for f hearing e, with no modulo and no
-    simulator internals.  Returns latency(phase_e, phase_f): the first
-    global tick t in [1, horizon] at which e starts a beacon that f hears,
-    or None, for phases below the devices' periods.
+def _heard_ticks(omega: int, f: ProtocolSpec, self_blocking: bool, span: int) -> list[bool]:
+    """heard[x]: whether f hears a beacon of omega ticks that starts at its
+    device tick x, for x in [0, span).
 
-    Every schedule is unrolled onto an absolute tick axis of f's device
-    time.  A beacon of omega ticks starting at x is received when x lies in
-    a window occurrence; under CONTAINED it must not start in the
-    occurrence's last omega ticks either.  With self_blocking, f is deaf
-    while any of its own beacons, padded by d_oRxTx ahead and d_oTxRx
-    behind, overlaps the beacon's start (IDEAL) or its whole length
-    (CONTAINED).
+    A beacon starting at x is received when x lies in a window occurrence;
+    under CONTAINED it must not start in the occurrence's last omega ticks
+    either.  With self_blocking, f is deaf while any of its own beacons,
+    padded by d_oRxTx ahead and d_oTxRx behind, overlaps the beacon's start
+    (IDEAL) or its whole length (CONTAINED).
     """
-    omega, r = e.beacons.beacon_duration, f.radio
+    r = f.radio
     contained = r.semantics is Semantics.CONTAINED
     tail = omega if contained else 0  # last window ticks a beacon may not start in
     need = omega if contained else 1  # beacon ticks that must miss an own beacon
-    span = f.device_period + horizon + 1
     heard = [False] * span
     for base in range(0, span, f.receptions.period):
         for w in f.receptions.windows:
@@ -140,6 +151,19 @@ def per_tick_pair(e: ProtocolSpec, f: ProtocolSpec, self_blocking: bool, horizon
             for y in range(max(0, s - r.d_oRxTx), min(s + pad, span + need)):
                 busy[y] = True
         heard = [ok and not any(busy[x : x + need]) for x, ok in enumerate(heard)]
+    return heard
+
+
+def per_tick_pair(e: ProtocolSpec, f: ProtocolSpec, self_blocking: bool, horizon: int):
+    """Independent per-tick reference for f hearing e, with no modulo and no
+    simulator internals.  Returns latency(phase_e, phase_f): the first
+    global tick t in [1, horizon] at which e starts a beacon that f hears
+    (see _heard_ticks), or None, for phases below the devices' periods.
+    Every schedule is unrolled onto an absolute tick axis of f's device
+    time.
+    """
+    span = f.device_period + horizon + 1
+    heard = _heard_ticks(e.beacons.beacon_duration, f, self_blocking, span)
     starts = _beacon_starts(e.beacons, 1, e.device_period + horizon + 1)
 
     def latency(phase_e: int, phase_f: int):
@@ -151,6 +175,64 @@ def per_tick_pair(e: ProtocolSpec, f: ProtocolSpec, self_blocking: bool, horizon
         return None
 
     return latency
+
+
+def per_tick_trial(devices, horizon: int, budget: int | None = None):
+    """Independent per-tick reference for one multi-device trial, with no
+    modulo and no simulator internals.  devices[0] joins, devices[1]
+    receives and every later device that sends interferes.  Returns
+    trial(phases) -> (latency, first collided, covering collided, failed)
+    for phases below the devices' periods, with the emissions at global
+    ticks [1, horizon].
+
+    Every device is unrolled onto an absolute tick axis of its own device
+    time.  The receiver hears as in _heard_ticks, deafened by its own
+    padded beacons.  An emission at t collides when any tick of it, [t, t +
+    omega), meets a tick on which another sending device transmits, and
+    the receiver counts as such a device too: this is today's rule of
+    simulate_multi.  So joiner ``beaconer([0], 10, omega=3)`` against an
+    always-listening receiver with a 1-tick beacon at 1 every 10 ticks is
+    heard at 10 by simulate_pair (the receiver's beacon at 11 misses the
+    start tick, so it is not deaf), while here every emission collides with
+    that beacon and the trial at phases (0, 0) never discovers.  The latency
+    is the first emission heard without a collision; the covering beacon is
+    the first emission heard at all; a trial fails without a latency or
+    with one above the budget.
+    """
+    e, f = devices[0], devices[1]
+    omega = e.beacons.beacon_duration
+    heard = _heard_ticks(omega, f, True, f.device_period + horizon + 1)
+    sending = []
+    for i, d in enumerate(devices[1:], 1):
+        if d.beacons.count:
+            span = d.device_period + horizon + omega
+            busy = [False] * span
+            width = d.beacons.beacon_duration
+            for s in _beacon_starts(d.beacons, -width, span):
+                for y in range(max(0, s), min(s + width, span)):
+                    busy[y] = True
+            sending.append((i, busy))
+    starts = _beacon_starts(e.beacons, 1, e.device_period + horizon + 1)
+
+    def trial(phases):
+        emissions = [s - phases[0] for s in starts if phases[0] < s <= phases[0] + horizon]
+        if not emissions:
+            return None, False, None, True
+
+        def collided(t):
+            return any(any(busy[phases[i] + t : phases[i] + t + omega]) for i, busy in sending)
+
+        first, covering = collided(emissions[0]), None
+        for t in emissions:
+            if heard[phases[1] + t]:
+                hit = collided(t)
+                if covering is None:
+                    covering = hit
+                if not hit:
+                    return t, first, covering, budget is not None and t > budget
+        return None, first, covering, True
+
+    return trial
 
 
 def per_tick_max_gap(e: ProtocolSpec, f: ProtocolSpec):

@@ -37,7 +37,14 @@ from ndlab.protocols import (
     gen_pi0m,
     slots_overlap_all_rotations,
 )
-from helpers import absolute_first_hit, beaconer, listener, random_beacons, random_reception
+from helpers import (
+    absolute_first_hit,
+    beaconer,
+    c7_devices,
+    listener,
+    random_beacons,
+    random_reception,
+)
 
 IDEAL = RadioModel(omega=1)
 
@@ -119,27 +126,11 @@ def test_criterion_6_disco_worst_case():
     print("criterion 6: PASS - disco(3,5) discovers within 15 slots on every slot phase")
 
 
-def _collision_devices(s: int):
-    def sender():
-        return ProtocolSpec(
-            BeaconSchedule((0,), 100, period=20000),
-            ReceptionSchedule((ReceptionWindow(0, 1),), 20000),
-            RadioModel(omega=100),
-        )
-
-    receiver = ProtocolSpec(
-        BeaconSchedule((), 100, period=None),
-        ReceptionSchedule((ReceptionWindow(0, 20000),), 20000),
-        RadioModel(omega=100),
-    )
-    return tuple([sender(), receiver] + [sender() for _ in range(s - 1)])
-
-
 def test_criterion_7_collision_rates_match_model():
     beta = F(1, 200)
     for s in (2, 5, 10):
         start = time.monotonic()
-        cfg = SimConfig(_collision_devices(s), trials=100_000, seed=42, horizon=200_000)
+        cfg = SimConfig(c7_devices(s), trials=100_000, seed=42, horizon=200_000)
         out = simulate_multi(cfg)
         elapsed = time.monotonic() - start
         model = bd.collision_probability(s, beta)

@@ -38,7 +38,7 @@ from ndlab.protocols import (
     gen_uconnect,
 )
 from ndlab.schedule import TimeBase
-from helpers import MALFORMED_PROTOCOL_EDITS, beaconer, listener, with_field
+from helpers import MALFORMED_PROTOCOL_EDITS, beaconer, c7_devices, listener, with_field
 
 
 def run(args):
@@ -658,6 +658,82 @@ def test_exhaustive_pair_simulation_matches_oracle(tmp_path):
         rows = list(csv.DictReader(fh))
     worst = max(int(r["latency_ticks"]) for r in rows)
     assert worst == worst_case_latency_oracle(e, f)
+
+
+def _finite_budget_devices():
+    """A finite joiner, whose trials past its last heard beacon leave blank
+    latency cells, a listener, and an interferer that sends every 33 ticks."""
+    joiner = ProtocolSpec(
+        BeaconSchedule((3, 40, 95, 170, 260), 2, period=None),
+        ReceptionSchedule((ReceptionWindow(0, 10),), 50),
+        RadioModel(omega=2),
+    )
+    return joiner, listener([(0, 15), (30, 10)], 45, omega=2), beaconer([5], 33, omega=2)
+
+
+#: simulate configs whose output files are pinned; "devices" holds specs.
+_SIMULATE_CONFIGS = {
+    "c7_S2": lambda: {"devices": c7_devices(2), "trials": 200, "seed": 7, "horizon": 200_000},
+    "c7_S10": lambda: {"devices": c7_devices(10), "trials": 200, "seed": 8, "horizon": 200_000},
+    "disco_x3": lambda: {"devices": [gen_disco(3, 5, 100, 10)] * 3, "trials": 200, "seed": 9},
+    "finite_budget": lambda: {
+        "devices": _finite_budget_devices(), "trials": 200, "seed": 10, "latency_budget": 60,
+    },
+    "exhaustive": lambda: {
+        "devices": [gen_disco(3, 5, 4, 1)] * 2,
+        "offset_sampling": "exhaustive_ticks",
+        "latency_budget": 40,
+    },
+}
+
+#: sha256 of (trials.csv, summary.json), recorded before trials.csv rows
+#: were built from columns and each trial's emissions from one rotation.
+_SIMULATE_DIGESTS = {
+    "c7_S2": (
+        "dae543140950cbeb2f731e6cf7ec5dac98b5f220cd0a127233e56ed0fc19c309",
+        "21d905f77fb81822c72d5ecb49c5cb3aebac572162e2deaa8234b966b7f0521f",
+    ),
+    "c7_S10": (
+        "cd25e236e5da3baa15ca87405c2366b4c805a703b345e0f44c0e7d8d03dc8c58",
+        "c6098aa8990acbb5bbab16017f1e1e9bba71cef880800e4dc4e2e10a2e6b741b",
+    ),
+    "disco_x3": (
+        "81dc54483b228fdb2163f787846d33808d5835a4750cbb6e22a3f2f03f6a4d3b",
+        "cf8484f9cadb11057acfa1ff46b6208ccddeb73ed17c73ffe091ef66026ac4b6",
+    ),
+    "finite_budget": (
+        "23a7d8f2061bf228e43ab507b3db7adb99b668b74908353c1c1d1339d6003b2a",
+        "e4821061ea8d090597a88fc66bbaa90b2a9a41495cc67b6692a331c436c94ab6",
+    ),
+    "exhaustive": (
+        "d51481742c95a43a524de84c80cf1602fa24a329efb5d2ef9ecd3b99ca55b58b",
+        "8d6e6a89df7cef40e7ff3893b5f8882da117d1aebf31c2e56fe682854c71f2ac",
+    ),
+}
+
+
+def _simulate_files(tmp_path, name):
+    doc = _SIMULATE_CONFIGS[name]()
+    doc["devices"] = [protocol_to_json(d) for d in doc["devices"]]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    assert run(["simulate", str(path), "--out-dir", str(out_dir)]) == 0
+    return (out_dir / "trials.csv").read_bytes(), (out_dir / "summary.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(_SIMULATE_CONFIGS))
+def test_simulate_output_digests_are_pinned(tmp_path, name):
+    files = _simulate_files(tmp_path, name)
+    assert tuple(hashlib.sha256(b).hexdigest() for b in files) == _SIMULATE_DIGESTS[name]
+
+
+def test_pinned_simulate_output_has_blank_latencies_and_budget_misses(tmp_path):
+    trials, _ = _simulate_files(tmp_path, "finite_budget")
+    rows = list(csv.DictReader(trials.decode().splitlines()))
+    assert any(r["latency_ticks"] == "" and r["failed"] == "1" for r in rows)
+    assert any(r["latency_ticks"] != "" and r["failed"] == "1" for r in rows)
+    assert any(r["failed"] == "0" for r in rows)
 
 
 def test_unknown_command_exits_2():

@@ -269,18 +269,22 @@ SLOTTED_KINDS = ("disco", "searchlight", "uconnect", "diffcode")
 
 
 @st.composite
-def _generated(draw):
+def _generated(draw, unit=False):
     """(kind, protocol) from one of the six generators, with the slot (or
-    beacon gap) between omega and 12 * omega."""
-    omega = draw(st.integers(1, 3))
-    overhead = draw(st.integers(0, 3))
-    radio = RadioModel(
-        alpha=draw(st.sampled_from((F(1, 2), F(1), F(2)))),
-        omega=omega,
-        d_oTx=overhead,
-        d_oRx=overhead,
-        semantics=draw(st.sampled_from((Semantics.IDEAL, Semantics.CONTAINED))),
-    )
+    beacon gap) between omega and 12 * omega; with ``unit``, omega and
+    alpha are 1 on an ideal radio without overheads."""
+    omega = 1 if unit else draw(st.integers(1, 3))
+    if unit:
+        radio = RadioModel(omega=1)
+    else:
+        overhead = draw(st.integers(0, 3))
+        radio = RadioModel(
+            alpha=draw(st.sampled_from((F(1, 2), F(1), F(2)))),
+            omega=omega,
+            d_oTx=overhead,
+            d_oRx=overhead,
+            semantics=draw(st.sampled_from((Semantics.IDEAL, Semantics.CONTAINED))),
+        )
     slot = draw(st.integers(omega, 12 * omega))
     kind = draw(st.sampled_from(("optimal", "pi0m") + SLOTTED_KINDS))
     if kind == "optimal":
@@ -325,3 +329,27 @@ def test_pi0m_attains_the_symmetric_bound(m, omega):
         == bd.pi0m_latency(m, omega, eta, 1)
         == omega * (m + 1) ** 2
     )
+
+
+def _two_way(e, f):
+    """Worst case over phase pairs of max(L_ef, L_fe), None if unbounded:
+    without self-blocking the two maxima commute."""
+    ef, fe = worst_case_latency_oracle(e, f), worst_case_latency_oracle(f, e)
+    return None if UNBOUNDED in (ef, fe) else max(ef, fe)
+
+
+def test_closest_pair_to_the_asymmetric_bound():
+    e, f = gen_pi0m(3, 5, 1), gen_optimal_unidirectional(4, F(1, 5), 1)
+    bound = bd.bound_asymmetric(total_duty_cycle(e), total_duty_cycle(f), 1, 1)
+    assert (total_duty_cycle(e), total_duty_cycle(f)) == (F(44, 95), F(9, 20))
+    assert _two_way(e, f) == 20 >= bound.latency == F(1900, 99)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_generated(unit=True), _generated(unit=True))
+def test_no_generated_pair_beats_the_asymmetric_bound_two_ways(a, b):
+    (_, e), (_, f) = a, b
+    got = _two_way(e, f)
+    if got is None:
+        return
+    assert got >= bd.bound_asymmetric(total_duty_cycle(e), total_duty_cycle(f), 1, 1).latency

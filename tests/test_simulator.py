@@ -1,7 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction as F
-from itertools import product, takewhile
+from itertools import product
 from math import lcm
 
 import hypothesis.strategies as st
@@ -29,9 +29,12 @@ from ndlab import (
 from ndlab.protocols import gen_disco
 from ndlab.simulator import _CompiledDevice, _derive_seed, _draw_phases
 from helpers import (
+    _beacon_starts,
     beaconer,
+    c7_devices,
     listener,
     per_tick_pair,
+    per_tick_trial,
     random_beacons,
     random_protocol,
     random_reception,
@@ -289,22 +292,6 @@ def _digest(value) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()
 
 
-def _c7_devices(s: int):
-    """Criterion-7 set-up: one-beacon senders at beta = 1/200, an always-on
-    receiver in second place."""
-    sender = ProtocolSpec(
-        BeaconSchedule((0,), 100, period=20000),
-        ReceptionSchedule((ReceptionWindow(0, 1),), 20000),
-        RadioModel(omega=100),
-    )
-    receiver = ProtocolSpec(
-        BeaconSchedule((), 100, period=None),
-        ReceptionSchedule((ReceptionWindow(0, 20000),), 20000),
-        RadioModel(omega=100),
-    )
-    return (sender, receiver) + (sender,) * (s - 1)
-
-
 def _contained_devices():
     """Mixed beacon lengths under CONTAINED semantics with turnarounds; the
     receiver's blocked span wraps and one of its windows is shorter than
@@ -386,9 +373,9 @@ def _random_configs():
 
 
 PINNED_CONFIGS = {
-    "c7_S2": lambda: SimConfig(_c7_devices(2), trials=300, seed=42, horizon=200_000),
-    "c7_S5": lambda: SimConfig(_c7_devices(5), trials=300, seed=42, horizon=200_000),
-    "c7_S10": lambda: SimConfig(_c7_devices(10), trials=300, seed=42, horizon=200_000),
+    "c7_S2": lambda: SimConfig(c7_devices(2), trials=300, seed=42, horizon=200_000),
+    "c7_S5": lambda: SimConfig(c7_devices(5), trials=300, seed=42, horizon=200_000),
+    "c7_S10": lambda: SimConfig(c7_devices(10), trials=300, seed=42, horizon=200_000),
     "disco_x3": lambda: SimConfig((gen_disco(3, 5, 100, 10),) * 3, trials=300, seed=11),
     "contained_turnarounds": lambda: SimConfig(
         _contained_devices(), trials=400, seed=3, horizon=2000
@@ -496,12 +483,17 @@ def test_cycle_cut_makes_a_long_horizon_free():
     assert any(lat is not None for lat in far.latencies)
 
 
+def _emissions(spec: ProtocolSpec, phase: int, horizon: int) -> list[int]:
+    """Global start times in [1, horizon] of the device's beacons."""
+    starts = _beacon_starts(spec.beacons, phase + 1, phase + horizon + 1)
+    return [s - phase for s in starts]
+
+
 def _uncut_pair(e, f, phase_e, phase_f, horizon, self_blocking):
     """f hearing e at the given phases, every emission up to the horizon
     tested, with no stop after one joint cycle."""
-    dev_e = _CompiledDevice(e)
-    hears, _ = _CompiledDevice(f).listener(dev_e.omega, self_blocking)
-    emissions = takewhile(lambda t: t <= horizon, dev_e.emissions(phase_e))
+    hears, _ = _CompiledDevice(f).listener(e.beacons.beacon_duration, self_blocking)
+    emissions = _emissions(e, phase_e, horizon)
     return next((t for t in emissions if hears(phase_f, t)), None)
 
 
@@ -548,7 +540,7 @@ def _uncut_replay(cfg: SimConfig, phases):
     jammers = [(i, d.jammer(omega)) for i, d in enumerate(devices) if i and d.taus]
     out = []
     for ph in phases:
-        emissions = list(takewhile(lambda t: t <= cfg.horizon, devices[0].emissions(ph[0])))
+        emissions = _emissions(cfg.devices[0], ph[0], cfg.horizon)
         hits = [any(jam(ph[i], t) for i, jam in jammers) for t in emissions]
         heard = [hit for t, hit in zip(emissions, hits) if hears(ph[1], t)]
         lat = next((t for t, hit in zip(emissions, hits) if hears(ph[1], t) and not hit), None)
@@ -561,7 +553,12 @@ def _uncut_replay(cfg: SimConfig, phases):
 _SMALL_PERIODS = (4, 6, 10, 12, 15, 20, 30)
 
 
-def _repetitive_device(rng: random.Random) -> ProtocolSpec:
+def _repetitive_device(rng: random.Random, wrap: bool = False) -> ProtocolSpec:
+    """A device with up to two beacons and one reception window, every
+    period from _SMALL_PERIODS.  With wrap its beacon times move by an
+    offset below 2 t_b, so they may lie at or past the period and change
+    order modulo it; wrap is off by default so that the seeds pinned by an
+    @example keep their draws."""
     omega = rng.randrange(1, 3)
     radio = RadioModel(
         omega=omega,
@@ -575,6 +572,9 @@ def _repetitive_device(rng: random.Random) -> ProtocolSpec:
     while True:
         t_b = rng.choice(_SMALL_PERIODS)
         times = sorted(rng.sample(range(t_b), rng.randrange(3)))
+        if wrap:
+            shift = rng.randrange(2 * t_b)
+            times = [t + shift for t in times]
         try:
             beacons = BeaconSchedule(tuple(times), omega, t_b)
             return ProtocolSpec(beacons, ReceptionSchedule(windows, t_c), radio)
@@ -586,7 +586,7 @@ def _repetitive_device(rng: random.Random) -> ProtocolSpec:
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3))
 def test_outcome_is_fixed_one_cycle_past_the_largest_period(seed, cycles):
     rng = random.Random(seed)
-    devices = tuple(_repetitive_device(rng) for _ in range(rng.randrange(2, 5)))
+    devices = tuple(_repetitive_device(rng, wrap=True) for _ in range(rng.randrange(2, 5)))
     cycle = lcm(*(d.device_period for d in devices))  # a whole number of joint cycles
     base = max(d.device_period for d in devices) + cycle
     budget = rng.choice((None, cycle // 2))
@@ -651,7 +651,7 @@ def test_cycle_cut_keeps_a_success_on_the_last_tick_of_the_cycle():
 @given(st.integers(0, 2**32 - 1), st.booleans())
 def test_pair_replays_equal_an_uncut_scan(seed, self_blocking):
     rng = random.Random(seed)
-    e, f = _repetitive_device(rng), _repetitive_device(rng)
+    e, f = _repetitive_device(rng, wrap=True), _repetitive_device(rng, wrap=True)
     # the first emission comes within 30 ticks and the joint cycle divides 60
     horizon = 4 * 60
     for _ in range(10):
@@ -686,7 +686,10 @@ def test_finite_beacon_list_deafens_its_receiver():
 @given(st.integers(0, 2**32 - 1))
 def test_pair_replays_equal_a_per_tick_reference(seed):
     rng = random.Random(seed)
-    e, f = (_finite_device(rng) if rng.random() < 0.4 else _repetitive_device(rng) for _ in "ef")
+    e, f = (
+        _finite_device(rng) if rng.random() < 0.4 else _repetitive_device(rng, wrap=True)
+        for _ in "ef"
+    )
     # as above, tick 240 lies one joint cycle past every first emission and
     # every end of a finite device's beacons
     for self_blocking in (False, True):
@@ -698,3 +701,79 @@ def test_pair_replays_equal_a_per_tick_reference(seed):
         lats = [ef(pe, pf) for pe, pf in product(range(e.device_period), range(f.device_period))]
         worst = None if None in lats else max(lats)
         assert exhaustive_pair_worst_case(e, f, self_blocking=self_blocking) == worst
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, 2**32 - 1))
+def test_multi_device_trials_equal_a_per_tick_reference(seed):
+    rng = random.Random(seed)
+    devices = [
+        _finite_device(rng) if rng.random() < 0.3 else _repetitive_device(rng, wrap=True)
+        for _ in range(rng.randrange(2, 5))
+    ]
+    sampling = OffsetSampling.UNIFORM_RANDOM
+    if len(devices) == 2 and rng.random() < 0.3:
+        sampling = OffsetSampling.EXHAUSTIVE_TICKS
+    horizon = rng.choice((None, 60, 100))
+    budget = rng.choice((None, 10, 30))
+    cfg = SimConfig(devices, trials=20, seed=seed, horizon=horizon, latency_budget=budget,
+                    offset_sampling=sampling)
+    out = simulate_multi(cfg)
+    # as above, tick 240 lies one joint cycle past every first emission and
+    # every end of a finite device's beacons
+    trial = per_tick_trial(devices, horizon or 240, budget)
+    assert [trial(ph) for ph in out.phases] == _trial_rows(out)
+
+
+@pytest.mark.parametrize(
+    "times, heard_at",
+    [
+        ((15,), 5),  # one beacon at 15 every 10 ticks is one at 5
+        ((7, 12), 2),  # taken modulo 10 the beacons come at 2, then at 7
+    ],
+)
+def test_joiner_beacons_at_or_past_their_period_repeat_from_the_start(times, heard_at):
+    e, f = beaconer(times, 10), listener([(0, 10)], 10)
+    assert simulate_pair(e, f, 0, 0) == (heard_at, None)
+    assert simulate_pair(e, f, 0, 0) == (per_tick_pair(e, f, True, 40)(0, 0), None)
+    out = simulate_multi(SimConfig((e, f), offset_sampling=OffsetSampling.EXHAUSTIVE_TICKS))
+    trial = per_tick_trial((e, f), 40)
+    assert [trial(ph) for ph in out.phases] == _trial_rows(out)
+    assert out.latencies[out.phases.index((0, 0))] == heard_at
+
+
+def _sending_receiver_pair():
+    """A joiner's 3-tick beacon every 10 ticks against an always-listening
+    receiver whose own 1-tick beacon, at 1 every 10 ticks, starts one tick
+    after the joiner's."""
+    e = beaconer([0], 10, omega=3)
+    f = ProtocolSpec(
+        BeaconSchedule((1,), 1, period=10),
+        ReceptionSchedule((ReceptionWindow(0, 10),), 10),
+        RadioModel(),
+    )
+    return e, f
+
+
+def test_multi_device_trial_counts_a_sending_receiver_as_an_interferer():
+    e, f = _sending_receiver_pair()
+    out = simulate_multi(SimConfig((e, f), offset_sampling=OffsetSampling.EXHAUSTIVE_TICKS))
+    row = _trial_rows(out)[out.phases.index((0, 0))]
+    assert row == per_tick_trial((e, f), 40)((0, 0)) == (None, True, True, True)
+    assert simulate_pair(e, f, 0, 0) == (10, None)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "simulate_pair hears the joiner's beacon at 10, because the receiver's own "
+        "beacon at 11 misses its start tick, while simulate_multi counts that beacon "
+        "as a collision; one of the two rules must decide a sending receiver's own "
+        "overlap, and a fix that moves the Disco seed-0 benchmark goldens belongs in "
+        "a benchmark change"
+    ),
+)
+def test_pair_and_multi_device_replays_agree_on_a_sending_receiver():
+    e, f = _sending_receiver_pair()
+    out = simulate_multi(SimConfig((e, f), offset_sampling=OffsetSampling.EXHAUSTIVE_TICKS))
+    assert out.latencies[out.phases.index((0, 0))] == simulate_pair(e, f, 0, 0)[0]
