@@ -7,15 +7,12 @@ simulates multi-device beacon collisions.
 """
 
 from .coverage import (
-    NOT_COVERED,
     UNBOUNDED,
     CoverageMap,
     DeterminismReport,
     analyze,
-    beacon_to_beacon_latency,
     build_coverage_map,
     check_correlated_quadruple,
-    min_beacons,
     pairwise_latency,
     worst_case_latency_oracle,
 )
@@ -63,7 +60,6 @@ __all__ = [
     "InfeasibleError",
     "MisalignedPeriods",
     "NeedsFinerTicks",
-    "NOT_COVERED",
     "OffsetSampling",
     "ProtocolSpec",
     "RadioModel",
@@ -75,14 +71,12 @@ __all__ = [
     "TimeBase",
     "UNBOUNDED",
     "analyze",
-    "beacon_to_beacon_latency",
     "build_coverage_map",
     "check_correlated_quadruple",
     "effective_rates",
     "exhaustive_pair_worst_case",
     "load_protocol",
     "measured_blocked_fraction",
-    "min_beacons",
     "pairwise_latency",
     "protocol_from_json",
     "protocol_to_json",

@@ -1,9 +1,10 @@
 """Coverage maps, determinism analysis and the brute-force latency oracle.
 
-A coverage map answers, for every initial offset of a transmitter's first
-in-range beacon within the receiver's period, which beacon (if any) is the
-first to land inside a reception window.  From it we get determinism,
-redundancy, total coverage and worst-case discovery latency.
+A coverage map holds, for each beacon of a sequence, the initial offsets
+of the transmitter's first beacon within the receiver's period at which
+that beacon lands inside a reception window.  ``analyze`` reads
+determinism, redundancy, total coverage and the fewest beacons that could
+cover a period from it.
 
 The worst-case latency oracle sweeps coverage endpoints forward from the
 transmitter's beacon 0 (``method="endpoints"``, the default).  The worst
@@ -30,7 +31,7 @@ from math import lcm
 from typing import Sequence
 
 from . import intervals as iv
-from .errors import HyperperiodTooLarge, InfeasibleError, MisalignedPeriods
+from .errors import HyperperiodTooLarge, MisalignedPeriods
 from .schedule import (
     ProtocolSpec,
     RadioModel,
@@ -50,8 +51,6 @@ class _Sentinel:
         return self._name
 
 
-#: Returned when an offset is never covered by any beacon of the sequence.
-NOT_COVERED = _Sentinel("NOT_COVERED")
 #: Returned when some alignment of the two devices never discovers.
 UNBOUNDED = _Sentinel("UNBOUNDED")
 
@@ -64,20 +63,15 @@ class CoverageMap:
 
     period: int
     per_beacon: tuple[tuple[tuple[int, int], ...], ...]
-    beacon_offsets: tuple[int, ...]  # emission time of beacon i minus beacon 0's
     window_coverage: int  # ticks one beacon can cover (effective window sum)
-    repetitive: bool
-
-    def csv_rows(self):
-        for i, spans in enumerate(self.per_beacon):
-            for a, b in spans:
-                yield (i, a, b)
 
     def write_csv(self, fh) -> None:
         """The map as CSV on ``fh``, a text file opened with ``newline=""``."""
         w = csv.writer(fh)
         w.writerow(["beacon_index", "interval_start", "interval_end"])
-        w.writerows(self.csv_rows())
+        w.writerows(
+            (i, a, b) for i, spans in enumerate(self.per_beacon) for a, b in spans
+        )
 
 
 @dataclass(frozen=True)
@@ -106,9 +100,9 @@ def build_coverage_map(
         raise ValueError("need at least one beacon")
     base = effective_window_spans(receptions, radio.semantics, radio.omega)
     period = receptions.period
-    offsets = tuple(t - times[0] for t in times)
     per_beacon = []
-    for off in offsets:
+    for t in times:
+        off = t - times[0]
         if receptions.repetitive:
             per_beacon.append(iv.shift_mod(base, off % period, period))
         else:
@@ -117,14 +111,17 @@ def build_coverage_map(
     return CoverageMap(
         period=period,
         per_beacon=tuple(per_beacon),
-        beacon_offsets=offsets,
         window_coverage=iv.measure(base),
-        repetitive=receptions.repetitive,
     )
 
 
 def analyze(cov: CoverageMap) -> DeterminismReport:
-    """Determinism, redundancy and total coverage of a map."""
+    """Determinism, redundancy and total coverage of a map.
+
+    ``min_beacons`` is ceil(period / window sum): each beacon covers at
+    most the window sum, so fewer can never cover the period (necessary,
+    not sufficient).  It is None when no window can hold a whole beacon.
+    """
     return _report(cov.per_beacon, cov.period, cov.window_coverage)
 
 
@@ -143,31 +140,6 @@ def _report(span_sets, period: int, cover: int) -> DeterminismReport:
         coverage_lambda=coverage_lambda,
         min_beacons=ceil_div(period, cover) if cover else None,
     )
-
-
-def min_beacons(receptions: ReceptionSchedule, radio: RadioModel) -> int:
-    """Fewest beacons that could possibly cover every initial offset.
-
-    Each beacon covers at most the effective window sum, so at least
-    period / coverage beacons are needed.  Necessary, not sufficient.
-    """
-    eff = effective_window_spans(receptions, radio.semantics, radio.omega)
-    cover = iv.measure(eff)
-    if cover <= 0:
-        raise InfeasibleError("no window can contain a whole beacon")
-    return ceil_div(receptions.period, cover)
-
-
-def beacon_to_beacon_latency(cov: CoverageMap, phi1: int):
-    """Latency from the first in-range beacon to the first received one,
-    for a given offset of that first beacon.  NOT_COVERED if no beacon of
-    the sequence ever lands."""
-    if not 0 <= phi1 < cov.period:
-        raise ValueError("phi1 must lie in [0, period)")
-    for spans, off in zip(cov.per_beacon, cov.beacon_offsets):
-        if iv.contains(spans, phi1):
-            return off
-    return NOT_COVERED
 
 
 # ---------------------------------------------------------------------------
@@ -394,15 +366,16 @@ def pairwise_latency(
     """Discovery latency for one concrete pair of device phases.
 
     ``phase_x`` is how far device x already is into its own schedule at the
-    instant the two radios come into range.  Returns ticks or NOT_COVERED;
-    the budget is charged as in worst_case_latency_oracle.
+    instant the two radios come into range.  Returns ticks, or None when no
+    beacon ever lands, as ``simulate_pair`` does; the budget is charged as
+    in worst_case_latency_oracle.
     """
     setup = _oracle_setup(e, f, max_hyperperiod)
     if setup is None:
-        return NOT_COVERED
+        return None
     t_c, eff, gaps, limit, overrun = setup
     if iv.measure(eff) == 0:
-        return NOT_COVERED
+        return None
     b = e.beacons
     # first emission strictly after the in-range instant
     first = None
@@ -416,7 +389,7 @@ def pairwise_latency(
     if hit is None:
         if overrun is not None:
             raise overrun
-        return NOT_COVERED
+        return None
     return t0 + hit
 
 
@@ -472,8 +445,3 @@ def _quadruple_images(e: ProtocolSpec, f: ProtocolSpec):
     from_e = [iv.reflect_mod(eff_f, tau, t) for tau in e.beacons.emission_times]
     return from_f, from_e
 
-
-def quadruple_sides(e: ProtocolSpec, f: ProtocolSpec):
-    """The two coverage sets of check_correlated_quadruple, before union."""
-    from_f, from_e = _quadruple_images(e, f)
-    return iv.union(*from_f), iv.union(*from_e)

@@ -19,8 +19,9 @@ from ndlab import (
     ReceptionSchedule,
     ReceptionWindow,
     Semantics,
+    analyze,
+    build_coverage_map,
     load_protocol,
-    min_beacons,
     protocol_to_json,
     worst_case_latency_oracle,
 )
@@ -407,7 +408,7 @@ def test_min_beacons_is_exact_past_float_precision(tmp_path):
     # to 2.0; the oracle needs three beacons too
     e = beaconer([0], 2**59 + 7)
     f = listener([(0, 2**59)], 2**60 + 1)
-    assert min_beacons(f.receptions, f.radio) == 3
+    assert analyze(build_coverage_map([0], f.receptions, f.radio)).min_beacons == 3
     pe, pf = tmp_path / "e.json", tmp_path / "f.json"
     pe.write_text(json.dumps(protocol_to_json(e)))
     pf.write_text(json.dumps(protocol_to_json(f)))

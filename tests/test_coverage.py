@@ -1,5 +1,7 @@
 import hashlib
+import io
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 from math import lcm
 
@@ -8,11 +10,9 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from ndlab import (
-    NOT_COVERED,
     UNBOUNDED,
     BeaconSchedule,
     HyperperiodTooLarge,
-    InfeasibleError,
     MisalignedPeriods,
     ProtocolSpec,
     RadioModel,
@@ -20,15 +20,14 @@ from ndlab import (
     ReceptionWindow,
     Semantics,
     analyze,
-    beacon_to_beacon_latency,
     build_coverage_map,
     check_correlated_quadruple,
-    min_beacons,
     pairwise_latency,
     simulate_pair,
     worst_case_latency_oracle,
 )
-from ndlab.coverage import DEFAULT_HYPERPERIOD_BUDGET, _cut, _hear, quadruple_sides
+from ndlab import intervals as iv
+from ndlab.coverage import DEFAULT_HYPERPERIOD_BUDGET, _cut, _hear, _quadruple_images
 from ndlab.protocols import (
     builtin_difference_set,
     gen_diffcode,
@@ -55,6 +54,21 @@ def rec(windows, period, repetitive=True):
     return ReceptionSchedule(
         tuple(ReceptionWindow(a, d) for a, d in windows), period, repetitive
     )
+
+
+def report_min_beacons(receptions, radio):
+    """The analyze report's min_beacons; any one beacon gives the same."""
+    return analyze(build_coverage_map([0], receptions, radio)).min_beacons
+
+
+def first_landing(cov, times, phi):
+    """Emission offset from beacon 0 of the first beacon whose covered set
+    in ``cov`` holds offset ``phi``, or None when none does."""
+    times = sorted(times)
+    for spans, t in zip(cov.per_beacon, times):
+        if iv.contains(spans, phi):
+            return t - times[0]
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -87,19 +101,23 @@ def test_contained_window_must_outlast_the_beacon_by_a_tick():
     # phase_e 19: the first beacon starts 1 tick into range, at f's tick phase_f + 1
     assert pairwise_latency(e, f, 19, 3) == 1
     assert simulate_pair(e, f, 19, 3, self_blocking=False)[0] == 1
-    assert pairwise_latency(e, f, 19, 4) is NOT_COVERED
+    assert pairwise_latency(e, f, 19, 4) is None
     assert simulate_pair(e, f, 19, 4, self_blocking=False)[0] is None
     # a window exactly omega long hears nothing
     f = listener([(4, 2)], 20, semantics=Semantics.CONTAINED)
     assert worst_case_latency_oracle(e, f) is UNBOUNDED
     for phase_f in range(20):
-        assert pairwise_latency(e, f, 19, phase_f) is NOT_COVERED
+        assert pairwise_latency(e, f, 19, phase_f) is None
         assert simulate_pair(e, f, 19, phase_f, self_blocking=False)[0] is None
 
 
 def test_csv_rows():
     cov = build_coverage_map([0, 4], rec([(2, 3)], 10), IDEAL)
-    assert list(cov.csv_rows()) == [(0, 2, 5), (1, 0, 1), (1, 8, 10)]
+    fh = io.StringIO(newline="")
+    cov.write_csv(fh)
+    assert fh.getvalue().splitlines() == [
+        "beacon_index,interval_start,interval_end", "0,2,5", "1,0,1", "1,8,10"
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +135,7 @@ def test_full_listening_is_deterministic_and_disjoint():
 def test_one_beacon_short_of_minimum_is_not_deterministic():
     # two unit windows per 8 ticks: at least 4 beacons needed
     r = rec([(0, 1), (4, 1)], 8)
-    assert min_beacons(r, IDEAL) == 4
+    assert report_min_beacons(r, IDEAL) == 4
     times = [0, 1, 2]  # 3 equally spaced beacons
     rep = analyze(build_coverage_map(times, r, IDEAL))
     assert rep.coverage_lambda == 6 < 8
@@ -146,26 +164,26 @@ def test_redundant_seven_beacon_instance():
 
 
 def test_min_beacons_examples():
-    assert min_beacons(rec([(0, 1), (4, 1)], 8), IDEAL) == 4
-    assert min_beacons(rec([(0, 3)], 10), IDEAL) == 4
-    assert min_beacons(rec([(0, 10)], 10), IDEAL) == 1
+    assert report_min_beacons(rec([(0, 1), (4, 1)], 8), IDEAL) == 4
+    assert report_min_beacons(rec([(0, 3)], 10), IDEAL) == 4
+    assert report_min_beacons(rec([(0, 10)], 10), IDEAL) == 1
 
 
 def test_min_beacons_contained_infeasible():
     radio = RadioModel(omega=5, semantics=Semantics.CONTAINED)
-    with pytest.raises(InfeasibleError):
-        min_beacons(rec([(0, 4)], 10), radio)
+    # no 4-tick window holds a whole 5-tick beacon
+    assert report_min_beacons(rec([(0, 4)], 10), radio) is None
 
 
 def test_min_beacons_contained_uses_effective_length():
     radio = RadioModel(omega=1, semantics=Semantics.CONTAINED)
-    assert min_beacons(rec([(0, 3)], 10), radio) == 5  # ceil(10/2)
+    assert report_min_beacons(rec([(0, 3)], 10), radio) == 5  # ceil(10/2)
 
 
 def test_min_beacons_nonrepetitive_horizon():
     r = rec([(0, 3), (10, 3)], 20, repetitive=False)
     # gamma = 6/20 -> ceil(1/gamma) = 4
-    assert min_beacons(r, IDEAL) == 4
+    assert report_min_beacons(r, IDEAL) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +192,7 @@ def test_min_beacons_nonrepetitive_horizon():
 
 def test_first_beacon_hit_latency_zero():
     cov = build_coverage_map([0, 4], rec([(2, 3)], 10), IDEAL)
-    assert beacon_to_beacon_latency(cov, 2) == 0
+    assert first_landing(cov, [0, 4], 2) == 0
 
 
 def test_third_beacon_hit_sums_gaps():
@@ -182,13 +200,13 @@ def test_third_beacon_hit_sums_gaps():
     r = rec([(0, 1)], 10)
     times = [0, 3, 7]
     cov = build_coverage_map(times, r, IDEAL)
-    assert beacon_to_beacon_latency(cov, 3) == 7  # lands at 3+7=10=0 mod 10
-    assert beacon_to_beacon_latency(cov, 7) == 3
+    assert first_landing(cov, times, 3) == 7  # lands at 3+7=10=0 mod 10
+    assert first_landing(cov, times, 7) == 3
 
 
 def test_uncovered_offset_reports_not_covered():
     cov = build_coverage_map([0], rec([(2, 3)], 10), IDEAL)
-    assert beacon_to_beacon_latency(cov, 7) is NOT_COVERED
+    assert first_landing(cov, [0], 7) is None
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +285,7 @@ def test_pair_too_sparse_for_the_budget_is_refused_without_a_sweep(monkeypatch):
 def test_pairwise_latency_charges_the_same_budget():
     e = beaconer([0], 10)
     f = listener([(0, 3)], 10)
-    assert pairwise_latency(e, f, 0, 5) is NOT_COVERED  # lcm 10 is in budget
+    assert pairwise_latency(e, f, 0, 5) is None  # lcm 10 is in budget
     e = beaconer([0], 10_007)
     f = listener([(0, 4)], 9_973)
     with pytest.raises(HyperperiodTooLarge):
@@ -306,6 +324,7 @@ def test_oracle_api_used_by_the_benchmark():
     import ndlab.cli
     import ndlab.coverage
     import ndlab.errors
+    import ndlab.protocols
 
     p = gen_optimal_unidirectional(4, F(1, 100), 1)
     for method in ("full", "endpoints"):
@@ -322,6 +341,33 @@ def test_oracle_api_used_by_the_benchmark():
     spec.loader.exec_module(tracing)
     for name in tracing.BOUNDS:
         assert not name.startswith("_") and callable(getattr(ndlab.bounds, name, None)), name
+    # likewise the CLI layer's spans and the generator spans
+    for module, attr, _, _ in tracing.CLI_LAYER:
+        owner = importlib.import_module(module)
+        assert callable(getattr(owner, attr, None)), (module, attr)
+    for name in tracing.GENERATORS:
+        assert callable(getattr(ndlab.protocols, name, None)), name
+
+
+def test_package_exports_are_exactly_its_public_imports():
+    # a name left in __all__ after its import goes makes `import *` raise
+    import ast
+    from pathlib import Path
+
+    import ndlab
+
+    tree = ast.parse(Path(ndlab.__file__).read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert len(set(ndlab.__all__)) == len(ndlab.__all__)
+    assert set(ndlab.__all__) == {name for name in imported if not name.startswith("_")}
+    namespace = {}
+    exec("from ndlab import *", namespace)
+    assert set(ndlab.__all__) <= namespace.keys()
 
 
 def test_silent_transmitter_is_unbounded():
@@ -555,8 +601,7 @@ def test_latency_periodic_in_reception_period(seed):
     b2 = absolute_first_hit(b.emission_times, r, phi + r.period)
     assert a == b2
     cov = build_coverage_map(b.emission_times, r, IDEAL)
-    got = beacon_to_beacon_latency(cov, phi)
-    assert (got is NOT_COVERED and a is None) or got == a
+    assert first_landing(cov, b.emission_times, phi) == a
 
 
 @settings(deadline=None, max_examples=40)
@@ -612,6 +657,61 @@ def test_oracle_equals_the_per_tick_max_gap(seed):
     assert got == want if want is not None else got is UNBOUNDED
 
 
+def _scaled(p: ProtocolSpec, k: int) -> ProtocolSpec:
+    """``p`` with every time field multiplied by ``k``."""
+    b, r, radio = p.beacons, p.receptions, p.radio
+    return ProtocolSpec(
+        BeaconSchedule(
+            tuple(k * t for t in b.emission_times), k * b.beacon_duration, k * b.period
+        ),
+        ReceptionSchedule(
+            tuple(ReceptionWindow(k * w.start, k * w.duration) for w in r.windows),
+            k * r.period,
+        ),
+        replace(
+            radio,
+            omega=k * radio.omega,
+            d_oTx=k * radio.d_oTx,
+            d_oRx=k * radio.d_oRx,
+            d_oTxRx=k * radio.d_oTxRx,
+            d_oRxTx=k * radio.d_oRxTx,
+        ),
+    )
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 10**9))
+def test_refining_the_tick_scales_latencies_exactly(seed):
+    # the oracle counts a beacon starting at the in-range instant as in
+    # flight, so its discrete maximum is the continuous-time supremum and a
+    # k times finer tick grid must give exactly k times the answer
+    rng = random.Random(seed)
+    omega = rng.randrange(1, 4)
+    e, f = (
+        ProtocolSpec(
+            random_beacons(rng, omega),
+            random_reception(rng),
+            RadioModel(
+                omega=omega,
+                d_oTxRx=rng.randrange(3),
+                d_oRxTx=rng.randrange(3),
+                semantics=rng.choice(list(Semantics)),
+            ),
+        )
+        for _ in range(2)
+    )
+    base = worst_case_latency_oracle(e, f)
+    for k in (2, 3, 5):
+        got = worst_case_latency_oracle(_scaled(e, k), _scaled(f, k))
+        assert got is UNBOUNDED if base is UNBOUNDED else got == k * base
+    k = rng.choice((2, 3, 5))
+    ek, fk = _scaled(e, k), _scaled(f, k)
+    for _ in range(2):
+        pe, pf = rng.randrange(e.device_period), rng.randrange(f.device_period)
+        want = tuple(None if x is None else k * x for x in simulate_pair(e, f, pe, pf))
+        assert simulate_pair(ek, fk, k * pe, k * pf) == want
+
+
 def test_nonrepetitive_map_has_no_wraparound():
     r = rec([(0, 2), (6, 2)], 12, repetitive=False)
     cov = build_coverage_map([0, 8], r, IDEAL)
@@ -645,7 +745,8 @@ def test_quadruple_half_coverage_per_device():
 
 def test_quadruple_zeta_zero_sides_are_reflections():
     p = quad_device([3], [(0, 3)], 10)  # beacon right at the window end
-    side_f, side_e = quadruple_sides(p, p)
+    from_f, from_e = _quadruple_images(p, p)
+    side_f, side_e = iv.union(*from_f), iv.union(*from_e)
     reflected = {(-t) % 10 for a, b in side_f for t in range(a, b)}
     as_ticks = {t for a, b in side_e for t in range(a, b)}
     assert as_ticks == reflected
