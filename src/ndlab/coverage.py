@@ -11,10 +11,11 @@ transmitter's beacon 0 (``method="endpoints"``, the default).  The worst
 in-range instant falls just after a heard beacon, so the sweep measures,
 for every receiver offset, the wait from each heard beacon of the first
 period to the next heard one: m + S beacon steps for m beacons per period
-and a longest wait of S steps.  It keeps two sets of offsets as sorted
-runs and edits them in place: those beacon 0's scan has not heard
-yet, which prove UNBOUNDED, and pending runs tagged with the beacon they
-were last heard at.  A beacon step places each window with one modulo and
+and a longest wait of S steps.  Its one state is a set of sorted pending
+runs of offsets, edited in place and tagged with the beacon they were
+last heard at, or -1 while not heard since beacon 0; one rule proves
+UNBOUNDED: a run still pending a whole scan limit past the beacon after
+its tag.  A beacon step places each window with one modulo and
 splits it only where it wraps past the reception period.  A per-tick
 sweep (``method="full"``, slow and obviously correct) is kept as the
 independent reference engine; the two must always agree and the tests
@@ -93,11 +94,9 @@ def build_coverage_map(
     Beacon 0 covers the window spans themselves; every later beacon covers
     the same spans shifted left by its distance to beacon 0.  In repetitive
     mode shifts wrap around the period; in horizon mode they simply slide
-    off the end.
+    off the end.  No beacons give a map with no beacon sets.
     """
     times = sorted(beacon_times)
-    if not times:
-        raise ValueError("need at least one beacon")
     base = effective_window_spans(receptions, radio.semantics, radio.omega)
     period = receptions.period
     per_beacon = []
@@ -240,37 +239,13 @@ def _oracle_full(t_c, eff, gaps, limit):
     return best
 
 
-def _cut(rem: list[int], x: int, y: int) -> int | None:
-    """Remove the ticks [x, y) from the edge list ``rem`` in place; return
-    the first of them that was still in it, or None when none was, in which
-    case ``rem`` is left as it is."""
-    lo = bisect_right(rem, x)
-    if lo & 1:
-        first = x
-        if rem[lo - 1] == x:
-            lo -= 1  # the run starting at x loses its start
-    elif lo < len(rem) and rem[lo] < y:
-        first = rem[lo]
-    else:
-        return None  # [x, y) holds no uncovered tick
-    # rem[lo:hi] are the edges in [x, y]; x stays as an end if lo is odd,
-    # y comes in as a start if hi is odd
-    hi = bisect_right(rem, y, lo)
-    if hi & 1:
-        rem[lo:hi] = (x, y) if lo & 1 else (y,)
-    elif lo & 1:
-        rem[lo:hi] = (x,)
-    else:
-        del rem[lo:hi]
-    return first
-
-
 def _hear(starts, ends, tags, x, y, tag):
     """Offsets [x, y) hear a beacon: close the pending runs there and return
     the oldest tag among them, or None when no pending offset lies there.
     The runs are ``[starts[i], ends[i])``, sorted, disjoint and tagged with
-    the beacon they were last heard at.  A ``tag`` other than None restarts
-    all of [x, y) as one run heard at ``tag``."""
+    the beacon they were last heard at (-1: not heard since beacon 0).  A
+    ``tag`` other than None restarts all of [x, y) as one run heard at
+    ``tag``."""
     lo = bisect_right(ends, x)
     hi = bisect_left(starts, y, lo)
     if lo == hi:
@@ -311,30 +286,30 @@ def _oracle_endpoints(t_c, eff, gaps, limit):
     # one beacon earlier waits for the same next hit plus one more gap, and
     # shifting the offset by t_b maps beacon k + m onto beacon k.  So one
     # forward sweep from beacon 0 measures, for every offset, the wait from
-    # each heard beacon among 0 .. m-1 to the next heard one.  ``rem`` holds
-    # the offsets beacon 0's scan has not heard yet and alone proves
-    # UNBOUNDED.  The pending runs (see _hear) hold offsets last heard at a
-    # beacon h < m: beacons 0 .. m-1 restart the runs they hear, later ones
-    # only close them, and closing at beacon k is a wait of times[k] -
-    # times[h].  A run still pending at shift ``limit`` past beacon h + 1 is
-    # a failed scan from h + 1.  The first-hit latency is piecewise constant
-    # between shifted window endpoints, so edge lists find the exact maximum;
+    # each heard beacon among 0 .. m-1 to the next heard one.  The pending
+    # runs (see _hear) are the only sweep state: every offset starts in one
+    # run tagged -1, "not heard since beacon 0"; beacons 0 .. m-1 restart
+    # the runs they hear with their own index, later ones only close them.
+    # Closing a run tagged h at ``shift`` records the wait shift - at[h + 1].
+    # For h = -1 that is the wait from an in-range instant at beacon 0, a
+    # real latency and so never above the worst case.  A run tagged h still
+    # pending ``limit`` past at[h + 2] is a failed scan from beacon h + 1
+    # (beacon 0 for h = -1).  The first-hit latency is piecewise constant
+    # between shifted window endpoints, so the runs find the exact maximum;
     # a step places each window piece with one modulo and splits it only
     # where it wraps past t_c.
     pieces = [(a, min(b - a, t_c)) for a, b in eff]  # a full period covers all
     m = len(gaps)
-    times = [0]  # emission offsets of beacons 0 .. m
+    at = [0, 0]  # at[h + 1]: beacon h's emission offset; at[0] serves tag -1
     for g in gaps:
-        times.append(times[-1] + g)
-    rem = [0, t_c]
-    starts, ends, tags = [], [], []
+        at.append(at[-1] + g)
+    starts, ends, tags = [0], [t_c], [-1]
     best = 0
     shift = 0
     k = 0
-    while k < m or rem or tags:
-        if rem and shift >= limit:
-            return UNBOUNDED
-        if tags and shift - times[min(tags) + 1] >= limit:
+    while k < m or tags:
+        # min(tags) is O(runs); as at[h + 2] >= 0, no run fails before limit
+        if shift >= limit and shift - at[min(tags) + 2] >= limit:
             return UNBOUNDED
         tag = k if k < m else None
         for a, length in pieces:
@@ -345,12 +320,9 @@ def _oracle_endpoints(t_c, eff, gaps, limit):
             else:
                 parts = ((x, y),)
             for x, y in parts:
-                if rem:
-                    _cut(rem, x, y)
-                if tags or tag is not None:
-                    h = _hear(starts, ends, tags, x, y, tag)
-                    if h is not None and shift - times[h] > best:
-                        best = shift - times[h]
+                h = _hear(starts, ends, tags, x, y, tag)
+                if h is not None and shift - at[h + 1] > best:
+                    best = shift - at[h + 1]
         shift += gaps[k % m]
         k += 1
     return best

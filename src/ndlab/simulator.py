@@ -54,6 +54,9 @@ class SimConfig:
             raise ValueError("need at least a transmitter and a receiver")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        # every latency is at least one tick, so a smaller budget fails all
+        if self.latency_budget is not None and self.latency_budget < 1:
+            raise ValueError("latency_budget must be >= 1")
         if self.horizon is not None:
             if self.horizon < max(d.device_period for d in self.devices):
                 raise ValueError("horizon must cover the largest device period")

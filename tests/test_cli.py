@@ -382,6 +382,21 @@ def test_analyze_non_deterministic_reports_uncovered(tmp_path):
     assert rep["uncovered"] == [[3, 10]]
 
 
+def test_analyze_reports_a_receive_only_transmitter_as_unbounded(tmp_path):
+    path = tmp_path / "listener.json"
+    path.write_text(json.dumps(protocol_to_json(listener([(0, 3)], 10))))
+    out, cov = tmp_path / "report.json", tmp_path / "cov.csv"
+    assert run(["analyze", str(path), str(path), "--coverage-csv", str(cov), "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["unbounded"] is True and rep["oracle_latency_ticks"] is None
+    assert rep["deterministic"] is False
+    assert rep["coverage_lambda"] == 0
+    assert rep["uncovered"] == [[0, 10]]
+    assert rep["beta"] == [0, 1]
+    assert "bound_unidirectional_ticks" not in rep and "gap_ratio" not in rep
+    assert cov.read_text().splitlines() == ["beacon_index,interval_start,interval_end"]
+
+
 def test_analyze_coverage_map_trims_windows_by_the_transmitted_beacon(tmp_path):
     # f's own beacons last 1 tick, e's 3; under CONTAINED semantics a 3-tick
     # beacon only fits a [0, 4) window when it starts at tick 0
@@ -566,6 +581,8 @@ def test_simulate_summary_latency_is_null_without_discovery(tmp_path):
         ("latency_budget", "5"),
         ("latency_budget", 5.0),
         ("latency_budget", False),
+        ("latency_budget", -3),  # every latency is at least one tick
+        ("latency_budget", 0),
         ("trials", 2.9),
         ("trials", "3"),
         ("trials", None),

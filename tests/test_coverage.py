@@ -27,7 +27,7 @@ from ndlab import (
     worst_case_latency_oracle,
 )
 from ndlab import intervals as iv
-from ndlab.coverage import DEFAULT_HYPERPERIOD_BUDGET, _cut, _hear, _quadruple_images
+from ndlab.coverage import DEFAULT_HYPERPERIOD_BUDGET, _hear, _quadruple_images
 from ndlab.protocols import (
     builtin_difference_set,
     gen_diffcode,
@@ -479,15 +479,16 @@ CONTAINED2 = dict(omega=2, semantics=Semantics.CONTAINED)
 
 #: name -> (transmitter, receiver, worst-case latency[, budget]).  Each
 #: pair's sweep meets the named case at least once.  A latency of
-#: ("overrun", lcm, budget) is a HyperperiodTooLarge refusal.
+#: ("overrun", lcm, budget) is a HyperperiodTooLarge refusal.  An unheard
+#: run is a pending run tagged -1: offsets not heard since beacon 0.
 SWEEP_EDGE_CASES = {
-    # at shift 7 the piece [1, 2) ends where the uncovered run [2, 4) starts
+    # at shift 7 the piece [1, 2) ends where the unheard run [2, 4) starts
     "piece_ends_where_a_run_starts": (beaconer([0, 3], 7), listener([(0, 1)], 4), 24),
     # at shift 6 the window wraps to [4, 5) and [0, 1); the part [4, 5)
-    # starts where the uncovered run [3, 4) ends
+    # starts where the unheard run [3, 4) ends
     "piece_starts_where_a_run_ends": (beaconer([0, 1, 4], 6), listener([(0, 2)], 5), 9),
-    # a piece lands on the covered tick 2 between the uncovered runs
-    # [1, 2) and [3, 4)
+    # at shift 7 the piece [1, 2) is exactly the run heard at beacon 2,
+    # between the run [0, 1) and the unheard run [2, 3)
     "covered_gap_equal_to_the_piece": (beaconer([0, 1, 3], 7), listener([(0, 1)], 4), 16),
     # at shift 4 the window [3, 5) lands on [6, 8) and splits at t_c = 7
     "piece_wraps_past_the_period": (beaconer([0], 4), listener([(3, 2)], 7), 20),
@@ -499,7 +500,7 @@ SWEEP_EDGE_CASES = {
     "contained_trims_a_window_to_nothing": (
         beaconer([0], 4, omega=2), listener([(0, 1), (4, 3)], 9, **CONTAINED2), 36
     ),
-    # below, a pending run holds offsets heard at one of the first m beacons
+    # below, a heard run holds offsets heard at one of the first m beacons
     # and not since, tagged with that beacon
     # beacon 1 at shift 2 hears [3, 4) inside the run [2, 5) heard at beacon 0
     "heard_piece_splits_a_run": (beaconer([0], 2), listener([(0, 1), (2, 3)], 5), 4),
@@ -508,6 +509,16 @@ SWEEP_EDGE_CASES = {
     "piece_spans_runs_of_two_beacons": (beaconer([0, 1], 2), listener([(0, 2)], 3), 2),
     # offset 1 is first heard at beacon 1, which then starts its run
     "first_hearing_after_beacon_0": (beaconer([0, 1], 4), listener([(0, 1)], 2), 4),
+    # beacon 1 at shift 1 hears [0, 2), across the unheard run [0, 1) and
+    # the run [1, 3) heard at beacon 0
+    "piece_closes_unheard_and_heard_runs_before_m": (
+        beaconer([0, 1], 2), listener([(1, 2)], 3), 2
+    ),
+    # beacon 2 at shift 2 hears [2, 4), across the unheard run [2, 3) and
+    # the run [3, 4) heard at beacon 1, and restarts neither
+    "piece_closes_unheard_and_heard_runs_after_m": (
+        beaconer([0, 1], 2), listener([(0, 2)], 4), 3
+    ),
     # beacon 2 at shift 7 hears [5, 6) and [0, 2) across t_c = 6, and both
     # parts close runs
     "wrapped_piece_closes_runs_at_both_ends": (
@@ -529,23 +540,33 @@ def test_endpoints_sweep_edge_cases_match_the_reference(name):
     assert _oracle_or_overrun(e, f, "endpoints", *budget) == want
 
 
+def unheard_runs(edges):
+    """Runs tagged -1 (not heard since beacon 0) over the edge list ``edges``."""
+    return list(edges[::2]), list(edges[1::2]), [-1] * (len(edges) // 2)
+
+
 def test_cut_changes_nothing_where_no_tick_is_uncovered():
-    rem = [2, 5, 8, 10]
+    runs = unheard_runs([2, 5, 8, 10])
     # ends where a run starts, fills the covered gap between two runs,
     # starts where the last run ends, lies inside a covered gap
     for x, y in ((0, 2), (5, 8), (10, 12), (6, 7)):
-        assert _cut(rem, x, y) is None
-    assert rem == [2, 5, 8, 10]
+        assert _hear(*runs, x, y, None) is None
+    assert runs == unheard_runs([2, 5, 8, 10])
 
 
 def test_cut_removes_ticks_and_returns_the_first():
-    rem = [2, 5, 8, 10]
-    assert _cut(rem, 0, 3) == 2 and rem == [3, 5, 8, 10]  # trims a run's start
-    assert _cut(rem, 4, 9) == 4 and rem == [3, 4, 9, 10]  # spans a gap
-    assert _cut(rem, 3, 4) == 3 and rem == [9, 10]  # removes a whole run
-    assert _cut(rem, 0, 20) == 9 and rem == []
-    rem = [0, 10]
-    assert _cut(rem, 4, 6) == 4 and rem == [0, 4, 6, 10]  # splits a run
+    # closing offsets never heard since beacon 0 returns their tag, -1
+    runs = unheard_runs([2, 5, 8, 10])
+    assert _hear(*runs, 0, 3, None) == -1  # trims a run's start
+    assert runs == unheard_runs([3, 5, 8, 10])
+    assert _hear(*runs, 4, 9, None) == -1  # spans a gap
+    assert runs == unheard_runs([3, 4, 9, 10])
+    assert _hear(*runs, 3, 4, None) == -1  # removes a whole run
+    assert runs == unheard_runs([9, 10])
+    assert _hear(*runs, 0, 20, None) == -1 and runs == unheard_runs([])
+    runs = unheard_runs([0, 10])
+    assert _hear(*runs, 4, 6, None) == -1  # splits a run
+    assert runs == unheard_runs([0, 4, 6, 10])
 
 
 def test_hear_restarts_the_runs_it_hears_and_returns_the_oldest_tag():

@@ -264,6 +264,11 @@ def test_simconfig_validation():
         SimConfig((e, f), trials=0)
     with pytest.raises(ValueError):
         SimConfig((e, f), horizon=10)
+    # every latency is at least one tick, so such a budget fails every trial
+    for budget in (-3, 0):
+        with pytest.raises(ValueError, match="latency_budget"):
+            SimConfig((e, f), latency_budget=budget)
+    assert SimConfig((e, f), latency_budget=1).latency_budget == 1
 
 
 def test_random_protocol_pair_engines_agree():
