@@ -581,8 +581,6 @@ def test_simulate_summary_latency_is_null_without_discovery(tmp_path):
         ("latency_budget", "5"),
         ("latency_budget", 5.0),
         ("latency_budget", False),
-        ("latency_budget", -3),  # every latency is at least one tick
-        ("latency_budget", 0),
         ("trials", 2.9),
         ("trials", "3"),
         ("trials", None),
@@ -596,6 +594,8 @@ def test_simulate_summary_latency_is_null_without_discovery(tmp_path):
         ("bogus", 1),
         ("Trials", 3),
         (None, [1, 2]),  # the whole config
+        ("latency_budget", -3),  # every latency is at least one tick
+        ("latency_budget", 0),
     ],
 )
 def test_simulate_rejects_mistyped_config_values(tmp_path, capsys, key, value):
