@@ -284,10 +284,11 @@ def cmd_simulate(args) -> int:
         latency_budget=_config_int(doc, "latency_budget"),
     )
     # the summary's collision model can refuse the config (a one-beacon
-    # finite joiner has no rate), so it is worked out before any trial runs
+    # finite joiner has no rate), so it is worked out before any trial runs;
+    # with no sender at all no beacon can collide
     senders = sum(1 for d in devices if d.beacons.count > 0)
     beta = transmission_duty_cycle(devices[0].beacons)
-    model_p = bounds.collision_probability(senders, beta)
+    model_p = bounds.collision_probability(senders, beta) if senders else 0.0
     outcome = simulate_multi(cfg)
 
     emp = outcome.first_collision_rate

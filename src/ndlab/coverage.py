@@ -2,9 +2,10 @@
 
 A coverage map holds, for each beacon of a sequence, the initial offsets
 of the transmitter's first beacon within the receiver's period at which
-that beacon lands inside a reception window.  ``analyze`` reads
-determinism, redundancy, total coverage and the fewest beacons that could
-cover a period from it.
+that beacon lands inside a reception window.  Reception windows always
+repeat every period, so each beacon's offsets wrap around it.  ``analyze``
+reads determinism, redundancy, total coverage and the fewest beacons that
+could cover a period from it.
 
 The worst-case latency oracle sweeps coverage endpoints forward from the
 transmitter's beacon 0 (``method="endpoints"``, the default).  The worst
@@ -92,24 +93,16 @@ def build_coverage_map(
     """Covered offsets for each beacon of a finite sequence.
 
     Beacon 0 covers the window spans themselves; every later beacon covers
-    the same spans shifted left by its distance to beacon 0.  In repetitive
-    mode shifts wrap around the period; in horizon mode they simply slide
-    off the end.  No beacons give a map with no beacon sets.
+    the same spans shifted left by its distance to beacon 0, wrapped around
+    the period, since the windows repeat every period.  No beacons give a
+    map with no beacon sets.
     """
     times = sorted(beacon_times)
     base = effective_window_spans(receptions, radio.semantics, radio.omega)
     period = receptions.period
-    per_beacon = []
-    for t in times:
-        off = t - times[0]
-        if receptions.repetitive:
-            per_beacon.append(iv.shift_mod(base, off % period, period))
-        else:
-            shifted = iv.normalize((a - off, b - off) for a, b in base)
-            per_beacon.append(iv.intersect(shifted, ((0, period),)))
     return CoverageMap(
         period=period,
-        per_beacon=tuple(per_beacon),
+        per_beacon=tuple(iv.shift_mod(base, (t - times[0]) % period, period) for t in times),
         window_coverage=iv.measure(base),
     )
 
@@ -154,8 +147,6 @@ def _oracle_setup(e: ProtocolSpec, f: ProtocolSpec, max_hyperperiod: int):
         return None  # a silent device is never discovered
     if not b.repetitive:
         raise ValueError("the oracle needs a repetitive beacon schedule")
-    if not f.receptions.repetitive:
-        raise ValueError("the oracle needs a repetitive reception schedule")
     t_c = f.receptions.period
     hyper = lcm(b.period, t_c)
     eff = effective_window_spans(f.receptions, f.radio.semantics, b.beacon_duration)
@@ -248,30 +239,22 @@ def _hear(starts, ends, tags, x, y, tag):
     ``tag``."""
     lo = bisect_right(ends, x)
     hi = bisect_left(starts, y, lo)
-    if lo == hi:
-        if tag is not None:
-            starts.insert(lo, x)
-            ends.insert(lo, y)
-            tags.insert(lo, tag)
-        return None
-    oldest = tags[lo] if hi - lo == 1 else min(tags[lo:hi])
-    if starts[lo] < x and ends[lo] > y:  # [x, y) splits one run in two
-        if tag is None:
+    oldest = None
+    if lo < hi:
+        oldest = tags[lo] if hi - lo == 1 else min(tags[lo:hi])
+        if starts[lo] < x and ends[lo] > y:  # [x, y) splits one run in two
             starts.insert(lo + 1, y)
             ends.insert(lo, x)
             tags.insert(lo, oldest)
+            lo = hi = lo + 1  # head and tail kept; the gap between is empty
         else:
-            starts[lo + 1 : lo + 1] = (x, y)
-            ends[lo:lo] = (x, y)
-            tags[lo + 1 : lo + 1] = (tag, oldest)
-        return oldest
-    if starts[lo] < x:  # the first run keeps its head
-        ends[lo] = x
-        lo += 1
-    if ends[hi - 1] > y:  # the last run keeps its tail
-        starts[hi - 1] = y
-        hi -= 1
-    # the runs lo .. hi-1 lie inside [x, y)
+            if starts[lo] < x:  # the first run keeps its head
+                ends[lo] = x
+                lo += 1
+            if ends[hi - 1] > y:  # the last run keeps its tail
+                starts[hi - 1] = y
+                hi -= 1
+    # the runs lo .. hi-1 lie inside [x, y): close them, then restart [x, y)
     if tag is None:
         del starts[lo:hi], ends[lo:hi], tags[lo:hi]
     else:

@@ -97,13 +97,10 @@ class ReceptionWindow:
 
 @dataclass(frozen=True)
 class ReceptionSchedule:
-    """A finite window list that either repeats every ``period`` ticks or,
-    when ``repetitive`` is false, is analyzed once over ``period`` as a
-    plain horizon."""
+    """A finite window list that repeats every ``period`` ticks, forever."""
 
     windows: tuple[ReceptionWindow, ...]
     period: int
-    repetitive: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "windows", tuple(self.windows))
@@ -272,7 +269,6 @@ def protocol_to_json(p: ProtocolSpec) -> dict:
         "receptions": {
             "windows": [{"start": w.start, "d": w.duration} for w in p.receptions.windows],
             "period": p.receptions.period,
-            "repetitive": p.receptions.repetitive,
         },
         "radio": {
             "alpha": [p.radio.alpha.numerator, p.radio.alpha.denominator],
@@ -311,7 +307,10 @@ def strict_object(value, name: str, keys) -> dict:
 def protocol_from_json(doc: dict) -> ProtocolSpec:
     """Inverse of protocol_to_json.  Every field must already have its JSON
     type (see strict_json) and every object only the keys protocol_to_json
-    writes (see strict_object); nothing is coerced or ignored."""
+    writes (see strict_object); nothing is coerced or ignored.  The one
+    exception is ``receptions.repetitive``, which older files carry:
+    ``true`` is accepted and changes nothing, while ``false``, a window list
+    that does not repeat, is refused."""
     strict_object(doc, "protocol", ("tick_ns", "beacons", "receptions", "radio"))
     b = strict_object(doc["beacons"], "beacons", ("times", "omega", "period"))
     c = strict_object(doc["receptions"], "receptions", ("windows", "period", "repetitive"))
@@ -330,11 +329,11 @@ def protocol_from_json(doc: dict) -> ProtocolSpec:
         strict_object(w, "receptions.windows[]", ("start", "d"))
         start, d = strict_json(w["start"], "window start"), strict_json(w["d"], "window d")
         windows.append(ReceptionWindow(start, d))
-    receptions = ReceptionSchedule(
-        windows=tuple(windows),
-        period=strict_json(c["period"], "receptions.period"),
-        repetitive=strict_json(c.get("repetitive", True), "receptions.repetitive", bool),
-    )
+    if not strict_json(c.get("repetitive", True), "receptions.repetitive", bool):
+        raise ValueError(
+            "receptions.repetitive must be true: only a repetitive reception schedule is modelled"
+        )
+    receptions = ReceptionSchedule(tuple(windows), strict_json(c["period"], "receptions.period"))
     alpha = strict_json(r["alpha"], "radio.alpha", list)
     num, den = (strict_json(x, "radio.alpha[]") for x in alpha)
     if den == 0:

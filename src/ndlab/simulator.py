@@ -125,8 +125,6 @@ class _CompiledDevice:
         (IDEAL) or all of it (CONTAINED); a finite beacon list deafens only
         there, so the device hears again after its last beacon."""
         spec, r = self.spec, self.spec.radio
-        if not spec.receptions.repetitive:
-            raise ValueError("the simulator needs a repetitive reception schedule")
         eff = iv.edges(effective_window_spans(spec.receptions, r.semantics, tx_omega))
         width = tx_omega if r.semantics is Semantics.CONTAINED else 1
         deaf = self.overlapping(width, r.d_oRxTx, r.d_oTxRx) if self_blocking else []
@@ -375,8 +373,6 @@ def measured_blocked_fraction(p: ProtocolSpec) -> Fraction:
         return Fraction(0)
     if not p.beacons.repetitive:
         raise ValueError("measurement needs a repetitive beacon schedule")
-    if not p.receptions.repetitive:
-        raise ValueError("measurement needs a repetitive reception schedule")
     period = p.device_period
     t_b, t_c = p.beacons.period, p.receptions.period
     windows = [(a + k, b + k) for k in range(0, period, t_c) for a, b in p.receptions.spans()]

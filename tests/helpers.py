@@ -17,14 +17,14 @@ from ndlab import (
     Semantics,
 )
 from ndlab.bounds import MutualExclusiveBound, SymmetricBound
-from ndlab.schedule import rat
+from ndlab.schedule import protocol_to_json, rat
 
 
-def listener(windows, period, omega=1, repetitive=True, alpha=1, semantics=Semantics.IDEAL):
+def listener(windows, period, omega=1, alpha=1, semantics=Semantics.IDEAL):
     """Receive-only device."""
     return ProtocolSpec(
         BeaconSchedule((), omega, period=None),
-        ReceptionSchedule(tuple(ReceptionWindow(a, d) for a, d in windows), period, repetitive),
+        ReceptionSchedule(tuple(ReceptionWindow(a, d) for a, d in windows), period),
         RadioModel(alpha=Fraction(alpha), omega=omega, semantics=semantics),
     )
 
@@ -293,6 +293,7 @@ MALFORMED_PROTOCOL_EDITS = (
     ("receptions.bogus", None),
     ("receptions.windows", [{"start": 0, "d": 100, "bogus": 1}]),
     ("radio.d_oTX", 0),
+    ("receptions.repetitive", False),
 )
 
 
@@ -305,6 +306,12 @@ def with_field(doc: dict, dotted: str, value) -> dict:
         node = node[key]
     node[last] = value
     return out
+
+
+def one_shot(p: ProtocolSpec) -> dict:
+    """The document of ``p`` with its reception windows marked as not
+    repeating, which the loader refuses."""
+    return with_field(protocol_to_json(p), "receptions.repetitive", False)
 
 
 # ---------------------------------------------------------------------------

@@ -373,3 +373,19 @@ def test_closed_forms_refuse_floats(position):
         bd.bound_unidirectional(*args)
     with pytest.raises(TypeError):
         bd.bound_relaxed(*args, radio)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: bd.bound_channel_constrained(F(1, 10), 0, 1, 1), "beta_m must be positive"),
+        (lambda: bd.bound_asymmetric(0, F(1, 10), 1, 1), "duty cycles must be positive"),
+        (lambda: bd.bound_asymmetric(F(1, 10), F(-1, 10), 1, 1), "duty cycles must be"),
+        (lambda: bd.collision_probability(0, F(1, 10)), "at least one sender"),
+        (lambda: bd.collision_probability(2, F(3, 2)), "beta must lie in"),
+    ],
+    ids=["channel-beta_m", "asymmetric-eta_e", "asymmetric-eta_f", "no-sender", "beta"],
+)
+def test_bounds_refuse_inputs_outside_their_domain(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()

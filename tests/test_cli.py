@@ -39,7 +39,14 @@ from ndlab.protocols import (
     gen_uconnect,
 )
 from ndlab.schedule import TimeBase
-from helpers import MALFORMED_PROTOCOL_EDITS, beaconer, c7_devices, listener, with_field
+from helpers import (
+    MALFORMED_PROTOCOL_EDITS,
+    beaconer,
+    c7_devices,
+    listener,
+    one_shot,
+    with_field,
+)
 
 
 def run(args):
@@ -462,17 +469,18 @@ def test_analyze_answers_pair_whose_lcm_exceeds_the_budget(tmp_path):
 @pytest.mark.parametrize(
     "transmitter, receiver, flags, code",
     [
-        # the oracle refuses a one-shot reception schedule (usage error)
-        (beaconer([0], 10), listener([(0, 3)], 10, repetitive=False), [], 2),
+        # the loader refuses a one-shot reception schedule (usage error)
+        (protocol_to_json(beaconer([0], 10)), one_shot(listener([(0, 3)], 10)), [], 2),
         # the worst case lies past the hyperperiod budget
-        (gen_pi0m(3, 1000, 1), gen_pi0m(3, 1000, 1), ["--max-hyperperiod", "10"], 3),
+        (protocol_to_json(gen_pi0m(3, 1000, 1)), protocol_to_json(gen_pi0m(3, 1000, 1)),
+         ["--max-hyperperiod", "10"], 3),
     ],
     ids=["one-shot-receiver", "over-budget"],
 )
 def test_analyze_refusal_writes_no_coverage_csv(tmp_path, transmitter, receiver, flags, code):
     pe, pf = tmp_path / "e.json", tmp_path / "f.json"
-    pe.write_text(json.dumps(protocol_to_json(transmitter)))
-    pf.write_text(json.dumps(protocol_to_json(receiver)))
+    pe.write_text(json.dumps(transmitter))
+    pf.write_text(json.dumps(receiver))
     cov, out = tmp_path / "cov.csv", tmp_path / "report.json"
     argv = ["analyze", str(pe), str(pf), "--coverage-csv", str(cov), "--out", str(out)]
     assert run(argv + flags) == code
@@ -752,6 +760,100 @@ def test_pinned_simulate_output_has_blank_latencies_and_budget_misses(tmp_path):
     assert any(r["latency_ticks"] == "" and r["failed"] == "1" for r in rows)
     assert any(r["latency_ticks"] != "" and r["failed"] == "1" for r in rows)
     assert any(r["failed"] == "0" for r in rows)
+
+
+def _older_document_outputs(tmp_path, edit) -> tuple[str, ...]:
+    """sha256 of analyze's report and coverage CSV and of simulate's
+    trials.csv and summary.json, with every protocol document passed
+    through ``edit`` before it is written."""
+    e, f = gen_pi0m(3, 40, 2), gen_disco(3, 5, 20, 2)
+    tmp_path.mkdir()
+    pe, pf = tmp_path / "e.json", tmp_path / "f.json"
+    pe.write_text(json.dumps(edit(protocol_to_json(e))))
+    pf.write_text(json.dumps(edit(protocol_to_json(f))))
+    report, cov = tmp_path / "report.json", tmp_path / "cov.csv"
+    assert run(["analyze", str(pe), str(pf), "--coverage-csv", str(cov), "--out", str(report)]) == 0
+    cfg = tmp_path / "config.json"
+    devices = [edit(protocol_to_json(p)) for p in (e, f, e)]
+    cfg.write_text(json.dumps({"devices": devices, "trials": 50, "seed": 4}))
+    out_dir = tmp_path / "sim"
+    assert run(["simulate", str(cfg), "--out-dir", str(out_dir)]) == 0
+    files = (report, cov, out_dir / "trials.csv", out_dir / "summary.json")
+    return tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in files)
+
+
+#: _older_document_outputs recorded while the loader still kept a
+#: ``repetitive`` flag on reception schedules and every document carried it
+_OLDER_DOCUMENT_DIGESTS = (
+    "34c060e5cb70b8ad336a0e9b503488bbe5792283ad23a9628de793cbce000e9f",
+    "bcd0b9be34c96e286a2a25fa7861374694134b7a181f3d80fdd268dcff1efbec",
+    "9f80e24ab072a15981c97f249c2fa65d04865520e435ed38c44bf6b7e11f868c",
+    "cf5a17c1808e6f2611edcefd4d5d12d9a368a996c1b53e0db710dfb2f7f22f20",
+)
+
+
+def test_older_repetitive_key_leaves_analyze_and_simulate_output_unchanged(tmp_path):
+    with_key = _older_document_outputs(
+        tmp_path / "with-key", lambda doc: with_field(doc, "receptions.repetitive", True)
+    )
+    assert with_key == _older_document_outputs(tmp_path / "without-key", lambda doc: doc)
+    assert with_key == _OLDER_DOCUMENT_DIGESTS
+
+
+def test_simulate_without_any_sender_fails_every_trial(tmp_path):
+    # two silent listeners: nothing is sent, so nothing collides or is found
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"devices": [protocol_to_json(listener([(0, 3)], 10))] * 2,
+                                "trials": 20}))
+    out_dir = tmp_path / "out"
+    assert run(["simulate", str(path), "--out-dir", str(out_dir)]) == 0
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary["senders"] == 0
+    assert summary["collision_model_probability"] == 0.0
+    assert summary["failure_rate"] == 1.0
+    with (out_dir / "trials.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 20
+    assert all(r["latency_ticks"] == "" and r["failed"] == "1" for r in rows)
+
+
+def _analyze_argv(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(protocol_to_json(gen_pi0m(3, 40, 1))))
+    return ["analyze", str(path), str(path)]
+
+
+#: argv, less --out, of every command whose one output file may be stdout
+_STDOUT_COMMANDS = {
+    "bounds-sweep": lambda tmp_path: [
+        "bounds", "--sweep", "eta=1/10:1/2:1/10", "--omega-us", "1"
+    ],
+    "bounds-deviation": lambda tmp_path: [
+        "bounds", "--deviation", "--omega-us", "1", "--beta-steps", "3"
+    ],
+    "generate": lambda tmp_path: [
+        "generate", "disco", "--p1", "3", "--p2", "5", "--slot-us", "20", "--omega-us", "2"
+    ],
+    "analyze": _analyze_argv,
+}
+
+
+@pytest.mark.parametrize("out", [[], ["--out", "-"]], ids=["no-out", "out-dash"])
+@pytest.mark.parametrize("name", sorted(_STDOUT_COMMANDS))
+def test_stdout_gets_the_bytes_of_the_out_file(tmp_path, capsysbinary, name, out):
+    argv = _STDOUT_COMMANDS[name](tmp_path)
+    path = tmp_path / "out"
+    assert run(argv + ["--out", str(path)]) == 0
+    assert run(argv + out) == 0
+    assert capsysbinary.readouterr().out == path.read_bytes()
+
+
+@pytest.mark.parametrize("text", ["x", "1/0"])
+def test_bad_rational_flag_exits_2(capsys, text):
+    with pytest.raises(SystemExit) as exc:
+        run(["bounds", "--sweep", "eta=1/2:1:1/2", "--omega-us", "1", "--alpha", text])
+    assert exc.value.code == 2
+    assert f"not a rational number: {text!r}" in capsys.readouterr().err
 
 
 def test_unknown_command_exits_2():

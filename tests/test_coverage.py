@@ -23,6 +23,7 @@ from ndlab import (
     build_coverage_map,
     check_correlated_quadruple,
     pairwise_latency,
+    protocol_from_json,
     simulate_pair,
     worst_case_latency_oracle,
 )
@@ -41,6 +42,7 @@ from helpers import (
     absolute_first_hit,
     beaconer,
     listener,
+    one_shot,
     per_tick_max_gap,
     random_beacons,
     random_protocol,
@@ -50,10 +52,8 @@ from helpers import (
 IDEAL = RadioModel(omega=1)
 
 
-def rec(windows, period, repetitive=True):
-    return ReceptionSchedule(
-        tuple(ReceptionWindow(a, d) for a, d in windows), period, repetitive
-    )
+def rec(windows, period):
+    return ReceptionSchedule(tuple(ReceptionWindow(a, d) for a, d in windows), period)
 
 
 def report_min_beacons(receptions, radio):
@@ -181,7 +181,8 @@ def test_min_beacons_contained_uses_effective_length():
 
 
 def test_min_beacons_nonrepetitive_horizon():
-    r = rec([(0, 3), (10, 3)], 20, repetitive=False)
+    # min_beacons depends on the window sum alone
+    r = rec([(0, 3), (10, 3)], 20)
     # gamma = 6/20 -> ceil(1/gamma) = 4
     assert report_min_beacons(r, IDEAL) == 4
 
@@ -377,10 +378,10 @@ def test_silent_transmitter_is_unbounded():
 
 
 def test_oracle_requires_repetitive_receptions():
-    e = beaconer([0], 10)
-    f = listener([(0, 5)], 10, repetitive=False)
-    with pytest.raises(ValueError):
-        worst_case_latency_oracle(e, f)
+    # a window list that does not repeat is refused where it is loaded, so
+    # the oracle never sees one
+    with pytest.raises(ValueError, match="repetitive reception schedule"):
+        protocol_from_json(one_shot(listener([(0, 5)], 10)))
 
 
 def test_oracle_requires_repetitive_beacons():
@@ -734,11 +735,13 @@ def test_refining_the_tick_scales_latencies_exactly(seed):
 
 
 def test_nonrepetitive_map_has_no_wraparound():
-    r = rec([(0, 2), (6, 2)], 12, repetitive=False)
-    cov = build_coverage_map([0, 8], r, IDEAL)
-    # the second beacon's image slides off the front instead of wrapping
+    # a window list that does not repeat is refused where it is loaded ...
+    with pytest.raises(ValueError, match="repetitive reception schedule"):
+        protocol_from_json(one_shot(listener([(0, 2), (6, 2)], 12)))
+    # ... so every map wraps: the second beacon's image comes round the end
+    cov = build_coverage_map([0, 8], rec([(0, 2), (6, 2)], 12), IDEAL)
     assert cov.per_beacon[0] == ((0, 2), (6, 8))
-    assert cov.per_beacon[1] == ()
+    assert cov.per_beacon[1] == ((4, 6), (10, 12))
 
 
 # ---------------------------------------------------------------------------
@@ -792,3 +795,24 @@ def test_quadruple_zeta_anchor_validated():
     p = quad_device([0, 5], [(0, 3)], 10)
     with pytest.raises(ValueError):
         check_correlated_quadruple(p, p, zeta=3)
+
+
+def test_oracle_refuses_an_unknown_method():
+    with pytest.raises(ValueError, match="unknown oracle method"):
+        worst_case_latency_oracle(beaconer([0], 10), listener([(0, 5)], 10), method="bogus")
+
+
+def test_pairwise_latency_is_none_without_a_beacon_or_an_effective_window():
+    # a 2-tick beacon never fits the 2-tick window whole under CONTAINED
+    e = beaconer([0], 10, omega=2)
+    f = listener([(0, 2)], 10, omega=2, semantics=Semantics.CONTAINED)
+    assert pairwise_latency(e, f, 0, 3) is None
+    assert simulate_pair(e, f, 0, 3, self_blocking=False)[0] is None
+    assert pairwise_latency(listener([(0, 5)], 10), listener([(0, 5)], 10), 0, 3) is None
+
+
+def test_quadruple_refuses_a_device_without_beacons():
+    p = quad_device([0, 5], [(0, 3)], 10)
+    silent = ProtocolSpec(BeaconSchedule((), 1, period=10), rec([(0, 3)], 10), IDEAL)
+    with pytest.raises(ValueError, match="device f has no beacons"):
+        check_correlated_quadruple(p, silent, zeta=2)

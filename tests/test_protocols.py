@@ -353,3 +353,41 @@ def test_no_generated_pair_beats_the_asymmetric_bound_two_ways(a, b):
     if got is None:
         return
     assert got >= bd.bound_asymmetric(total_duty_cycle(e), total_duty_cycle(f), 1, 1).latency
+
+
+#: (builder, error type, message) of every generator input refused up front
+_GENERATOR_REFUSALS = {
+    "slot-length": (lambda: SlottedParams(0, 4, (0,)), ValueError, "slot length must be >= 1"),
+    "no-active-slot": (lambda: SlottedParams(5, 4, ()), ValueError, "at least one active slot"),
+    "slot-out-of-range": (lambda: SlottedParams(5, 4, (4,)), ValueError, "out of range"),
+    "residue": (lambda: DifferenceSet(7, (0, 1, 7)), ValueError, "residues mod the modulus"),
+    "builtin-modulus": (lambda: builtin_difference_set(8), KeyError, "no built-in difference"),
+    "searchlight-t": (lambda: gen_searchlight_striped(1, 10, 1), DomainError, "two slots"),
+    "optimal-k": (lambda: gen_optimal_unidirectional(0, F(1, 10), 1), DomainError, "k must"),
+    "optimal-beta": (lambda: gen_optimal_unidirectional(2, 0, 1), DomainError, "beta must"),
+    "optimal-window-fit": (
+        lambda: gen_optimal_unidirectional(
+            2, F(1, 10), 2, RadioModel(omega=2, semantics=Semantics.CONTAINED), window=2
+        ),
+        InfeasibleError,
+        "window does not fit one beacon",
+    ),
+    "optimal-window-gap": (
+        lambda: gen_optimal_unidirectional(2, F(1, 10), 1, window=11),
+        DomainError,
+        "window larger than the beacon gap",
+    ),
+    "optimal-window-step": (
+        lambda: gen_optimal_unidirectional(2, F(1, 10), 2, window=1),
+        NeedsFinerTicks,
+        "window step smaller than one beacon",
+    ),
+    "pi0m-delta": (lambda: gen_pi0m(3, 10, 1, delta=10), DomainError, "delta must lie"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GENERATOR_REFUSALS))
+def test_generators_refuse_invalid_parameters(name):
+    build, error, message = _GENERATOR_REFUSALS[name]
+    with pytest.raises(error, match=message):
+        build()

@@ -14,9 +14,11 @@ from ndlab import (
     ReceptionWindow,
     Semantics,
     TimeBase,
+    load_protocol,
     protocol_from_json,
     protocol_to_json,
     reception_duty_cycle,
+    save_protocol,
     total_duty_cycle,
     transmission_duty_cycle,
 )
@@ -175,7 +177,7 @@ def test_timebase_conversion():
 def test_json_round_trip():
     p = ProtocolSpec(
         BeaconSchedule((0, 40), 3, period=100),
-        ReceptionSchedule((ReceptionWindow(2, 10),), 60, repetitive=False),
+        ReceptionSchedule((ReceptionWindow(2, 10),), 60),
         RadioModel(alpha=F(3, 2), omega=3, d_oTx=5, d_oRxTx=7, semantics=Semantics.CONTAINED),
         TimeBase(500),
     )
@@ -200,6 +202,14 @@ def test_json_loader_refuses_mistyped_fields(field, value):
     protocol_from_json(doc)  # the unedited document loads
     with pytest.raises(ValueError):
         protocol_from_json(with_field(doc, field, value))
+
+
+def test_json_loader_accepts_the_older_repetitive_key_as_true():
+    # files written before receptions always repeated carry the key
+    p = gen_disco(3, 5, 20, 2)
+    doc = protocol_to_json(p)
+    assert "repetitive" not in doc["receptions"]
+    assert protocol_from_json(with_field(doc, "receptions.repetitive", True)) == p
 
 
 @st.composite
@@ -242,3 +252,39 @@ def generated_protocols(draw):
 def test_json_round_trip_over_generators(p):
     doc = json.loads(json.dumps(protocol_to_json(p)))
     assert protocol_from_json(doc) == p
+
+
+#: (builder, message) of every model field the constructors refuse
+_INVALID_MODEL_FIELDS = {
+    "tick_ns": (lambda: TimeBase(0), "tick_ns must be positive"),
+    "window-start": (lambda: ReceptionWindow(-1, 2), "window start must be >= 0"),
+    "window-duration": (lambda: ReceptionWindow(0, 0), "window duration must be >= 1"),
+    "no-window": (lambda: ReceptionSchedule((), 10), "at least one reception window"),
+    "reception-period": (
+        lambda: ReceptionSchedule((ReceptionWindow(0, 1),), 0), "period must be >= 1"
+    ),
+    "beacon-duration": (lambda: BeaconSchedule((0,), 0), "beacon duration must be >= 1"),
+    "negative-time": (lambda: BeaconSchedule((-1, 5), 1), "emission times must be >= 0"),
+    "span": (
+        lambda: BeaconSchedule((0, 10), 1, period=10), "one period cannot hold the whole"
+    ),
+    "alpha": (lambda: RadioModel(alpha=0), "alpha must be positive"),
+    "overhead": (lambda: RadioModel(d_oRxTx=-1), "d_oRxTx must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INVALID_MODEL_FIELDS))
+def test_model_refuses_invalid_fields(name):
+    build, message = _INVALID_MODEL_FIELDS[name]
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_save_protocol_round_trips_through_load_protocol(tmp_path):
+    p = gen_searchlight_striped(
+        4, 10, 2, RadioModel(alpha=F(2, 3), omega=2, d_oTx=1, semantics=Semantics.CONTAINED)
+    )
+    path = tmp_path / "p.json"
+    save_protocol(p, path)
+    assert json.loads(path.read_text()) == protocol_to_json(p)
+    assert load_protocol(path) == p

@@ -21,6 +21,7 @@ from ndlab import (
     exhaustive_pair_worst_case,
     measured_blocked_fraction,
     pairwise_latency,
+    protocol_from_json,
     self_blocking_probability,
     simulate_multi,
     simulate_pair,
@@ -33,6 +34,7 @@ from helpers import (
     beaconer,
     c7_devices,
     listener,
+    one_shot,
     per_tick_pair,
     per_tick_trial,
     random_beacons,
@@ -217,7 +219,7 @@ def test_blocked_span_full_for_all_three_overlap_positions():
 
 
 def _one_shot_pair():
-    return beaconer([0], 7), listener([(0, 2)], 10, repetitive=False)
+    return beaconer([0], 7), protocol_from_json(one_shot(listener([(0, 2)], 10)))
 
 
 @pytest.mark.parametrize(
@@ -231,7 +233,7 @@ def _one_shot_pair():
     ids=["simulate_pair", "simulate_pair_reverse", "exhaustive", "simulate_multi"],
 )
 def test_simulator_refuses_one_shot_reception_schedule(replay):
-    # repeating the window forever would answer 49, as for the periodic schedule
+    # the loader refuses the window list, so no replay ever sees it
     with pytest.raises(ValueError, match="repetitive reception schedule"):
         replay(*_one_shot_pair())
 
@@ -239,11 +241,11 @@ def test_simulator_refuses_one_shot_reception_schedule(replay):
 def test_blocked_fraction_refuses_one_shot_reception_schedule():
     p = ProtocolSpec(
         BeaconSchedule((0,), 1, period=10),
-        ReceptionSchedule((ReceptionWindow(0, 5),), 10, repetitive=False),
+        ReceptionSchedule((ReceptionWindow(0, 5),), 10),
         RadioModel(omega=1),
     )
     with pytest.raises(ValueError, match="repetitive reception schedule"):
-        measured_blocked_fraction(p)
+        measured_blocked_fraction(protocol_from_json(one_shot(p)))
 
 
 def test_self_blocking_needs_reciprocal_gamma():
@@ -779,3 +781,25 @@ def test_pair_and_multi_device_replays_agree_on_a_sending_receiver():
     e, f = _sending_receiver_pair()
     out = simulate_multi(SimConfig((e, f), offset_sampling=OffsetSampling.EXHAUSTIVE_TICKS))
     assert out.latencies[out.phases.index((0, 0))] == simulate_pair(e, f, 0, 0)[0]
+
+
+def test_exhaustive_sampling_needs_exactly_two_devices():
+    cfg = SimConfig(c7_devices(3), offset_sampling=OffsetSampling.EXHAUSTIVE_TICKS)
+    with pytest.raises(ValueError, match="exactly two devices"):
+        simulate_multi(cfg)
+
+
+def test_silent_device_loses_no_reception_to_its_own_beacons():
+    p = listener([(0, 5)], 10)
+    assert measured_blocked_fraction(p) == 0
+    assert self_blocking_probability(p) == 0
+
+
+def test_blocked_fraction_refuses_a_finite_beacon_list():
+    p = ProtocolSpec(
+        BeaconSchedule((0, 5), 1, period=None),
+        ReceptionSchedule((ReceptionWindow(0, 5),), 10),
+        RadioModel(omega=1),
+    )
+    with pytest.raises(ValueError, match="repetitive beacon schedule"):
+        measured_blocked_fraction(p)
