@@ -132,9 +132,14 @@ def cmd_bounds(args) -> int:
     tick = TimeBase(args.tick_ns)
     omega = tick.ticks_from_us(args.omega_us)
     if args.deviation:
-        if not (1 <= args.k_lo <= args.k_hi and 0 < args.beta_lo <= args.beta_hi <= 1):
+        if not (
+            1 <= args.k_lo <= args.k_hi
+            and 0 < args.beta_lo <= args.beta_hi <= 1
+            and args.beta_steps >= 2
+        ):
             raise ValueError(
-                "deviation grid needs 1 <= k_lo <= k_hi and 0 < beta_lo <= beta_hi <= 1"
+                "deviation grid needs 1 <= k_lo <= k_hi, 0 < beta_lo <= beta_hi <= 1"
+                " and beta_steps >= 2"
             )
         radio = _radio(args, tick, omega, semantics=Semantics.CONTAINED)
         header = bounds.DEVIATION_HEADER
@@ -157,14 +162,10 @@ def cmd_bounds(args) -> int:
 
 
 def _grid(lo: Fraction, hi: Fraction, steps: int):
-    if steps < 2:
-        return [lo, hi]
     return [lo + (hi - lo) * j / (steps - 1) for j in range(steps)]
 
 
 def _k_grid(k_lo: int, k_hi: int, points: int):
-    if points < 2 or k_lo == k_hi:
-        return sorted({k_lo, k_hi})
     return sorted(
         {min(k_hi, max(k_lo, round(k_lo * (k_hi / k_lo) ** (j / (points - 1)))))
          for j in range(points)}

@@ -141,7 +141,11 @@ def _report(span_sets, period: int, cover: int) -> DeterminismReport:
 def _oracle_setup(e: ProtocolSpec, f: ProtocolSpec, max_hyperperiod: int):
     """Sweep inputs.  A scan looks at shifts below ``limit``: the lcm, where
     offsets repeat, capped by the budget; ``overrun`` is raised when a scan
-    reaches a limit the budget set, since only the lcm proves UNBOUNDED."""
+    reaches a limit the budget set, since only the lcm proves UNBOUNDED.  A
+    budget of 0 scans the first in-range beacon alone; a negative one is
+    refused."""
+    if max_hyperperiod < 0:
+        raise ValueError(f"max_hyperperiod must be >= 0, got {max_hyperperiod}")
     b = e.beacons
     if b.count == 0:
         return None  # a silent device is never discovered

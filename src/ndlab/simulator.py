@@ -11,12 +11,17 @@ during those padded beacons and hears again after its last one.
 
 from __future__ import annotations
 
+import gc
+import marshal
+import os
 import random
+import threading
 from bisect import bisect_right
+from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import product, repeat
+from itertools import chain, product, repeat
 from math import inf, lcm
 from typing import Sequence
 
@@ -301,7 +306,9 @@ def _draw_phases(rng: random.Random, seed: int, periods: Sequence[int]) -> tuple
     ``rng`` after reseeding it.  For p >= 1 CPython's ``randrange(p)`` takes
     ``getrandbits(p.bit_length())`` until the value falls below p; calling
     that directly skips the argument checks and one generator per trial.
-    The one reseed per trial is the floor of a trial's cost."""
+    The one reseed per trial is the floor of a trial's cost on one CPU;
+    simulate_multi shares that floor across CPUs, and a trial's phases
+    depend on its seed and index alone, wherever it is drawn."""
     rng.seed(seed)
     bits = rng.getrandbits
     phases = []
@@ -314,10 +321,147 @@ def _draw_phases(rng: random.Random, seed: int, periods: Sequence[int]) -> tuple
     return tuple(phases)
 
 
+#: The fewest trials a range gets.  One fork, marshal and collect costs
+#: about 3 ms in a 27 MB process (medians of 2.8 and 3.0 ms over 200
+#: calls, Linux 6.18, 2 cores, Python 3.11), and about 1 ms more goes to
+#: copy-on-write faults while parent and child both run.  The cheapest
+#: criterion-7 trial takes about 10 us, so a range of 400 trials is the
+#: shortest whose move to another CPU pays for its process.
+_MIN_RANGE_TRIALS = 400
+
+
+def _split(n: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """(CPUs, ranges): contiguous [lo, hi) ranges of n trials, one per CPU
+    this process may run on and none shorter than _MIN_RANGE_TRIALS, with
+    the CPU each range runs on.  One range when the platform cannot fork or
+    report its CPUs, or another thread is alive (a forked child would
+    inherit its locks held)."""
+    calls = ("fork", "sched_getaffinity", "sched_setaffinity")
+    if not all(hasattr(os, f) for f in calls) or threading.active_count() > 1:
+        return [], [(0, n)]
+    cpus = sorted(os.sched_getaffinity(0))
+    k = max(1, min(len(cpus), n // _MIN_RANGE_TRIALS))
+    return cpus[:k], [(n * j // k, n * (j + 1) // k) for j in range(k)]
+
+
+def _affine(cpus) -> None:
+    """Let this process run on ``cpus`` alone; a refusal leaves it as it was."""
+    with suppress(OSError):
+        os.sched_setaffinity(0, cpus)
+
+
+def _fork(play, lo: int, hi: int, mask):
+    """(pid, read end) of a child that sends ``play(lo, hi)``, or the
+    pickled exception it raised, as one marshal payload; None when fork()
+    fails.  The child first takes the CPU set ``mask`` back, and it always
+    leaves through os._exit.  pickle and signal are imported only on a
+    failure path: together they add about 3 ms to the import of this
+    module."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        try:
+            # a collection would touch, and so copy, every page of the
+            # parent's heap; the child's own garbage is freed by refcount
+            gc.disable()
+            _affine(mask)
+            os.close(r)
+            try:
+                payload = play(lo, hi)
+            except Exception as exc:
+                import pickle
+
+                payload = pickle.dumps(exc)
+            with open(w, "wb") as fh:
+                fh.write(marshal.dumps(payload))
+        finally:
+            os._exit(0)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _collect(child):
+    """The columns a child sent, None when it sent no full payload;
+    re-raises an exception it sent."""
+    with child[1] as fh:
+        data = fh.read()
+    try:
+        payload = marshal.loads(data)
+    except (EOFError, ValueError, TypeError):  # cut short
+        return None
+    if isinstance(payload, bytes):
+        import pickle
+
+        try:
+            exc = pickle.loads(payload)
+        except Exception:  # an exception that does not survive pickling
+            return None
+        raise exc
+    return payload
+
+
+def _play_split(n: int, play) -> list[tuple]:
+    """The five columns of ``play(0, n)``, played over _split(n): one
+    forked child per range after the first while this process plays the
+    first, then each child's columns in trial order.  A range whose fork
+    fails or whose child sends no full payload is played here, so neither
+    the columns nor an exception depends on the split.  Every child is
+    reaped before this returns or raises; one still running when an
+    exception unwinds is killed first.
+
+    A bare fork, not a process pool: the child inherits ``play`` with the
+    compiled devices and starts within about a millisecond, where a pool
+    costs about as much to start per call as a 1000-trial run, and one
+    kept between calls would leave processes running."""
+    cpus, ranges = _split(n)
+    if len(ranges) == 1:
+        return list(play(0, n))
+    mask = os.sched_getaffinity(0)
+    children = []
+    try:
+        # left to the scheduler, a fresh child shared its parent's CPU for
+        # milliseconds (Linux 6.18, 2 cores).  So each child is forked while
+        # this process may run on the child's CPU alone, and starts there;
+        # this process then moves to the first CPU.  Both take the whole
+        # mask back at once, so the scheduler can still move them.
+        for cpu, (lo, hi) in zip(cpus[1:], ranges[1:]):
+            _affine((cpu,))
+            children.append(_fork(play, lo, hi, mask))
+        _affine((cpus[0],))
+        _affine(mask)
+        parts = [play(*ranges[0])]
+        for (lo, hi), child in zip(ranges[1:], children):
+            part = None if child is None else _collect(child)
+            parts.append(play(lo, hi) if part is None else part)
+    finally:
+        for child in children:
+            if child is not None:
+                pid, fh = child
+                if not fh.closed:
+                    import signal
+
+                    fh.close()
+                    os.kill(pid, signal.SIGKILL)
+                with suppress(ChildProcessError):
+                    os.waitpid(pid, 0)
+        _affine(mask)
+    return [tuple(chain.from_iterable(col)) for col in zip(*parts)]
+
+
 def simulate_multi(cfg: SimConfig) -> SimOutcome:
     """Seeded multi-device trials; identical config and seed give an
-    identical outcome.  Trials run serially: the engine is pure Python and
-    bound by the interpreter lock, so threads cannot speed it up.
+    identical outcome, bit for bit, on any number of CPUs.
+
+    A trial's phases come from its own seed, ``_derive_seed(seed, i)``, or
+    in ``exhaustive_ticks`` mode from its index in the phase grid, so any
+    contiguous range of trials can be played alone.  The trials are split
+    into one range per available CPU, each at least _MIN_RANGE_TRIALS long;
+    a forked child plays each range after the first (see _play_split).
 
     Every device after the joiner that sends interferes, the receiver
     included.  A trial stops one joint cycle past its first emission, or
@@ -328,23 +472,29 @@ def simulate_multi(cfg: SimConfig) -> SimOutcome:
     if cfg.offset_sampling is OffsetSampling.EXHAUSTIVE_TICKS:
         if len(cfg.devices) != 2:
             raise ValueError("exhaustive phase sweep supports exactly two devices")
-        e, f = cfg.devices
-        phases = tuple(product(range(e.device_period), range(f.device_period)))
+        p_e, p_f = (d.device_period for d in cfg.devices)
+        n = p_e * p_f
+        # the grid index i is the phase pair divmod(i, p_f), in product order
+        phase_of = lambda i: divmod(i, p_f)
     else:
+        n = cfg.trials
         periods = [d.device_period for d in cfg.devices]
         rng = random.Random()
-        phases = tuple(
-            _draw_phases(rng, _derive_seed(cfg.seed, i), periods) for i in range(cfg.trials)
-        )
+        phase_of = lambda i: _draw_phases(rng, _derive_seed(cfg.seed, i), periods)
 
     devices = [_CompiledDevice(spec) for spec in cfg.devices]
     senders = [i for i in range(1, len(devices)) if devices[i].taus]
     run = _trial_runner(
         devices[0], devices[1], [devices[i] for i in senders], cfg.horizon, cfg.latency_budget
     )
-    cols = list(zip(*phases))
-    interfering = zip(*(cols[i] for i in senders)) if senders else repeat(())
-    lat, first, cover, failed = zip(*map(run, cols[0], cols[1], interfering))
+
+    def play(lo: int, hi: int) -> tuple:
+        phases = tuple(map(phase_of, range(lo, hi)))
+        cols = list(zip(*phases))
+        interfering = zip(*(cols[i] for i in senders)) if senders else repeat(())
+        return (phases, *zip(*map(run, cols[0], cols[1], interfering)))
+
+    phases, lat, first, cover, failed = _play_split(n, play)
     return SimOutcome(phases, lat, first, cover, failed, cfg.latency_budget)
 
 

@@ -181,6 +181,9 @@ def test_bounds_deviation_grid(tmp_path):
         ["--beta-lo", "0"],
         ["--beta-lo", "1/2", "--beta-hi", "3"],
         ["--omega-us", "0"],
+        ["--beta-steps", "0"],
+        ["--beta-steps", "1"],
+        ["--beta-steps", "-3"],
     ],
 )
 def test_bounds_deviation_refuses_broken_grid(tmp_path, capsys, flags):
@@ -323,7 +326,7 @@ def _k_ranges(draw):
 @given(
     _beta_ranges(),
     _k_ranges(),
-    st.integers(1, 8),
+    st.integers(2, 8),
     st.integers(1, 200),
     st.integers(0, 200),
     st.integers(0, 200),
@@ -453,6 +456,18 @@ def test_analyze_hyperperiod_budget_exit_3(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "HyperperiodTooLarge"
 
 
+def test_analyze_negative_budget_exit_2(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(protocol_to_json(gen_pi0m(3, 100, 1))))
+    rc = run(["analyze", str(path), str(path), "--max-hyperperiod", "-5"])
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "ValueError", "detail": "max_hyperperiod must be >= 0, got -5"
+    }
+
+
 def test_analyze_answers_pair_whose_lcm_exceeds_the_budget(tmp_path):
     # lcm 99,999,000 > the default budget of 10^7 ticks, yet the worst case
     # is found 99000 ticks past the first in-range beacon
@@ -474,8 +489,11 @@ def test_analyze_answers_pair_whose_lcm_exceeds_the_budget(tmp_path):
         # the worst case lies past the hyperperiod budget
         (protocol_to_json(gen_pi0m(3, 1000, 1)), protocol_to_json(gen_pi0m(3, 1000, 1)),
          ["--max-hyperperiod", "10"], 3),
+        # a negative budget is a usage error, refused before any sweep
+        (protocol_to_json(gen_pi0m(3, 1000, 1)), protocol_to_json(gen_pi0m(3, 1000, 1)),
+         ["--max-hyperperiod", "-5"], 2),
     ],
-    ids=["one-shot-receiver", "over-budget"],
+    ids=["one-shot-receiver", "over-budget", "negative-budget"],
 )
 def test_analyze_refusal_writes_no_coverage_csv(tmp_path, transmitter, receiver, flags, code):
     pe, pf = tmp_path / "e.json", tmp_path / "f.json"

@@ -293,6 +293,28 @@ def test_pairwise_latency_charges_the_same_budget():
         pairwise_latency(e, f, 0, 100, max_hyperperiod=10_000)
 
 
+def test_negative_budget_is_refused_before_any_sweep(monkeypatch):
+    import ndlab.coverage as coverage
+
+    def no_sweep(*args):
+        raise AssertionError("swept under a negative budget")
+
+    for name in ("_oracle_full", "_oracle_endpoints", "_first_hit_steps"):
+        monkeypatch.setattr(coverage, name, no_sweep)
+    e, f = beaconer([0], 10), listener([(0, 3)], 10)
+    for budget in (-1, -5):
+        for method in ("full", "endpoints"):
+            with pytest.raises(ValueError, match="max_hyperperiod must be >= 0"):
+                worst_case_latency_oracle(e, f, method=method, max_hyperperiod=budget)
+        with pytest.raises(ValueError, match="max_hyperperiod must be >= 0"):
+            pairwise_latency(e, f, 0, 5, max_hyperperiod=budget)
+    monkeypatch.undo()
+    # a budget of 0 still answers a pair whose first in-range beacon is heard
+    always = listener([(0, 10)], 10)
+    assert worst_case_latency_oracle(e, always, max_hyperperiod=0) == 10
+    assert pairwise_latency(e, always, 0, 5, max_hyperperiod=0) == 10
+
+
 def _oracle_or_overrun(e, f, method, budget=DEFAULT_HYPERPERIOD_BUDGET):
     try:
         return worst_case_latency_oracle(e, f, method=method, max_hyperperiod=budget)

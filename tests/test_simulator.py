@@ -1,5 +1,8 @@
+import errno
 import hashlib
+import os
 import random
+import threading
 from fractions import Fraction as F
 from itertools import product
 from math import lcm
@@ -27,8 +30,9 @@ from ndlab import (
     simulate_pair,
     worst_case_latency_oracle,
 )
+from ndlab import simulator
 from ndlab.protocols import gen_disco
-from ndlab.simulator import _CompiledDevice, _derive_seed, _draw_phases
+from ndlab.simulator import _MIN_RANGE_TRIALS, _CompiledDevice, _derive_seed, _draw_phases
 from helpers import (
     _beacon_starts,
     beaconer,
@@ -109,6 +113,32 @@ def test_seeded_runs_are_identical():
     assert c != a
 
 
+def fake_cpus(monkeypatch, k: int, fork=None) -> tuple[list, list]:
+    """Report k CPUs to simulate_multi, record the CPU sets it pins itself
+    to instead of pinning, and count its fork() calls, which go to ``fork``
+    (the real one by default).  Returns (forks, pins)."""
+    forks, pins = [], []
+    fork = fork or os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: pins.append(set(cpus)))
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks, pins
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+#: Enough trials for three ranges on three CPUs.
+SPLIT_TRIALS = 3 * _MIN_RANGE_TRIALS + 7
+
+
 def test_thread_count_does_not_change_results(monkeypatch):
     # ND_LAB_THREADS once chose a thread pool size; a stale setting must
     # still leave a seeded run unchanged
@@ -117,6 +147,127 @@ def test_thread_count_does_not_change_results(monkeypatch):
     serial = simulate_multi(cfg)
     monkeypatch.setenv("ND_LAB_THREADS", "4")
     assert simulate_multi(cfg) == serial
+    # the trials split over every CPU, one forked child per CPU after the
+    # first, and the outcome never depends on how many there are
+    big = SimConfig((e, f), trials=SPLIT_TRIALS, seed=5, horizon=400)
+    outcomes = []
+    for k in (1, 2, 3):
+        forks, pins = fake_cpus(monkeypatch, k)
+        outcomes.append(simulate_multi(big))
+        assert len(forks) == k - 1
+        # each child is forked onto a CPU of its own; the caller then moves
+        # to the first and takes every CPU back before it plays its range
+        every = set(range(k))
+        assert pins == ([{j} for j in range(1, k)] + [{0}, every, every] if k > 1 else [])
+        assert_no_child_left()
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert outcomes[0].phases[:300] == serial.phases
+
+
+def test_cpu_count_does_not_change_exhaustive_outcomes(monkeypatch):
+    cfg = PINNED_CONFIGS["exhaustive_disco"]()
+    assert cfg.devices[0].device_period * cfg.devices[1].device_period >= 3 * _MIN_RANGE_TRIALS
+    for k in (1, 2, 3):
+        forks, _ = fake_cpus(monkeypatch, k)
+        assert _digest(simulate_multi(cfg)) == PINNED_OUTCOMES["exhaustive_disco"]
+        assert len(forks) == k - 1
+        assert_no_child_left()
+
+
+@pytest.mark.parametrize("working_forks", [0, 1])
+def test_failed_fork_plays_the_range_in_the_caller(monkeypatch, working_forks):
+    e, f = optimal_pair()
+    cfg = SimConfig((e, f), trials=SPLIT_TRIALS, seed=8, horizon=400)
+    serial = simulate_multi(cfg)
+    real_fork = os.fork
+
+    def fork():
+        if len(forks) > working_forks:
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real_fork()
+
+    forks, _ = fake_cpus(monkeypatch, 3, fork)
+    assert simulate_multi(cfg) == serial
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+def _runner_failing_in(monkeypatch, where, fail):
+    """Make every trial call ``fail()`` in the processes ``where`` picks:
+    the caller ("parent") or a forked child ("child")."""
+    parent = os.getpid()
+    real = simulator._trial_runner
+
+    def runner(*args):
+        run = real(*args)
+
+        def trial(*phases):
+            if (os.getpid() == parent) == (where == "parent"):
+                fail()
+            return run(*phases)
+
+        return trial
+
+    monkeypatch.setattr(simulator, "_trial_runner", runner)
+
+
+def _split_configs():
+    e, f = optimal_pair()
+    return [
+        SimConfig((e, f), trials=SPLIT_TRIALS, seed=4, horizon=400),
+        SimConfig((gen_disco(3, 5, 4, 1),) * 2, offset_sampling=OffsetSampling.EXHAUSTIVE_TICKS),
+    ]
+
+
+@pytest.mark.parametrize("cfg", _split_configs(), ids=["uniform_random", "exhaustive_ticks"])
+def test_child_exception_is_raised_by_the_caller(monkeypatch, cfg):
+    def fail():
+        raise RuntimeError("trial failed in a child")
+
+    _runner_failing_in(monkeypatch, "child", fail)
+    forks, _ = fake_cpus(monkeypatch, 3)
+    with pytest.raises(RuntimeError, match="trial failed in a child"):
+        simulate_multi(cfg)
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cfg", _split_configs(), ids=["uniform_random", "exhaustive_ticks"])
+def test_child_that_sends_nothing_has_its_range_played_by_the_caller(monkeypatch, cfg):
+    serial = simulate_multi(cfg)
+    _runner_failing_in(monkeypatch, "child", lambda: os._exit(3))
+    forks, _ = fake_cpus(monkeypatch, 3)
+    assert simulate_multi(cfg) == serial
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+def test_caller_exception_stops_and_reaps_the_children(monkeypatch):
+    def fail():
+        raise RuntimeError("trial failed in the caller")
+
+    _runner_failing_in(monkeypatch, "parent", fail)
+    forks, pins = fake_cpus(monkeypatch, 3)
+    with pytest.raises(RuntimeError, match="trial failed in the caller"):
+        simulate_multi(_split_configs()[0])
+    assert len(forks) == 2
+    assert pins[-1] == {0, 1, 2}
+    assert_no_child_left()
+
+
+def test_another_live_thread_keeps_every_trial_in_the_caller(monkeypatch):
+    cfg = _split_configs()[0]
+    serial = simulate_multi(cfg)
+    forks, _ = fake_cpus(monkeypatch, 3)
+    stop = threading.Event()
+    waiter = threading.Thread(target=stop.wait)
+    waiter.start()
+    try:
+        assert simulate_multi(cfg) == serial
+    finally:
+        stop.set()
+        waiter.join()
+    assert forks == []
 
 
 def test_single_sender_never_collides():
