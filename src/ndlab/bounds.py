@@ -66,22 +66,23 @@ def _ratio(x) -> tuple[int, int]:
     return x.numerator, x.denominator
 
 
+def _positive(omega, alpha=1) -> None:
+    """Refuse a beacon length or a power ratio that is not positive; either
+    may be a numerator, since every denominator is positive."""
+    if omega <= 0:
+        raise DomainError("omega must be positive")
+    if alpha <= 0:
+        raise DomainError("alpha must be positive")
+
+
 def _rates(eta, omega, alpha) -> tuple[int, int, int, int, int, int]:
-    """Numerators and denominators of eta, omega and alpha, for a positive
-    eta."""
+    """Numerators and denominators of eta, omega and alpha, for positive
+    values."""
     (n, d), (wn, wd), (p, q) = _ratio(eta), _ratio(omega), _ratio(alpha)
     if n <= 0:
         raise DomainError("eta must be positive")
+    _positive(wn, p)
     return n, d, wn, wd, p, q
-
-
-def _ceil_wins(cross_c: int, cross_f: int, scale: int) -> bool:
-    """Whether the ceil candidate scale * k_c^2 / den_c is at most the floor
-    candidate scale * k_f^2 / den_f, read from the cross products
-    cross_c = k_c^2 * den_f and cross_f = k_f^2 * den_c of the positive
-    denominators.  Only the sign of ``scale`` matters; at zero both
-    candidates are zero and ceil wins the tie."""
-    return scale * (cross_f - cross_c) >= 0
 
 
 def bound_unidirectional(gamma, beta, omega) -> Fraction:
@@ -92,6 +93,7 @@ def bound_unidirectional(gamma, beta, omega) -> Fraction:
         raise DomainError("gamma must lie in (0, 1]")
     if bn <= 0:
         raise DomainError("beta must be positive")
+    _positive(wn)
     return Fraction(*_unidirectional(gn, gd, bn, bd, wn, wd))
 
 
@@ -125,7 +127,9 @@ def _symmetric(n, d, wn, wd, p, q) -> tuple[int, int, int, str] | None:
         return None
     k_ceil = -(-2 * d // n)
     den_c, den_f = n * k_ceil - d, n * k_floor - d
-    if _ceil_wins(k_ceil * k_ceil * den_f, k_floor * k_floor * den_c, wn * p):
+    # the ceil candidate k_c^2 / den_c is at most the floor one k_f^2 / den_f
+    # (the common factor omega * alpha is positive; ties go to ceil)
+    if k_ceil * k_ceil * den_f <= k_floor * k_floor * den_c:
         k, den, branch = k_ceil, den_c, "ceil"
     else:
         k, den, branch = k_floor, den_f, "floor"
@@ -150,6 +154,7 @@ def bound_channel_constrained(eta, beta_m, omega, alpha) -> ChannelConstrainedBo
     remaining budget goes to listening and the cap fixes the beacon rate.
     """
     eta, beta_m, omega, alpha = rat(eta), rat(beta_m), rat(omega), rat(alpha)
+    _positive(omega, alpha)
     if beta_m <= 0:
         raise DomainError("beta_m must be positive")
     if eta <= alpha * beta_m:
@@ -168,6 +173,7 @@ def bound_asymmetric(eta_e, eta_f, omega, alpha) -> AsymmetricBound:
     eta_e, eta_f, omega, alpha = rat(eta_e), rat(eta_f), rat(omega), rat(alpha)
     if eta_e <= 0 or eta_f <= 0:
         raise DomainError("duty cycles must be positive")
+    _positive(omega, alpha)
     tight = (2 / eta_e).denominator == 1 and (2 / eta_f).denominator == 1
     latency = 4 * alpha * omega / (eta_e * eta_f)
     return AsymmetricBound(
@@ -229,6 +235,7 @@ def bound_relaxed(gamma, beta, omega, radio: RadioModel, count_first_beacon: boo
         raise DomainError("relaxed bound assumes gamma = 1/k")
     if bn <= 0:
         raise DomainError("beta must be positive")
+    _positive(wn)
     return Fraction(*_relaxed(gd, bn, bd, wn, wd, radio, count_first_beacon))
 
 
@@ -322,6 +329,7 @@ def bound_slotted_channel(eta, beta, omega, alpha) -> Fraction:
     """Latency limit of slotted designs expressed through the channel
     utilization their slot length implies (large slots)."""
     eta, beta, omega, alpha = rat(eta), rat(beta), rat(omega), rat(alpha)
+    _positive(omega, alpha)
     base = eta * beta - alpha * beta * beta
     if base <= 0:
         raise DomainError("eta*beta - alpha*beta^2 must be positive")
@@ -334,6 +342,7 @@ def pi0m_latency(m, omega, eta, alpha) -> Fraction:
     per scan interval, minus an instant).  m may be rational; the real
     minimizer m+1 = 2/eta recovers the symmetric optimum."""
     m, omega, eta, alpha = rat(m), rat(omega), rat(eta), rat(alpha)
+    _positive(omega, alpha)
     u = m + 1
     den = eta * u - 1
     if m < 1 or den <= 0:
@@ -378,6 +387,7 @@ def sweep_rows(lo, hi, step, omega, alpha):
     the mutual-exclusive one."""
     lo, hi, step = rat(lo), rat(hi), rat(step)
     (wn, wd), (p, q) = _ratio(omega), _ratio(alpha)
+    _positive(wn, p)
     den = math.lcm(lo.denominator, step.denominator)
     for n in range(int(lo * den), math.floor(hi * den) + 1, int(step * den)):
         sym = _symmetric(n, den, wn, wd, p, q)
@@ -410,6 +420,7 @@ def deviation_rows(betas, ks, omega, radio: RadioModel):
     return the same denominator, so the deviation (real - ideal) / ideal
     divides their numerators alone."""
     wn, wd = _ratio(omega)
+    _positive(wn)
     for beta in betas:
         bn, bd = _ratio(beta)
         for k in ks:

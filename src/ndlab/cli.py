@@ -129,8 +129,12 @@ def _parse_sweep(text: str):
 
 
 def cmd_bounds(args) -> int:
+    if args.deviation == (args.sweep is not None):
+        return _fail(2, "usage", "exactly one of --sweep or --deviation is required")
     tick = TimeBase(args.tick_ns)
     omega = tick.ticks_from_us(args.omega_us)
+    # refuses a non-positive omega or alpha before --out opens
+    radio = _radio(args, tick, omega, semantics=Semantics.CONTAINED)
     if args.deviation:
         if not (
             1 <= args.k_lo <= args.k_hi
@@ -141,7 +145,6 @@ def cmd_bounds(args) -> int:
                 "deviation grid needs 1 <= k_lo <= k_hi, 0 < beta_lo <= beta_hi <= 1"
                 " and beta_steps >= 2"
             )
-        radio = _radio(args, tick, omega, semantics=Semantics.CONTAINED)
         header = bounds.DEVIATION_HEADER
         rows = bounds.deviation_rows(
             _grid(args.beta_lo, args.beta_hi, args.beta_steps),
@@ -149,11 +152,9 @@ def cmd_bounds(args) -> int:
             omega,
             radio,
         )
-    elif args.sweep is None:
-        return _fail(2, "usage", "either --sweep or --deviation is required")
     else:
         header = bounds.SWEEP_HEADER
-        rows = bounds.sweep_rows(*args.sweep, omega, args.alpha)
+        rows = bounds.sweep_rows(*args.sweep, omega, radio.alpha)
     with _output(args.out) as out:
         w = csv.writer(out)
         w.writerow(header)
@@ -284,8 +285,6 @@ def cmd_simulate(args) -> int:
         offset_sampling=OffsetSampling(doc.get("offset_sampling", "uniform_random")),
         latency_budget=_config_int(doc, "latency_budget"),
     )
-    # the summary's collision model can refuse the config (a one-beacon
-    # finite joiner has no rate), so it is worked out before any trial runs;
     # with no sender at all no beacon can collide
     senders = sum(1 for d in devices if d.beacons.count > 0)
     beta = transmission_duty_cycle(devices[0].beacons)

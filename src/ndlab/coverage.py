@@ -1,9 +1,10 @@
 """Coverage maps, determinism analysis and the brute-force latency oracle.
 
-A coverage map holds, for each beacon of a sequence, the initial offsets
-of the transmitter's first beacon within the receiver's period at which
-that beacon lands inside a reception window.  Reception windows always
-repeat every period, so each beacon's offsets wrap around it.  ``analyze``
+A coverage map holds, for each beacon of one period of a beacon list, the
+initial offsets of the transmitter's first beacon within the receiver's
+period at which that beacon lands inside a reception window.  Beacon lists
+and reception windows always repeat with their periods, so each beacon's
+offsets wrap around the reception period.  ``analyze``
 reads determinism, redundancy, total coverage and the fewest beacons that
 could cover a period from it.
 
@@ -90,7 +91,8 @@ def build_coverage_map(
     receptions: ReceptionSchedule,
     radio: RadioModel,
 ) -> CoverageMap:
-    """Covered offsets for each beacon of a finite sequence.
+    """Covered offsets for each beacon of ``beacon_times``, one period of
+    emissions.
 
     Beacon 0 covers the window spans themselves; every later beacon covers
     the same spans shifted left by its distance to beacon 0, wrapped around
@@ -149,8 +151,6 @@ def _oracle_setup(e: ProtocolSpec, f: ProtocolSpec, max_hyperperiod: int):
     b = e.beacons
     if b.count == 0:
         return None  # a silent device is never discovered
-    if not b.repetitive:
-        raise ValueError("the oracle needs a repetitive beacon schedule")
     t_c = f.receptions.period
     hyper = lcm(b.period, t_c)
     eff = effective_window_spans(f.receptions, f.radio.semantics, b.beacon_duration)

@@ -126,11 +126,10 @@ class ReceptionSchedule:
 
 @dataclass(frozen=True)
 class BeaconSchedule:
-    """Beacon emission times with a uniform transmission duration.
-
-    ``period`` present means the sequence repeats forever; ``None`` means the
-    listed emissions are all there is.  An empty emission list models a
-    silent (receive-only) device.
+    """Beacon emission times with a uniform transmission duration, repeated
+    every ``period`` ticks, forever.  An empty emission list models a silent
+    (receive-only) device and may leave ``period`` None; a non-empty one
+    needs a period, since only a repeating beacon list is modelled.
     """
 
     emission_times: tuple[int, ...]
@@ -147,30 +146,29 @@ class BeaconSchedule:
         for a, b in zip(t, t[1:]):
             if b - a < self.beacon_duration:
                 raise ValueError("beacon gap smaller than the beacon itself")
-        if self.period is not None:
-            if t:
-                if t[-1] - t[0] >= self.period:
-                    raise ValueError("one period cannot hold the whole emission list")
-                if (t[0] + self.period) - t[-1] < self.beacon_duration:
-                    raise ValueError("wraparound gap smaller than the beacon itself")
+        if not t:
+            return
+        if self.period is None:
+            raise ValueError(
+                "a non-empty beacon list needs a period: only a repeating beacon list is modelled"
+            )
+        if t[-1] - t[0] >= self.period:
+            raise ValueError("one period cannot hold the whole emission list")
+        if (t[0] + self.period) - t[-1] < self.beacon_duration:
+            raise ValueError("wraparound gap smaller than the beacon itself")
 
     @property
     def count(self) -> int:
         return len(self.emission_times)
 
-    @property
-    def repetitive(self) -> bool:
-        return self.period is not None
-
     def gaps(self) -> tuple[int, ...]:
-        """Consecutive gaps; for repetitive schedules the last entry wraps
-        around to the first beacon of the next period (so they sum to the
-        period)."""
+        """Consecutive gaps; the last entry wraps around to the first beacon
+        of the next period, so they sum to the period.  Empty for a silent
+        device."""
         t = self.emission_times
-        out = [b - a for a, b in zip(t, t[1:])]
-        if self.repetitive and t:
-            out.append(t[0] + self.period - t[-1])
-        return tuple(out)
+        if not t:
+            return ()
+        return tuple(b - a for a, b in zip(t, t[1:] + (t[0] + self.period,)))
 
 
 @dataclass(frozen=True)
@@ -213,7 +211,7 @@ class ProtocolSpec:
     def device_period(self) -> int:
         """Smallest period after which the whole device behaviour repeats."""
         p = self.receptions.period
-        if self.beacons.repetitive and self.beacons.count:
+        if self.beacons.count:
             p = lcm(p, self.beacons.period)
         return p
 
@@ -226,12 +224,7 @@ def transmission_duty_cycle(b: BeaconSchedule) -> Fraction:
     """Fraction of time spent transmitting (also the channel utilization)."""
     if b.count == 0:
         return Fraction(0)
-    if b.repetitive:
-        return Fraction(b.count * b.beacon_duration, b.period)
-    if b.count < 2:
-        raise ValueError("a finite sequence needs >= 2 beacons to define a rate")
-    span = b.emission_times[-1] - b.emission_times[0]
-    return Fraction((b.count - 1) * b.beacon_duration, span)
+    return Fraction(b.count * b.beacon_duration, b.period)
 
 
 def reception_duty_cycle(c: ReceptionSchedule) -> Fraction:
@@ -307,8 +300,10 @@ def strict_object(value, name: str, keys) -> dict:
 def protocol_from_json(doc: dict) -> ProtocolSpec:
     """Inverse of protocol_to_json.  Every field must already have its JSON
     type (see strict_json) and every object only the keys protocol_to_json
-    writes (see strict_object); nothing is coerced or ignored.  The one
-    exception is ``receptions.repetitive``, which older files carry:
+    writes (see strict_object); nothing is coerced or ignored.
+    ``beacons.period`` may be null only for an empty beacon list: a beacon
+    list that does not repeat is refused, as BeaconSchedule refuses it.  The
+    one exception is ``receptions.repetitive``, which older files carry:
     ``true`` is accepted and changes nothing, while ``false``, a window list
     that does not repeat, is refused."""
     strict_object(doc, "protocol", ("tick_ns", "beacons", "receptions", "radio"))

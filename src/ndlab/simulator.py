@@ -5,8 +5,8 @@ agreement between the two is a meaningful check.  One overlap rule decides
 both collision and self-deafness: transmissions of different devices that
 overlap in time destroy each other for every receiver, and a device that
 transmits while scanning cannot hear while its own turnaround-padded beacon
-overlaps the remote one.  A device with a finite beacon list is deaf only
-during those padded beacons and hears again after its last one.
+overlaps the remote one.  Every beacon list repeats with its period; a
+device with no beacons is silent.
 """
 
 from __future__ import annotations
@@ -102,24 +102,20 @@ class _CompiledDevice:
         self.spec = spec
         self.omega = b.beacon_duration
         self.taus = b.emission_times
-        self.t_b = b.period if b.repetitive else None
+        self.t_b = b.period
         self.t_c = spec.receptions.period
 
     def overlapping(self, width: int, before: int = 0, after: int = 0) -> list[int]:
-        """Edge list of the device times x at which [x, x + width) overlaps
-        a beacon widened by ``before`` ticks ahead and ``after`` behind: in
-        [0, t_b) for a repetitive schedule, absolute for a finite one."""
+        """Edge list of the device times x in [0, t_b) at which [x, x +
+        width) overlaps a beacon widened by ``before`` ticks ahead and
+        ``after`` behind; empty for a silent device."""
         spans = [(tau - before - width + 1, tau + self.omega + after) for tau in self.taus]
-        t_b = self.t_b
-        return iv.edges(iv.normalize(spans) if t_b is None else iv.shift_mod(spans, 0, t_b))
+        return iv.edges(iv.shift_mod(spans, 0, self.t_b))
 
     def jammer(self, width: int):
         """overlaps(phase, t): whether any of this device's beacons overlaps
-        the global interval [t, t + width); a repetitive schedule runs
-        forever, a finite one is silent after its last beacon."""
+        the global interval [t, t + width)."""
         busy, t_b = self.overlapping(width), self.t_b
-        if t_b is None:
-            return lambda phase, t: bisect_right(busy, phase + t) & 1
         return lambda phase, t: bisect_right(busy, (phase + t) % t_b) & 1
 
     def listener(self, tx_omega: int, self_blocking: bool):
@@ -127,8 +123,7 @@ class _CompiledDevice:
         tx_omega ticks starting at global t is received.  With self_blocking
         the jammer's overlap rule gives the device times deaf at which an
         own beacon, padded by the turnarounds, overlaps that beacon's start
-        (IDEAL) or all of it (CONTAINED); a finite beacon list deafens only
-        there, so the device hears again after its last beacon."""
+        (IDEAL) or all of it (CONTAINED)."""
         spec, r = self.spec, self.spec.radio
         eff = iv.edges(effective_window_spans(spec.receptions, r.semantics, tx_omega))
         width = tx_omega if r.semantics is Semantics.CONTAINED else 1
@@ -136,10 +131,6 @@ class _CompiledDevice:
         t_c, t_b = self.t_c, self.t_b
         if not deaf:
             hears = lambda phase, t: bisect_right(eff, (phase + t) % t_c) & 1
-        elif t_b is None:
-            hears = lambda phase, t: (
-                bisect_right(eff, (phase + t) % t_c) & 1 and not bisect_right(deaf, phase + t) & 1
-            )
         else:
             hears = lambda phase, t: (
                 bisect_right(eff, (phase + t) % t_c) & 1
@@ -162,45 +153,37 @@ def _trial_runner(
 ):
     """run(phase_joiner, phase_receiver, interferer_phases=()) plays one
     trial and returns (latency, first beacon collided, covering beacon
-    collided, failed).  Every interferer must send.
+    collided, failed).  Every interferer must send; a silent joiner fails
+    every trial.
 
     A trial builds the joiner's emission offsets with one bisect_right
     rotation of its taus, reduced modulo t_b and sorted once per call, at
     p, the phase modulo t_b: the taus above p, then those at or below it
     one period later, less p, are the emissions in (0, t_b], and the scan
-    steps through them by t_b.  A finite joiner keeps the taus above its
-    phase and has no later period.  With no interferers no collision test
-    runs.
+    steps through them by t_b.  With no interferers no collision test runs.
 
     The joiner's emissions, hears (the receiver's t_c, and its t_b when its
-    own repeating beacons deafen it) and each repetitive interferer's
-    overlaps repeat with their periods, so every test at t + cycle, their
-    lcm, repeats the one at t.  A finite interferer is silent once its last
-    beacon ends, and a receiver deafened by a finite beacon list hears again
-    at the last edge of its deaf list, so a repetitive joiner's scan stops
-    one cycle past the latest of its first emission and those ends: a first
-    success comes within it.  A finite joiner has no cycle and is scanned to
-    its last beacon.  A horizon only cuts the scan shorter.
+    own beacons deafen it) and each interferer's overlaps repeat with their
+    periods, so every test at t + cycle, their lcm, repeats the one at t.
+    So the scan stops one cycle past the joiner's first emission: a first
+    success comes within it.  A horizon only cuts the scan shorter.
     """
     hears, deaf = receiver.listener(joiner.omega, self_blocking)
     jams = [d.jammer(joiner.omega) for d in interferers]
     jammed = bool(jams)
-    periods = [receiver.t_c] + [d.t_b for d in interferers if d.t_b is not None]
-    if deaf and receiver.t_b is not None:
-        periods.append(receiver.t_b)
-    # the device time at which a finite receiver's own beacons stop deafening it
-    deaf_end = deaf[-1] if deaf and receiver.t_b is None else None
+    if not joiner.taus:
+        return lambda *phases: (None, False, None, True)
     t_b = joiner.t_b
-    # a repetitive schedule may start at or past its period: reduce its taus
-    # (distinct, as they span less than a period) into [0, t_b)
-    taus = joiner.taus if t_b is None else tuple(sorted(tau % t_b for tau in joiner.taus))
+    periods = [t_b, receiver.t_c] + [d.t_b for d in interferers]
+    if deaf:
+        periods.append(receiver.t_b)
+    # a schedule may start at or past its period: reduce its taus (distinct,
+    # as they span less than a period) into [0, t_b)
+    taus = tuple(sorted(tau % t_b for tau in joiner.taus))
     m = len(taus)
     # the taus, then the taus one period later: rotating at k takes ring[k:k + m]
-    ring = taus if t_b is None else taus + tuple(tau + t_b for tau in taus)
-    n = len(ring)
-    reach = inf if t_b is None else lcm(t_b, *periods) - 1
-    # (index, end of the last beacon at phase 0) of each finite interferer
-    quiet = [(k, d.taus[-1] + d.omega) for k, d in enumerate(interferers) if d.t_b is None]
+    ring = taus + tuple(tau + t_b for tau in taus)
+    reach = lcm(*periods) - 1
     end = inf if horizon is None else horizon
 
     def collided(phases: Sequence[int], t: int) -> bool:
@@ -210,25 +193,19 @@ def _trial_runner(
         return False
 
     def run(phase_joiner: int, phase_receiver: int, interferer_phases: Sequence[int] = ()):
-        p = phase_joiner if t_b is None else phase_joiner % t_b
+        p = phase_joiner % t_b
         k = bisect_right(taus, p)
-        if k == n:
-            return None, False, None, True
         first = ring[k] - p
         if first > end:
             return None, False, None, True
         first_collided = jammed and collided(interferer_phases, first)
-        last = first if deaf_end is None else max(first, deaf_end - phase_receiver)
-        for j, quiet_at in quiet:
-            if quiet_at - interferer_phases[j] > last:
-                last = quiet_at - interferer_phases[j]
-        last += reach
+        last = first + reach
         if last > end:
             last = end
 
         covering_collided = None
         emitted = ring[k : k + m]
-        for base in (-p,) if t_b is None else range(-p, last - p, t_b):
+        for base in range(-p, last - p, t_b):
             for t in emitted:
                 t += base
                 if t > last:
@@ -261,7 +238,7 @@ def simulate_pair(
     Returns (latency of f hearing e, latency of e hearing f); None when a
     direction never succeeds.  Each direction is one scan of _trial_runner
     with no interferers, so it stops one joint cycle past its first
-    emission or, if later, past the end of a finite receiver's deafness.
+    emission.
     """
     dev_e, dev_f = _CompiledDevice(e), _CompiledDevice(f)
     ef = _trial_runner(dev_e, dev_f, (), self_blocking=self_blocking)
@@ -279,9 +256,11 @@ def exhaustive_pair_worst_case(
     Without self-blocking that direction only depends on the transmitter
     phase modulo its beacon period and the receiver phase modulo its
     reception period, so those grids are swept.  None when some phase pair
-    never discovers.
+    never discovers, as for a silent transmitter.
     """
-    p_e = e.beacons.period if (e.beacons.repetitive and not self_blocking) else e.device_period
+    if not e.beacons.count:
+        return None
+    p_e = e.beacons.period if not self_blocking else e.device_period
     p_f = f.receptions.period if not self_blocking else f.device_period
     run = _trial_runner(_CompiledDevice(e), _CompiledDevice(f), (), self_blocking=self_blocking)
     worst = 0
@@ -464,10 +443,9 @@ def simulate_multi(cfg: SimConfig) -> SimOutcome:
     a forked child plays each range after the first (see _play_split).
 
     Every device after the joiner that sends interferes, the receiver
-    included.  A trial stops one joint cycle past its first emission, or
-    past the end of a finite interferer's last beacon or of a finite
-    receiver's deafness if that is later; a finite joiner is scanned to its
-    last beacon (see _trial_runner).  The horizon only cuts it shorter.
+    included.  A trial stops one joint cycle past its first emission (see
+    _trial_runner), and the horizon only cuts it shorter; a silent joiner
+    fails every trial.
     """
     if cfg.offset_sampling is OffsetSampling.EXHAUSTIVE_TICKS:
         if len(cfg.devices) != 2:
@@ -521,8 +499,6 @@ def measured_blocked_fraction(p: ProtocolSpec) -> Fraction:
     transmissions make deaf, over one full period of its joint schedule."""
     if p.beacons.count == 0:
         return Fraction(0)
-    if not p.beacons.repetitive:
-        raise ValueError("measurement needs a repetitive beacon schedule")
     period = p.device_period
     t_b, t_c = p.beacons.period, p.receptions.period
     windows = [(a + k, b + k) for k in range(0, period, t_c) for a, b in p.receptions.spans()]

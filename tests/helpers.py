@@ -110,11 +110,9 @@ def absolute_first_hit(beacon_times, rec: ReceptionSchedule, phi1: int, copies: 
 
 
 def _beacon_starts(beacons: BeaconSchedule, lo: int, hi: int) -> list[int]:
-    """Sorted device-time beacon starts in [lo, hi); a repetitive schedule
-    is unrolled one period at a time, backwards and forwards from 0."""
+    """Sorted device-time beacon starts in [lo, hi), the schedule unrolled
+    one period at a time, backwards and forwards from 0."""
     taus = beacons.emission_times
-    if not beacons.repetitive:
-        return [s for s in taus if lo <= s < hi]
     base = 0
     while taus and base + taus[-1] >= lo:
         base -= beacons.period
@@ -294,6 +292,7 @@ MALFORMED_PROTOCOL_EDITS = (
     ("receptions.windows", [{"start": 0, "d": 100, "bogus": 1}]),
     ("radio.d_oTX", 0),
     ("receptions.repetitive", False),
+    ("beacons.period", None),
 )
 
 
@@ -319,12 +318,20 @@ def one_shot(p: ProtocolSpec) -> dict:
 # which the library's integer-ratio evaluations must agree exactly
 # ---------------------------------------------------------------------------
 
+def _ref_positive(omega, alpha=1) -> None:
+    if omega <= 0:
+        raise DomainError("omega must be positive")
+    if alpha <= 0:
+        raise DomainError("alpha must be positive")
+
+
 def ref_bound_unidirectional(gamma, beta, omega) -> Fraction:
     gamma, beta, omega = rat(gamma), rat(beta), rat(omega)
     if not 0 < gamma <= 1:
         raise DomainError("gamma must lie in (0, 1]")
     if beta <= 0:
         raise DomainError("beta must be positive")
+    _ref_positive(omega)
     return Fraction(math.ceil(1 / gamma)) * omega / beta
 
 
@@ -339,6 +346,7 @@ def ref_bound_symmetric(eta, omega, alpha) -> SymmetricBound:
     eta, omega, alpha = rat(eta), rat(omega), rat(alpha)
     if eta <= 0:
         raise DomainError("eta must be positive")
+    _ref_positive(omega, alpha)
     two = 2 / eta
     k_floor = math.floor(two)
     if k_floor < 1:
@@ -355,6 +363,7 @@ def ref_bound_symmetric_approx(eta, omega, alpha) -> Fraction:
     eta, omega, alpha = rat(eta), rat(omega), rat(alpha)
     if eta <= 0:
         raise DomainError("eta must be positive")
+    _ref_positive(omega, alpha)
     return 4 * alpha * omega / (eta * eta)
 
 
@@ -362,6 +371,7 @@ def ref_bound_mutual_exclusive(eta, omega, alpha) -> MutualExclusiveBound:
     eta, omega, alpha = rat(eta), rat(omega), rat(alpha)
     if eta <= 0:
         raise DomainError("eta must be positive")
+    _ref_positive(omega, alpha)
     inv = 1 / eta
     k_floor = math.floor(inv)
     if k_floor < 1:
@@ -386,6 +396,7 @@ def ref_bound_relaxed(gamma, beta, omega, radio: RadioModel, count_first_beacon=
         raise DomainError("relaxed bound assumes gamma = 1/k")
     if beta <= 0:
         raise DomainError("beta must be positive")
+    _ref_positive(omega)
     contained = radio.semantics is Semantics.CONTAINED
     numerator = radio.d_oTx + omega + beta * (radio.d_oRx + (omega if contained else 0))
     latency = numerator / (beta * gamma)
@@ -398,6 +409,7 @@ def ref_bound_slotted_full_duplex(eta, omega, alpha) -> Fraction:
     eta, omega, alpha = rat(eta), rat(omega), rat(alpha)
     if eta <= 0:
         raise DomainError("eta must be positive")
+    _ref_positive(omega, alpha)
     return omega * (1 + 2 * alpha + alpha * alpha) / (eta * eta)
 
 
@@ -405,4 +417,5 @@ def ref_bound_slotted_two_beacon(eta, omega, alpha) -> Fraction:
     eta, omega, alpha = rat(eta), rat(omega), rat(alpha)
     if eta <= 0:
         raise DomainError("eta must be positive")
+    _ref_positive(omega, alpha)
     return omega * (Fraction(1, 2) + 2 * alpha + 2 * alpha * alpha) / (eta * eta)

@@ -375,6 +375,40 @@ def test_closed_forms_refuse_floats(position):
         bd.bound_relaxed(*args, radio)
 
 
+#: Every public bound at in-domain rates, as a function of (omega, alpha);
+#: the unidirectional and relaxed bounds take no alpha.
+_BOUNDS_OF_OMEGA_ALPHA = {
+    "unidirectional": lambda w, a: bd.bound_unidirectional(F(1, 4), F(1, 100), w),
+    "relaxed": lambda w, a: bd.bound_relaxed(F(1, 4), F(1, 100), w, RadioModel(omega=1)),
+    "symmetric": lambda w, a: bd.bound_symmetric(F(1, 2), w, a),
+    "symmetric_approx": lambda w, a: bd.bound_symmetric_approx(F(1, 2), w, a),
+    "channel_constrained": lambda w, a: bd.bound_channel_constrained(F(1, 2), F(1, 100), w, a),
+    "asymmetric": lambda w, a: bd.bound_asymmetric(F(1, 2), F(1, 3), w, a),
+    "mutual_exclusive": lambda w, a: bd.bound_mutual_exclusive(F(1, 2), w, a),
+    "slotted_full_duplex": lambda w, a: bd.bound_slotted_full_duplex(F(1, 2), w, a),
+    "slotted_two_beacon": lambda w, a: bd.bound_slotted_two_beacon(F(1, 2), w, a),
+    "slotted_channel": lambda w, a: bd.bound_slotted_channel(F(1, 2), F(1, 100), w, a),
+    "pi0m": lambda w, a: bd.pi0m_latency(3, w, F(1, 2), a),
+}
+
+
+@pytest.mark.parametrize(
+    "name, omega, alpha",
+    [
+        pytest.param(name, omega, alpha, id=f"{name}-omega={omega}-alpha={alpha}")
+        for name in _BOUNDS_OF_OMEGA_ALPHA
+        for omega, alpha in ((0, 1), (-3, 1), (F(-1, 2), 1), (32, 0), (32, -1), (32, F(-3, 2)))
+        if omega <= 0 or name not in ("unidirectional", "relaxed")
+    ],
+)
+def test_bounds_refuse_non_positive_omega_and_alpha(name, omega, alpha):
+    bound = _BOUNDS_OF_OMEGA_ALPHA[name]
+    bound(32, F(3, 2))  # in the domain
+    bad = "omega" if omega <= 0 else "alpha"
+    with pytest.raises(DomainError, match=f"{bad} must be positive"):
+        bound(omega, alpha)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [

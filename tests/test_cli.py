@@ -196,11 +196,35 @@ def test_bounds_deviation_refuses_broken_grid(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, detail",
+    [
+        (["--alpha=-1"], "alpha must be positive"),
+        (["--alpha", "0"], "alpha must be positive"),
+        (["--omega-us", "0"], "omega must be >= 1 tick"),
+        (["--omega-us", "-3"], "omega must be >= 1 tick"),
+    ],
+)
+def test_bounds_sweep_refuses_non_positive_omega_and_alpha(tmp_path, capsys, flags, detail):
+    out = tmp_path / "sweep.csv"
+    argv = ["bounds", "--sweep", "eta=0.5:1:0.5", "--omega-us", "10", "--out", str(out)]
+    assert run(argv + flags) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert [json.loads(line) for line in lines] == [{"error": "ValueError", "detail": detail}]
+    assert not out.exists()
+
+
 def test_bounds_requires_sweep_or_deviation(tmp_path, capsys):
     out = tmp_path / "bounds.csv"
     rc = run(["bounds", "--omega-us", "32", "--out", str(out)])
     assert rc == 2
     assert "usage" in capsys.readouterr().err
+    assert not out.exists()
+    # both at once are refused the same way, not resolved in favour of one
+    both = ["bounds", "--sweep", "eta=1/2:1:1/2", "--deviation", "--omega-us", "32"]
+    assert run(both + ["--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert [json.loads(line)["error"] for line in lines] == ["usage"]
     assert not out.exists()
     for sweep, why in [
         ("eta=1/2:1", "sweep must look like"),
@@ -220,19 +244,21 @@ def test_bounds_requires_sweep_or_deviation(tmp_path, capsys):
 
 # sha256 of CSVs recorded while every cell was still float() of a public
 # Fraction bound: the sweeps cross eta = 1 and eta = 2 (blank cells) with a
-# fractional alpha, a negative alpha and omega 0
+# fractional alpha, an alpha below 1 and a 1 us beacon on 250 ns ticks (the
+# second and third were re-recorded, by the code from before non-positive
+# values were refused, when they replaced a negative alpha and omega 0)
 _PINNED_BOUNDS_CSVS = [
     (
         ["--sweep", "eta=0.05:2.5:0.05", "--alpha", "3/7", "--omega-us", "37"],
         "9e70b5cdec432d49f5de21ffc8dbdb1e6e9fe4f8bbc6906b295730bbbc143a7c",
     ),
     (
-        ["--sweep", "eta=1/3:7/3:1/6", "--alpha=-2", "--omega-us", "11"],
-        "19dbf16626d343a6c866d93bbe19531e93f0641b5e117acc504c67ac9b0a774d",
+        ["--sweep", "eta=1/3:7/3:1/6", "--alpha=2/9", "--omega-us", "11"],
+        "64d83b3438ada24e46136da19227bf0a39d98a7fdb1a58f7d87ef07eeb0cb107",
     ),
     (
-        ["--sweep", "eta=0.1:2.2:0.1", "--alpha", "2", "--omega-us", "0"],
-        "555120ff147ede184293d2fd5f03af239706ebb14ecb99649b129747feef24b4",
+        ["--sweep", "eta=0.1:2.2:0.1", "--alpha", "2", "--omega-us", "1", "--tick-ns", "250"],
+        "0c24d468868db10ec72e488b034889d63ffe59c69dcdbbb4b778e0ea5e17b9ed",
     ),
     (
         ["--deviation", "--omega-us", "32", "--doRx-us", "140", "--doTx-us", "140"],
@@ -281,8 +307,8 @@ def _sweeps(draw):
 @settings(max_examples=60, deadline=None)
 @given(
     _sweeps(),
-    st.fractions(-3, 3, max_denominator=12),
-    st.integers(0, 300),
+    st.fractions(F(1, 12), 3, max_denominator=12),
+    st.integers(1, 300),
     st.sampled_from((1000, 500, 250)),
 )
 def test_bounds_sweep_rows_equal_the_public_bounds(tmp_path_factory, sweep, alpha, omega_us, tick_ns):
@@ -492,8 +518,11 @@ def test_analyze_answers_pair_whose_lcm_exceeds_the_budget(tmp_path):
         # a negative budget is a usage error, refused before any sweep
         (protocol_to_json(gen_pi0m(3, 1000, 1)), protocol_to_json(gen_pi0m(3, 1000, 1)),
          ["--max-hyperperiod", "-5"], 2),
+        # the loader refuses a beacon list that does not repeat (usage error)
+        (with_field(protocol_to_json(beaconer([0, 5], 10)), "beacons.period", None),
+         protocol_to_json(listener([(0, 3)], 10)), [], 2),
     ],
-    ids=["one-shot-receiver", "over-budget", "negative-budget"],
+    ids=["one-shot-receiver", "over-budget", "negative-budget", "finite-beacons"],
 )
 def test_analyze_refusal_writes_no_coverage_csv(tmp_path, transmitter, receiver, flags, code):
     pe, pf = tmp_path / "e.json", tmp_path / "f.json"
@@ -656,8 +685,9 @@ def test_simulate_refuses_one_shot_reception_schedule(tmp_path, capsys):
 def test_simulate_refuses_one_beacon_finite_joiner_before_any_trial(
     tmp_path, capsys, monkeypatch
 ):
+    # the loader refuses a beacon list that does not repeat
     def no_trials(cfg):
-        raise AssertionError("trials ran for a config the summary refuses")
+        raise AssertionError("trials ran for a config the loader refuses")
 
     monkeypatch.setattr("ndlab.cli.simulate_multi", no_trials)
     path = sim_config(tmp_path)
@@ -667,9 +697,9 @@ def test_simulate_refuses_one_beacon_finite_joiner_before_any_trial(
     out_dir = tmp_path / "out"
     assert run(["simulate", str(path), "--out-dir", str(out_dir)]) == 2
     lines = capsys.readouterr().err.splitlines()
-    assert [json.loads(line) for line in lines] == [
-        {"error": "ValueError", "detail": "a finite sequence needs >= 2 beacons to define a rate"}
-    ]
+    [err] = [json.loads(line) for line in lines]
+    assert err["error"] == "ValueError"
+    assert err["detail"].startswith("a non-empty beacon list needs a period")
     assert not out_dir.exists()
 
 
@@ -704,11 +734,13 @@ def test_exhaustive_pair_simulation_matches_oracle(tmp_path):
     assert worst == worst_case_latency_oracle(e, f)
 
 
-def _finite_budget_devices():
-    """A finite joiner, whose trials past its last heard beacon leave blank
-    latency cells, a listener, and an interferer that sends every 33 ticks."""
+def _sparse_budget_devices():
+    """A joiner with a few irregular beacons every 495 ticks, a listener,
+    and an interferer that sends every 33 ticks, a divisor of 495: on a few
+    phases it jams every beacon the listener hears, and those trials leave
+    blank latency cells."""
     joiner = ProtocolSpec(
-        BeaconSchedule((3, 40, 95, 170, 260), 2, period=None),
+        BeaconSchedule((3, 40, 95, 170, 260), 2, period=495),
         ReceptionSchedule((ReceptionWindow(0, 10),), 50),
         RadioModel(omega=2),
     )
@@ -720,8 +752,9 @@ _SIMULATE_CONFIGS = {
     "c7_S2": lambda: {"devices": c7_devices(2), "trials": 200, "seed": 7, "horizon": 200_000},
     "c7_S10": lambda: {"devices": c7_devices(10), "trials": 200, "seed": 8, "horizon": 200_000},
     "disco_x3": lambda: {"devices": [gen_disco(3, 5, 100, 10)] * 3, "trials": 200, "seed": 9},
+    # the key is kept from when the joiner's beacon list did not repeat
     "finite_budget": lambda: {
-        "devices": _finite_budget_devices(), "trials": 200, "seed": 10, "latency_budget": 60,
+        "devices": _sparse_budget_devices(), "trials": 200, "seed": 10, "latency_budget": 60,
     },
     "exhaustive": lambda: {
         "devices": [gen_disco(3, 5, 4, 1)] * 2,
@@ -731,7 +764,9 @@ _SIMULATE_CONFIGS = {
 }
 
 #: sha256 of (trials.csv, summary.json), recorded before trials.csv rows
-#: were built from columns and each trial's emissions from one rotation.
+#: were built from columns and each trial's emissions from one rotation;
+#: finite_budget was re-recorded on its repeating joiner by the code from
+#: before every beacon list had to repeat.
 _SIMULATE_DIGESTS = {
     "c7_S2": (
         "dae543140950cbeb2f731e6cf7ec5dac98b5f220cd0a127233e56ed0fc19c309",
@@ -746,8 +781,8 @@ _SIMULATE_DIGESTS = {
         "cf8484f9cadb11057acfa1ff46b6208ccddeb73ed17c73ffe091ef66026ac4b6",
     ),
     "finite_budget": (
-        "23a7d8f2061bf228e43ab507b3db7adb99b668b74908353c1c1d1339d6003b2a",
-        "e4821061ea8d090597a88fc66bbaa90b2a9a41495cc67b6692a331c436c94ab6",
+        "47e64affa6f88994f04667fa0e2f1aa96eabb4fc2f678a04a7d8c1b2c426a645",
+        "5ed89fdeb89e5a85fdefacdfc9bf9573796cacea461f75624a5aa1e45a211875",
     ),
     "exhaustive": (
         "d51481742c95a43a524de84c80cf1602fa24a329efb5d2ef9ecd3b99ca55b58b",

@@ -24,6 +24,7 @@ from ndlab import (
     check_correlated_quadruple,
     pairwise_latency,
     protocol_from_json,
+    protocol_to_json,
     simulate_pair,
     worst_case_latency_oracle,
 )
@@ -47,6 +48,7 @@ from helpers import (
     random_beacons,
     random_protocol,
     random_reception,
+    with_field,
 )
 
 IDEAL = RadioModel(omega=1)
@@ -407,14 +409,15 @@ def test_oracle_requires_repetitive_receptions():
 
 
 def test_oracle_requires_repetitive_beacons():
-    e = ProtocolSpec(
-        BeaconSchedule((0, 5), 1, period=None),
-        rec([(0, 1)], 4),
-        IDEAL,
-    )
+    # a beacon list that does not repeat is refused where it is built or
+    # loaded, so the oracle never sees one
     f = listener([(0, 5)], 10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs a period"):
+        e = ProtocolSpec(BeaconSchedule((0, 5), 1, period=None), rec([(0, 1)], 4), IDEAL)
         worst_case_latency_oracle(e, f)
+    doc = with_field(protocol_to_json(beaconer([0, 5], 10)), "beacons.period", None)
+    with pytest.raises(ValueError, match="needs a period"):
+        worst_case_latency_oracle(protocol_from_json(doc), f)
 
 
 def test_pairwise_latency_counts_wait_to_first_landing_beacon():

@@ -1,6 +1,7 @@
 import json
 from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -31,7 +32,7 @@ from ndlab.protocols import (
     gen_searchlight_striped,
     gen_uconnect,
 )
-from helpers import MALFORMED_PROTOCOL_EDITS, beaconer, with_field
+from helpers import MALFORMED_PROTOCOL_EDITS, beaconer, c7_devices, with_field
 
 
 def test_transmission_duty_cycle_single_beacon():
@@ -110,10 +111,10 @@ def test_transmit_side_overhead_inflates_beta():
     assert beta == F(2 * (2 + 3), 100)
     assert gamma == F(10 + 5, 100)
     assert total_duty_cycle(p) == beta + gamma
-    # a finite sequence: three beacons span 80 ticks, two gaps of active time
-    finite = replace(p, beacons=BeaconSchedule((10, 50, 90), 2))
-    beta, gamma = effective_rates(finite)
-    assert beta == F(2 * (2 + 3), 80)
+    # three beacons every 120 ticks: three beacons of active time per period
+    three = replace(p, beacons=BeaconSchedule((10, 50, 90), 2, period=120))
+    beta, gamma = effective_rates(three)
+    assert beta == F(3 * (2 + 3), 120)
     assert gamma == F(10 + 5, 100)
 
 
@@ -155,15 +156,36 @@ def test_duty_cycle_same_over_concatenated_periods(k):
 
 
 def test_finite_beacon_sequence_rate():
-    b = BeaconSchedule((0, 10, 30), 2, period=None)
-    # two gap-covered beacons over the 30-tick span
-    assert transmission_duty_cycle(b) == F(4, 30)
-    with pytest.raises(ValueError):
-        transmission_duty_cycle(BeaconSchedule((5,), 2, period=None))
+    # a beacon list that does not repeat has no rate: it is refused outright
+    for times in ((0, 10, 30), (10, 50, 90), (5,)):
+        with pytest.raises(ValueError, match="needs a period"):
+            BeaconSchedule(times, 2, period=None)
+    with pytest.raises(ValueError, match="needs a period"):
+        BeaconSchedule((10, 50, 90), 2)
+    # repeating every 40 ticks, the same beacons send 6 ticks in 40
+    assert transmission_duty_cycle(BeaconSchedule((0, 10, 30), 2, period=40)) == F(6, 40)
 
 
 def test_silent_device_has_zero_beta():
     assert transmission_duty_cycle(BeaconSchedule((), 1, period=None)) == 0
+
+
+def test_silent_receiver_document_loads_and_round_trips():
+    # the criterion-7 receiver: no beacons, so no beacon period
+    doc = protocol_to_json(c7_devices(2)[1])
+    assert doc["beacons"] == {"times": [], "omega": 100, "period": None}
+    p = protocol_from_json(json.loads(json.dumps(doc)))
+    assert p == c7_devices(2)[1]
+    assert p.device_period == 20000
+    assert protocol_to_json(p) == doc
+
+
+def test_readme_protocol_example_loads_and_round_trips():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Protocol JSON format", 1)[1]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    doc = json.loads(example)
+    assert protocol_to_json(protocol_from_json(doc)) == doc
 
 
 def test_timebase_conversion():
