@@ -14,7 +14,7 @@ the symmetric one at twice the duty cycle, so it reuses ``_symmetric``.
 bounds`` CSVs.  They call the kernels and write each cell as the int/int
 division ``num / den``, which Python rounds correctly, so it equals
 ``float(Fraction(num, den))`` bit for bit; a cell outside the bound's
-domain is ``None``, which ``csv.writer`` writes blank.  The only
+domain is ``""``, a blank cell.  The only
 non-rational evaluations in the whole module are the exponential in the
 collision probability and the root-mean-square gap of
 ``pi0m_vs_symmetric``.
@@ -381,10 +381,10 @@ SWEEP_HEADER = ("eta", "symmetric", "symmetric_k", "symmetric_branch", "gamma_o"
 
 
 def sweep_rows(lo, hi, step, omega, alpha):
-    """Yield one ``SWEEP_HEADER`` row per eta = lo, lo + step, ... <= hi,
+    """Yield one ``SWEEP_HEADER`` tuple per eta = lo, lo + step, ... <= hi,
     for lo > 0 and step > 0.  Each cell is an int/int division of a
     kernel's (num, den); eta > 2 blanks the symmetric cells and eta > 1
-    the mutual-exclusive one."""
+    the mutual-exclusive one, as ``""``."""
     lo, hi, step = rat(lo), rat(hi), rat(step)
     (wn, wd), (p, q) = _ratio(omega), _ratio(alpha)
     _positive(wn, p)
@@ -392,7 +392,7 @@ def sweep_rows(lo, hi, step, omega, alpha):
     for n in range(int(lo * den), math.floor(hi * den) + 1, int(step * den)):
         sym = _symmetric(n, den, wn, wd, p, q)
         if sym is None:
-            sym_cells = (None, None, None, None)
+            sym_cells = ("", "", "", "")
         else:
             num, d, k, branch = sym
             sym_cells = (num / d, k, branch, 1 / k)
@@ -400,21 +400,21 @@ def sweep_rows(lo, hi, step, omega, alpha):
         fd_num, fd_den = _slotted_full_duplex(n, den, wn, wd, p, q)
         tb_num, tb_den = _slotted_two_beacon(n, den, wn, wd, p, q)
         me = _symmetric(2 * n, den, 2 * wn, wd, p, q)
-        yield [
+        yield (
             n / den,
             *sym_cells,
             approx_num / approx_den,
             fd_num / fd_den,
             tb_num / tb_den,
-            None if me is None else me[0] / me[1],
-        ]
+            "" if me is None else me[0] / me[1],
+        )
 
 
 DEVIATION_HEADER = ("beta", "gamma", "ideal_ticks", "relaxed_ticks", "deviation")
 
 
 def deviation_rows(betas, ks, omega, radio: RadioModel):
-    """Yield one ``DEVIATION_HEADER`` row per (beta, gamma = 1/k), for
+    """Yield one ``DEVIATION_HEADER`` tuple per (beta, gamma = 1/k), for
     betas in (0, 1] and integers k >= 1: the ideal bound, the fully
     relaxed one and the ``relaxed_deviation`` between them.  Both kernels
     return the same denominator, so the deviation (real - ideal) / ideal
@@ -426,4 +426,4 @@ def deviation_rows(betas, ks, omega, radio: RadioModel):
         for k in ks:
             ideal, den = _unidirectional(1, k, bn, bd, wn, wd)
             real, _ = _relaxed(k, bn, bd, wn, wd, radio, True)
-            yield [bn / bd, 1 / k, ideal / den, real / den, (real - ideal) / ideal]
+            yield bn / bd, 1 / k, ideal / den, real / den, (real - ideal) / ideal

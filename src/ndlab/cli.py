@@ -8,7 +8,6 @@ Diagnostics go to stderr as single-line JSON.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -54,6 +53,7 @@ from .schedule import (
     strict_json,
     strict_object,
     transmission_duty_cycle,
+    write_csv,
     write_json,
 )
 from .simulator import OffsetSampling, SimConfig, simulate_multi
@@ -156,9 +156,7 @@ def cmd_bounds(args) -> int:
         header = bounds.SWEEP_HEADER
         rows = bounds.sweep_rows(*args.sweep, omega, radio.alpha)
     with _output(args.out) as out:
-        w = csv.writer(out)
-        w.writerow(header)
-        w.writerows(rows)
+        write_csv(header, rows, out)
     return 0
 
 
@@ -267,9 +265,9 @@ def cmd_simulate(args) -> int:
     """Run a simulate config and write trials.csv and summary.json.
 
     The trials come from simulate_multi, where each trial costs about one
-    reseed of the phase generator.  The csv writer is fed column iterators,
-    not one tuple per row: a ``%d;...;%d`` format of the phases, the
-    latencies (csv writes None as an empty cell) and the flags as 0/1.
+    reseed of the phase generator.  The rows of trials.csv are zipped from
+    column iterators: a ``%d;...;%d`` format of the phases, the latencies
+    with ``""`` for a trial that never discovered, and the flags as 0/1.
     """
     with open(args.config) as fh:
         doc = strict_object(json.load(fh), "config", _CONFIG_KEYS)
@@ -313,7 +311,7 @@ def cmd_simulate(args) -> int:
     rows = zip(
         count(),
         map(fmt.__mod__, outcome.phases),
-        outcome.latencies,
+        ["" if lat is None else lat for lat in outcome.latencies],
         map(int, outcome.first_beacon_collided),
         map(int, outcome.failed),
     )
@@ -324,9 +322,9 @@ def cmd_simulate(args) -> int:
             files.enter_context(_output(os.path.join(args.out_dir, name)))
             for name in ("trials.csv", "summary.json")
         )
-        w = csv.writer(trials)
-        w.writerow(["trial_id", "phases", "latency_ticks", "collided_first", "failed"])
-        w.writerows(rows)
+        write_csv(
+            ("trial_id", "phases", "latency_ticks", "collided_first", "failed"), rows, trials
+        )
         write_json(summary, report)
     return 0
 

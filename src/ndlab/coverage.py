@@ -27,7 +27,6 @@ from any starting beacon looks at.
 
 from __future__ import annotations
 
-import csv
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import lcm
@@ -41,6 +40,7 @@ from .schedule import (
     ReceptionSchedule,
     ceil_div,
     effective_window_spans,
+    write_csv,
 )
 
 
@@ -69,11 +69,12 @@ class CoverageMap:
     window_coverage: int  # ticks one beacon can cover (effective window sum)
 
     def write_csv(self, fh) -> None:
-        """The map as CSV on ``fh``, a text file opened with ``newline=""``."""
-        w = csv.writer(fh)
-        w.writerow(["beacon_index", "interval_start", "interval_end"])
-        w.writerows(
-            (i, a, b) for i, spans in enumerate(self.per_beacon) for a, b in spans
+        """The map as CSV on ``fh``, a text file opened with ``newline=""``:
+        one row of ints per covered span, none for a silent transmitter."""
+        write_csv(
+            ("beacon_index", "interval_start", "interval_end"),
+            ((i, a, b) for i, spans in enumerate(self.per_beacon) for a, b in spans),
+            fh,
         )
 
 

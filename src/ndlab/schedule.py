@@ -146,6 +146,8 @@ class BeaconSchedule:
         for a, b in zip(t, t[1:]):
             if b - a < self.beacon_duration:
                 raise ValueError("beacon gap smaller than the beacon itself")
+        if self.period is not None and self.period < 1:
+            raise ValueError("beacon period must be >= 1 tick")
         if not t:
             return
         if self.period is None:
@@ -351,6 +353,18 @@ def write_json(doc, fh) -> None:
     one layout of every JSON file this package writes."""
     json.dump(doc, fh, indent=2, sort_keys=True)
     fh.write("\n")
+
+
+def write_csv(header, rows, fh) -> None:
+    """``header`` and then each tuple of ``rows`` as comma-separated cells
+    ending in ``\\r\\n``, on a text file opened with ``newline=""``: the
+    one layout of every CSV file this package writes.  Rows hold two or
+    more cells, each an int, a float, ``""`` for a blank or a plain word;
+    none needs quoting, so the bytes are those ``csv.writer`` writes for
+    the same cells (``%s`` of a float is its ``repr``)."""
+    line = ",".join(["%s"] * len(header)) + "\r\n"
+    fh.write(line % tuple(header))
+    fh.writelines(map(line.__mod__, rows))
 
 
 def save_protocol(p: ProtocolSpec, path) -> None:

@@ -293,6 +293,7 @@ MALFORMED_PROTOCOL_EDITS = (
     ("radio.d_oTX", 0),
     ("receptions.repetitive", False),
     ("beacons.period", None),
+    ("beacons", {"times": [], "omega": 1, "period": 0}),
 )
 
 

@@ -433,6 +433,32 @@ def test_analyze_reports_a_receive_only_transmitter_as_unbounded(tmp_path):
     assert cov.read_text().splitlines() == ["beacon_index,interval_start,interval_end"]
 
 
+#: sha256 of --coverage-csv files, recorded while csv.writer wrote them: a
+#: multi-beacon transmitter one of whose beacons covers two wrapped spans,
+#: and a silent transmitter, whose CSV holds only its header
+_PINNED_COVERAGE_CSVS = {
+    "disco-pi0m": (
+        lambda: (gen_disco(3, 5, 20, 2), gen_pi0m(3, 40, 2)),
+        "c591ffed594817449da3b30f36c4b6939b92549e892cf175d213160dd6de296b",
+    ),
+    "silent": (
+        lambda: (listener([(0, 3)], 10),) * 2,
+        "902ad468cc6031f643f8f85309f26de57adc46cd833d05b0e8d3f50393c8f3a0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_COVERAGE_CSVS))
+def test_analyze_coverage_csv_digests_are_pinned(tmp_path, name):
+    pair, digest = _PINNED_COVERAGE_CSVS[name]
+    pe, pf = tmp_path / "e.json", tmp_path / "f.json"
+    for path, proto in zip((pe, pf), pair()):
+        path.write_text(json.dumps(protocol_to_json(proto)))
+    cov, out = tmp_path / "cov.csv", tmp_path / "report.json"
+    assert run(["analyze", str(pe), str(pf), "--coverage-csv", str(cov), "--out", str(out)]) == 0
+    assert hashlib.sha256(cov.read_bytes()).hexdigest() == digest
+
+
 def test_analyze_coverage_map_trims_windows_by_the_transmitted_beacon(tmp_path):
     # f's own beacons last 1 tick, e's 3; under CONTAINED semantics a 3-tick
     # beacon only fits a [0, 4) window when it starts at tick 0

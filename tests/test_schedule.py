@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from dataclasses import replace
 from fractions import Fraction as F
@@ -32,6 +34,7 @@ from ndlab.protocols import (
     gen_searchlight_striped,
     gen_uconnect,
 )
+from ndlab.schedule import write_csv
 from helpers import MALFORMED_PROTOCOL_EDITS, beaconer, c7_devices, with_field
 
 
@@ -290,6 +293,9 @@ _INVALID_MODEL_FIELDS = {
     "span": (
         lambda: BeaconSchedule((0, 10), 1, period=10), "one period cannot hold the whole"
     ),
+    "silent-period": (
+        lambda: BeaconSchedule((), 1, period=-5), "beacon period must be >= 1"
+    ),
     "alpha": (lambda: RadioModel(alpha=0), "alpha must be positive"),
     "overhead": (lambda: RadioModel(d_oRxTx=-1), "d_oRxTx must be >= 0"),
 }
@@ -310,3 +316,34 @@ def test_save_protocol_round_trips_through_load_protocol(tmp_path):
     save_protocol(p, path)
     assert json.loads(path.read_text()) == protocol_to_json(p)
     assert load_protocol(path) == p
+
+
+_WORDS = st.sampled_from(["ceil", "floor", "eta", "symmetric_k", "trial_id", "a"])
+_CELLS = st.one_of(
+    st.integers(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.floats(),
+    st.sampled_from([-0.0, float("inf"), float("-inf"), float("nan"), 1e-05, 1e16]),
+    st.just(""),
+    _WORDS,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 9).flatmap(
+    lambda n: st.tuples(
+        st.lists(_WORDS, min_size=n, max_size=n),
+        st.lists(st.tuples(*[_CELLS] * n), max_size=6),
+    )
+))
+def test_write_csv_writes_the_bytes_of_csv_writer(table):
+    # the cell types nd-lab writes; a lone blank cell is left out, since
+    # csv.writer quotes it and no nd-lab CSV has a one-column row
+    header, rows = table
+    want = io.StringIO(newline="")
+    w = csv.writer(want)
+    w.writerow(header)
+    w.writerows(rows)
+    got = io.StringIO(newline="")
+    write_csv(header, iter(rows), got)
+    assert got.getvalue() == want.getvalue()
