@@ -3,13 +3,13 @@
 real-valued optimum against the exact symmetric bound over a duty-cycle
 sweep, and report the normalized RMS gap."""
 
-import csv
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from ndlab import bounds as bd
+from ndlab.schedule import write_csv
 
 OMEGA = 32
 STEPS = 1000
@@ -19,9 +19,11 @@ def main() -> None:
     out = Path(__file__).resolve().parent / "pi0m_vs_symmetric.csv"
     rows, nrmse = bd.pi0m_vs_symmetric(OMEGA, 1, steps=STEPS)
     with out.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["eta", "symmetric_exact", "pi0m_optimal", "relative_gap"])
-        w.writerows([float(x) for x in row] for row in rows)
+        write_csv(
+            ("eta", "symmetric_exact", "pi0m_optimal", "relative_gap"),
+            (tuple(map(float, row)) for row in rows),
+            fh,
+        )
     print(f"wrote {out.name}; NRMSE = {nrmse * 100:.3f}%")
 
 

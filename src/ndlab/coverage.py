@@ -142,19 +142,20 @@ def _report(span_sets, period: int, cover: int) -> DeterminismReport:
 # ---------------------------------------------------------------------------
 
 def _oracle_setup(e: ProtocolSpec, f: ProtocolSpec, max_hyperperiod: int):
-    """Sweep inputs.  A scan looks at shifts below ``limit``: the lcm, where
-    offsets repeat, capped by the budget; ``overrun`` is raised when a scan
-    reaches a limit the budget set, since only the lcm proves UNBOUNDED.  A
-    budget of 0 scans the first in-range beacon alone; a negative one is
-    refused."""
+    """Sweep inputs, or None when no beacon is ever heard: the transmitter
+    is silent or the receiver has no effective window.  A scan looks at
+    shifts below ``limit``: the lcm, where offsets repeat, capped by the
+    budget; ``overrun`` is raised when a scan reaches a limit the budget
+    set, since only the lcm proves UNBOUNDED.  A budget of 0 scans the
+    first in-range beacon alone; a negative one is refused."""
     if max_hyperperiod < 0:
         raise ValueError(f"max_hyperperiod must be >= 0, got {max_hyperperiod}")
     b = e.beacons
-    if b.count == 0:
-        return None  # a silent device is never discovered
+    eff = effective_window_spans(f.receptions, f.radio.semantics, b.beacon_duration)
+    if not b.count or not eff:
+        return None
     t_c = f.receptions.period
     hyper = lcm(b.period, t_c)
-    eff = effective_window_spans(f.receptions, f.radio.semantics, b.beacon_duration)
     limit = min(hyper, max_hyperperiod + 1)
     overrun = HyperperiodTooLarge(hyper, max_hyperperiod) if limit < hyper else None
     return t_c, eff, b.gaps(), limit, overrun
@@ -203,8 +204,6 @@ def worst_case_latency_oracle(
         return UNBOUNDED
     t_c, eff, gaps, limit, overrun = setup
     cover = iv.measure(eff)
-    if cover == 0:
-        return UNBOUNDED
     sweep = {"full": _oracle_full, "endpoints": _oracle_endpoints}.get(method)
     if sweep is None:
         raise ValueError(f"unknown oracle method: {method!r}")
@@ -334,8 +333,6 @@ def pairwise_latency(
     if setup is None:
         return None
     t_c, eff, gaps, limit, overrun = setup
-    if iv.measure(eff) == 0:
-        return None
     b = e.beacons
     # first emission strictly after the in-range instant
     first = None

@@ -11,7 +11,6 @@ Point tests and in-place edits use the flat edge list of such a set,
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import Iterable, Sequence
 
 Span = tuple[int, int]
@@ -63,11 +62,6 @@ def complement(xs: Sequence[Span], period: int) -> tuple[Span, ...]:
     lie within [0, period)."""
     e = [0, *edges(xs), period]
     return tuple((a, b) for a, b in zip(e[::2], e[1::2]) if b > a)
-
-
-def contains(xs: Sequence[Span], x: int) -> bool:
-    """Point membership; ``xs`` must be normalized."""
-    return bool(bisect_right(edges(xs), x) & 1)
 
 
 def shift_mod(spans: Sequence[Span], shift: int, period: int) -> tuple[Span, ...]:

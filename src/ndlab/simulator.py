@@ -7,6 +7,10 @@ overlap in time destroy each other for every receiver, and a device that
 transmits while scanning cannot hear while its own turnaround-padded beacon
 overlaps the remote one.  Every beacon list repeats with its period; a
 device with no beacons is silent.
+
+Each call sets its devices up once, from their ProtocolSpecs.  simulate_multi
+spreads its trials over the CPUs and itself plays any range a forked child
+does not send back in full, so no outcome or exception depends on the split.
 """
 
 from __future__ import annotations
@@ -90,53 +94,42 @@ class SimOutcome:
 
 
 # ---------------------------------------------------------------------------
-# one device's timeline, compiled once per call
+# one device's timeline: a phase only shifts it, so one set-up serves a call
 # ---------------------------------------------------------------------------
 
-class _CompiledDevice:
-    """The phase-free part of a device's timeline.  A phase only shifts it,
-    so every trial of a call shares one instance and supplies the phase."""
+def _overlapping(spec: ProtocolSpec, width: int, before: int = 0, after: int = 0) -> list[int]:
+    """Edge list of the device times x in [0, t_b) at which [x, x + width)
+    overlaps a beacon widened by ``before`` ticks ahead and ``after``
+    behind; empty for a silent device."""
+    b = spec.beacons
+    spans = [(tau - before - width + 1, tau + b.beacon_duration + after) for tau in b.emission_times]
+    return iv.edges(iv.shift_mod(spans, 0, b.period))
 
-    def __init__(self, spec: ProtocolSpec):
-        b = spec.beacons
-        self.spec = spec
-        self.omega = b.beacon_duration
-        self.taus = b.emission_times
-        self.t_b = b.period
-        self.t_c = spec.receptions.period
 
-    def overlapping(self, width: int, before: int = 0, after: int = 0) -> list[int]:
-        """Edge list of the device times x in [0, t_b) at which [x, x +
-        width) overlaps a beacon widened by ``before`` ticks ahead and
-        ``after`` behind; empty for a silent device."""
-        spans = [(tau - before - width + 1, tau + self.omega + after) for tau in self.taus]
-        return iv.edges(iv.shift_mod(spans, 0, self.t_b))
+def _jammer(spec: ProtocolSpec, width: int):
+    """overlaps(phase, t): whether any beacon of the device overlaps the
+    global interval [t, t + width)."""
+    busy, t_b = _overlapping(spec, width), spec.beacons.period
+    return lambda phase, t: bisect_right(busy, (phase + t) % t_b) & 1
 
-    def jammer(self, width: int):
-        """overlaps(phase, t): whether any of this device's beacons overlaps
-        the global interval [t, t + width)."""
-        busy, t_b = self.overlapping(width), self.t_b
-        return lambda phase, t: bisect_right(busy, (phase + t) % t_b) & 1
 
-    def listener(self, tx_omega: int, self_blocking: bool):
-        """(hears, deaf): hears(phase, t) says whether a remote beacon of
-        tx_omega ticks starting at global t is received.  With self_blocking
-        the jammer's overlap rule gives the device times deaf at which an
-        own beacon, padded by the turnarounds, overlaps that beacon's start
-        (IDEAL) or all of it (CONTAINED)."""
-        spec, r = self.spec, self.spec.radio
-        eff = iv.edges(effective_window_spans(spec.receptions, r.semantics, tx_omega))
-        width = tx_omega if r.semantics is Semantics.CONTAINED else 1
-        deaf = self.overlapping(width, r.d_oRxTx, r.d_oTxRx) if self_blocking else []
-        t_c, t_b = self.t_c, self.t_b
-        if not deaf:
-            hears = lambda phase, t: bisect_right(eff, (phase + t) % t_c) & 1
-        else:
-            hears = lambda phase, t: (
-                bisect_right(eff, (phase + t) % t_c) & 1
-                and not bisect_right(deaf, (phase + t) % t_b) & 1
-            )
-        return hears, deaf
+def _listener(spec: ProtocolSpec, tx_omega: int, self_blocking: bool):
+    """hears(phase, t): whether the device receives a remote beacon of
+    tx_omega ticks starting at global t.  With self_blocking the jammer's
+    overlap rule makes it deaf while an own beacon, padded by the
+    turnarounds, overlaps that beacon's start (IDEAL) or all of it
+    (CONTAINED); a silent device is never deaf."""
+    r = spec.radio
+    eff = iv.edges(effective_window_spans(spec.receptions, r.semantics, tx_omega))
+    width = tx_omega if r.semantics is Semantics.CONTAINED else 1
+    deaf = _overlapping(spec, width, r.d_oRxTx, r.d_oTxRx) if self_blocking else []
+    t_c, t_b = spec.receptions.period, spec.beacons.period
+    if not deaf:
+        return lambda phase, t: bisect_right(eff, (phase + t) % t_c) & 1
+    return lambda phase, t: (
+        bisect_right(eff, (phase + t) % t_c) & 1
+        and not bisect_right(deaf, (phase + t) % t_b) & 1
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +137,9 @@ class _CompiledDevice:
 # ---------------------------------------------------------------------------
 
 def _trial_runner(
-    joiner: _CompiledDevice,
-    receiver: _CompiledDevice,
-    interferers: Sequence[_CompiledDevice],
+    joiner: ProtocolSpec,
+    receiver: ProtocolSpec,
+    interferers: Sequence[ProtocolSpec],
     horizon: int | None = None,
     budget: int | None = None,
     self_blocking: bool = True,
@@ -168,18 +161,19 @@ def _trial_runner(
     So the scan stops one cycle past the joiner's first emission: a first
     success comes within it.  A horizon only cuts the scan shorter.
     """
-    hears, deaf = receiver.listener(joiner.omega, self_blocking)
-    jams = [d.jammer(joiner.omega) for d in interferers]
+    b = joiner.beacons
+    hears = _listener(receiver, b.beacon_duration, self_blocking)
+    jams = [_jammer(d, b.beacon_duration) for d in interferers]
     jammed = bool(jams)
-    if not joiner.taus:
+    if not b.count:
         return lambda *phases: (None, False, None, True)
-    t_b = joiner.t_b
-    periods = [t_b, receiver.t_c] + [d.t_b for d in interferers]
-    if deaf:
-        periods.append(receiver.t_b)
+    t_b = b.period
+    periods = [t_b, receiver.receptions.period] + [d.beacons.period for d in interferers]
+    if self_blocking and receiver.beacons.count:
+        periods.append(receiver.beacons.period)
     # a schedule may start at or past its period: reduce its taus (distinct,
     # as they span less than a period) into [0, t_b)
-    taus = tuple(sorted(tau % t_b for tau in joiner.taus))
+    taus = tuple(sorted(tau % t_b for tau in b.emission_times))
     m = len(taus)
     # the taus, then the taus one period later: rotating at k takes ring[k:k + m]
     ring = taus + tuple(tau + t_b for tau in taus)
@@ -240,9 +234,8 @@ def simulate_pair(
     with no interferers, so it stops one joint cycle past its first
     emission.
     """
-    dev_e, dev_f = _CompiledDevice(e), _CompiledDevice(f)
-    ef = _trial_runner(dev_e, dev_f, (), self_blocking=self_blocking)
-    fe = _trial_runner(dev_f, dev_e, (), self_blocking=self_blocking)
+    ef = _trial_runner(e, f, (), self_blocking=self_blocking)
+    fe = _trial_runner(f, e, (), self_blocking=self_blocking)
     return ef(phase_e, phase_f)[0], fe(phase_f, phase_e)[0]
 
 
@@ -262,7 +255,7 @@ def exhaustive_pair_worst_case(
         return None
     p_e = e.beacons.period if not self_blocking else e.device_period
     p_f = f.receptions.period if not self_blocking else f.device_period
-    run = _trial_runner(_CompiledDevice(e), _CompiledDevice(f), (), self_blocking=self_blocking)
+    run = _trial_runner(e, f, (), self_blocking=self_blocking)
     worst = 0
     for pe, pf in product(range(p_e), range(p_f)):
         lat = run(pe, pf)[0]
@@ -330,12 +323,10 @@ def _affine(cpus) -> None:
 
 
 def _fork(play, lo: int, hi: int, mask):
-    """(pid, read end) of a child that sends ``play(lo, hi)``, or the
-    pickled exception it raised, as one marshal payload; None when fork()
-    fails.  The child first takes the CPU set ``mask`` back, and it always
-    leaves through os._exit.  pickle and signal are imported only on a
-    failure path: together they add about 3 ms to the import of this
-    module."""
+    """(pid, read end) of a child that sends ``play(lo, hi)`` as one
+    marshal payload, or nothing when play raises; None when fork() fails.
+    The child first takes the CPU set ``mask`` back, and it always leaves
+    through os._exit."""
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -350,14 +341,9 @@ def _fork(play, lo: int, hi: int, mask):
             gc.disable()
             _affine(mask)
             os.close(r)
-            try:
-                payload = play(lo, hi)
-            except Exception as exc:
-                import pickle
-
-                payload = pickle.dumps(exc)
+            payload = marshal.dumps(play(lo, hi))
             with open(w, "wb") as fh:
-                fh.write(marshal.dumps(payload))
+                fh.write(payload)
         finally:
             os._exit(0)
     os.close(w)
@@ -365,36 +351,27 @@ def _fork(play, lo: int, hi: int, mask):
 
 
 def _collect(child):
-    """The columns a child sent, None when it sent no full payload;
-    re-raises an exception it sent."""
+    """The columns a child sent, None when it sent no full payload."""
     with child[1] as fh:
         data = fh.read()
     try:
-        payload = marshal.loads(data)
-    except (EOFError, ValueError, TypeError):  # cut short
+        return marshal.loads(data)
+    except (EOFError, ValueError, TypeError):  # nothing sent, or cut short
         return None
-    if isinstance(payload, bytes):
-        import pickle
-
-        try:
-            exc = pickle.loads(payload)
-        except Exception:  # an exception that does not survive pickling
-            return None
-        raise exc
-    return payload
 
 
 def _play_split(n: int, play) -> list[tuple]:
     """The five columns of ``play(0, n)``, played over _split(n): one
     forked child per range after the first while this process plays the
     first, then each child's columns in trial order.  A range whose fork
-    fails or whose child sends no full payload is played here, so neither
-    the columns nor an exception depends on the split.  Every child is
-    reaped before this returns or raises; one still running when an
-    exception unwinds is killed first.
+    fails, or whose child raises or sends no full payload, is played here,
+    so neither the columns nor an exception depends on the split: a range
+    that raises wherever it is played raises here, with this process's
+    traceback.  Every child is reaped before this returns or raises; one
+    still running when an exception unwinds is killed first.
 
     A bare fork, not a process pool: the child inherits ``play`` with the
-    compiled devices and starts within about a millisecond, where a pool
+    devices' set-up and starts within about a millisecond, where a pool
     costs about as much to start per call as a 1000-trial run, and one
     kept between calls would leave processes running."""
     cpus, ranges = _split(n)
@@ -422,7 +399,7 @@ def _play_split(n: int, play) -> list[tuple]:
             if child is not None:
                 pid, fh = child
                 if not fh.closed:
-                    import signal
+                    import signal  # here alone: it adds 1 ms to this module's import
 
                     fh.close()
                     os.kill(pid, signal.SIGKILL)
@@ -460,8 +437,8 @@ def simulate_multi(cfg: SimConfig) -> SimOutcome:
         rng = random.Random()
         phase_of = lambda i: _draw_phases(rng, _derive_seed(cfg.seed, i), periods)
 
-    devices = [_CompiledDevice(spec) for spec in cfg.devices]
-    senders = [i for i in range(1, len(devices)) if devices[i].taus]
+    devices = cfg.devices
+    senders = [i for i in range(1, len(devices)) if devices[i].beacons.count]
     run = _trial_runner(
         devices[0], devices[1], [devices[i] for i in senders], cfg.horizon, cfg.latency_budget
     )
@@ -502,7 +479,7 @@ def measured_blocked_fraction(p: ProtocolSpec) -> Fraction:
     period = p.device_period
     t_b, t_c = p.beacons.period, p.receptions.period
     windows = [(a + k, b + k) for k in range(0, period, t_c) for a, b in p.receptions.spans()]
-    own = _CompiledDevice(p).overlapping(1, p.radio.d_oRxTx, p.radio.d_oTxRx)
+    own = _overlapping(p, 1, p.radio.d_oRxTx, p.radio.d_oTxRx)
     blocked = [(a + k, b + k) for k in range(0, period, t_b) for a, b in zip(own[::2], own[1::2])]
     lost = iv.measure(iv.intersect(windows, blocked))
     return Fraction(lost, iv.measure(windows))

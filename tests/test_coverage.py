@@ -1,6 +1,7 @@
 import hashlib
 import io
 import random
+from bisect import bisect_right
 from dataclasses import replace
 from fractions import Fraction as F
 from math import lcm
@@ -68,7 +69,7 @@ def first_landing(cov, times, phi):
     in ``cov`` holds offset ``phi``, or None when none does."""
     times = sorted(times)
     for spans, t in zip(cov.per_beacon, times):
-        if iv.contains(spans, phi):
+        if bisect_right(iv.edges(spans), phi) & 1:
             return t - times[0]
     return None
 

@@ -1,11 +1,14 @@
+import ast
 import errno
 import hashlib
 import os
 import random
+import sys
 import threading
 from fractions import Fraction as F
 from itertools import product
 from math import lcm
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -32,7 +35,13 @@ from ndlab import (
 )
 from ndlab import simulator
 from ndlab.protocols import gen_disco
-from ndlab.simulator import _MIN_RANGE_TRIALS, _CompiledDevice, _derive_seed, _draw_phases
+from ndlab.simulator import (
+    _MIN_RANGE_TRIALS,
+    _derive_seed,
+    _draw_phases,
+    _jammer,
+    _listener,
+)
 from helpers import (
     _beacon_starts,
     beaconer,
@@ -221,13 +230,36 @@ def _split_configs():
 
 @pytest.mark.parametrize("cfg", _split_configs(), ids=["uniform_random", "exhaustive_ticks"])
 def test_child_exception_is_raised_by_the_caller(monkeypatch, cfg):
+    # every range past trial 0 raises wherever it is played: its child
+    # sends nothing, and the caller raises on playing the range itself
+    real = simulator._play_split
+
+    def play_split(n, play):
+        def failing(lo, hi):
+            if lo > 0:
+                raise RuntimeError(f"range [{lo}, {hi}) failed")
+            return play(lo, hi)
+
+        return real(n, failing)
+
+    monkeypatch.setattr(simulator, "_play_split", play_split)
+    forks, _ = fake_cpus(monkeypatch, 3)
+    with pytest.raises(RuntimeError, match=r"range \[\d+, \d+\) failed"):
+        simulate_multi(cfg)
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cfg", _split_configs(), ids=["uniform_random", "exhaustive_ticks"])
+def test_child_that_raises_has_its_range_played_by_the_caller(monkeypatch, cfg):
+    serial = simulate_multi(cfg)
+
     def fail():
         raise RuntimeError("trial failed in a child")
 
     _runner_failing_in(monkeypatch, "child", fail)
     forks, _ = fake_cpus(monkeypatch, 3)
-    with pytest.raises(RuntimeError, match="trial failed in a child"):
-        simulate_multi(cfg)
+    assert simulate_multi(cfg) == serial
     assert len(forks) == 2
     assert_no_child_left()
 
@@ -648,7 +680,7 @@ def _emissions(spec: ProtocolSpec, phase: int, horizon: int) -> list[int]:
 def _uncut_pair(e, f, phase_e, phase_f, horizon, self_blocking):
     """f hearing e at the given phases, every emission up to the horizon
     tested, with no stop after one joint cycle."""
-    hears, _ = _CompiledDevice(f).listener(e.beacons.beacon_duration, self_blocking)
+    hears = _listener(f, e.beacons.beacon_duration, self_blocking)
     emissions = _emissions(e, phase_e, horizon)
     return next((t for t in emissions if hears(phase_f, t)), None)
 
@@ -693,10 +725,10 @@ def _trial_rows(out):
 def _uncut_replay(cfg: SimConfig, phases):
     """Each trial of simulate_multi scanned to the config's horizon: every
     emission is tested, with no stop after one joint cycle."""
-    devices = [_CompiledDevice(d) for d in cfg.devices]
-    omega = devices[0].omega
-    hears, _ = devices[1].listener(omega, self_blocking=True)
-    jammers = [(i, d.jammer(omega)) for i, d in enumerate(devices) if i and d.taus]
+    devices = cfg.devices
+    omega = devices[0].beacons.beacon_duration
+    hears = _listener(devices[1], omega, self_blocking=True)
+    jammers = [(i, _jammer(d, omega)) for i, d in enumerate(devices) if i and d.beacons.count]
     out = []
     for ph in phases:
         emissions = _emissions(cfg.devices[0], ph[0], cfg.horizon)
@@ -956,3 +988,35 @@ def test_blocked_fraction_refuses_a_finite_beacon_list():
             RadioModel(omega=1),
         )
         measured_blocked_fraction(p)
+
+
+def _package_imports(module: str) -> set[str]:
+    """The ndlab names ``module`` imports, read from its source: each
+    module, and each module.attribute of a from-import."""
+    tree = ast.parse(Path(sys.modules[module].__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = "ndlab." + base if base else "ndlab"
+            if node.module:
+                names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return {name for name in names if name.startswith("ndlab.")}
+
+
+def test_simulator_imports_nothing_from_coverage():
+    # the simulator cross-checks the coverage engine, so neither it nor any
+    # package module it imports may reach ndlab.coverage
+    seen, todo = set(), ["ndlab.simulator"]
+    while todo:
+        module = todo.pop()
+        seen.add(module)
+        for name in _package_imports(module):
+            assert not (name + ".").startswith("ndlab.coverage."), (module, name)
+            if name in sys.modules and name not in seen:
+                todo.append(name)
+    assert {"ndlab.simulator", "ndlab.schedule", "ndlab.intervals"} <= seen
