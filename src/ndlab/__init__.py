@@ -13,7 +13,6 @@ from .coverage import (
     analyze,
     build_coverage_map,
     check_correlated_quadruple,
-    pairwise_latency,
     worst_case_latency_oracle,
 )
 from .errors import (
@@ -77,7 +76,6 @@ __all__ = [
     "exhaustive_pair_worst_case",
     "load_protocol",
     "measured_blocked_fraction",
-    "pairwise_latency",
     "protocol_from_json",
     "protocol_to_json",
     "reception_duty_cycle",

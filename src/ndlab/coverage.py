@@ -18,11 +18,14 @@ runs of offsets, edited in place and tagged with the beacon they were
 last heard at, or -1 while not heard since beacon 0; one rule proves
 UNBOUNDED: a run still pending a whole scan limit past the beacon after
 its tag.  A beacon step places each window with one modulo and
-splits it only where it wraps past the reception period.  A per-tick
-sweep (``method="full"``, slow and obviously correct) is kept as the
-independent reference engine; the two must always agree and the tests
-enforce that.  Both charge the hyperperiod budget on the joint time a scan
-from any starting beacon looks at.
+splits it only where it wraps past the reception period.
+
+One engine per role: the endpoints sweep gives the answer; the per-tick
+sweep (``method="full"``, slow and obviously correct) is its reference,
+and the two must always agree; ``simulator.simulate_pair``, which imports
+nothing from here, is the one replay of a single pair of device phases.
+Both sweeps charge the hyperperiod budget on the joint time a scan from
+any starting beacon looks at.
 """
 
 from __future__ import annotations
@@ -141,42 +144,6 @@ def _report(span_sets, period: int, cover: int) -> DeterminismReport:
 # worst-case latency oracle
 # ---------------------------------------------------------------------------
 
-def _oracle_setup(e: ProtocolSpec, f: ProtocolSpec, max_hyperperiod: int):
-    """Sweep inputs, or None when no beacon is ever heard: the transmitter
-    is silent or the receiver has no effective window.  A scan looks at
-    shifts below ``limit``: the lcm, where offsets repeat, capped by the
-    budget; ``overrun`` is raised when a scan reaches a limit the budget
-    set, since only the lcm proves UNBOUNDED.  A budget of 0 scans the
-    first in-range beacon alone; a negative one is refused."""
-    if max_hyperperiod < 0:
-        raise ValueError(f"max_hyperperiod must be >= 0, got {max_hyperperiod}")
-    b = e.beacons
-    eff = effective_window_spans(f.receptions, f.radio.semantics, b.beacon_duration)
-    if not b.count or not eff:
-        return None
-    t_c = f.receptions.period
-    hyper = lcm(b.period, t_c)
-    limit = min(hyper, max_hyperperiod + 1)
-    overrun = HyperperiodTooLarge(hyper, max_hyperperiod) if limit < hyper else None
-    return t_c, eff, b.gaps(), limit, overrun
-
-
-def _first_hit_steps(edges, t_c, gaps, j, phi, limit):
-    """Scan beacons j, j+1, ... until one lands in the windows ``edges``
-    (beacon j+i lands at phi plus the accumulated gaps, wrapped into the
-    receiver period); return its emission offset, or None at shift ``limit``."""
-    m = len(gaps)
-    shift = 0
-    pos = phi
-    while shift < limit:
-        if bisect_right(edges, pos) & 1:
-            return shift
-        shift += gaps[j % m]
-        j += 1
-        pos = (phi + shift) % t_c
-    return None
-
-
 def worst_case_latency_oracle(
     e: ProtocolSpec,
     f: ProtocolSpec,
@@ -196,27 +163,41 @@ def worst_case_latency_oracle(
     HyperperiodTooLarge only when the worst case lies further, or when
     proving UNBOUNDED would (that takes one whole lcm of the periods); a
     pair too sparse to cover every offset within that span is not swept.
+    A budget of 0 scans the first in-range beacon alone.  An unknown method
+    or a negative budget is refused before anything else.
 
     Returns ticks, or UNBOUNDED when some alignment never discovers.
     """
-    setup = _oracle_setup(e, f, max_hyperperiod)
-    if setup is None:
-        return UNBOUNDED
-    t_c, eff, gaps, limit, overrun = setup
-    cover = iv.measure(eff)
     sweep = {"full": _oracle_full, "endpoints": _oracle_endpoints}.get(method)
     if sweep is None:
         raise ValueError(f"unknown oracle method: {method!r}")
+    if max_hyperperiod < 0:
+        raise ValueError(f"max_hyperperiod must be >= 0, got {max_hyperperiod}")
+    b = e.beacons
+    eff = effective_window_spans(f.receptions, f.radio.semantics, b.beacon_duration)
+    if not b.count or not eff:  # a silent transmitter or a deaf receiver
+        return UNBOUNDED
+    t_c = f.receptions.period
+    gaps = b.gaps()
+    hyper = lcm(b.period, t_c)
+    # a scan looks at shifts below limit: the lcm, where offsets repeat,
+    # capped by the budget
+    limit = min(hyper, max_hyperperiod + 1)
     # covering all t_c offsets takes ceil(t_c / cover) beacons or more, and
     # the last of them lies at least (that many - 1) * min(gaps) past the first
-    too_far = (ceil_div(t_c, cover) - 1) * min(gaps) >= limit
+    too_far = (ceil_div(t_c, iv.measure(eff)) - 1) * min(gaps) >= limit
     worst = UNBOUNDED if too_far else sweep(t_c, eff, gaps, limit)
-    if worst is UNBOUNDED and overrun is not None:
-        raise overrun
+    # only a scan of the whole lcm proves UNBOUNDED
+    if worst is UNBOUNDED and limit < hyper:
+        raise HyperperiodTooLarge(hyper, max_hyperperiod)
     return worst
 
 
 def _oracle_full(t_c, eff, gaps, limit):
+    # For each first in-range beacon j and each receiver offset phi it
+    # lands at, scan beacons j, j+1, ... tick-exactly (beacon k lands at phi
+    # plus the gaps summed since j, wrapped into the receiver period) until
+    # one lands in a window; one scan reaching shift ``limit`` fails.
     edges = iv.edges(eff)
     m = len(gaps)
     best = 0
@@ -224,11 +205,15 @@ def _oracle_full(t_c, eff, gaps, limit):
         wait = gaps[(j - 1) % m]
         worst = 0
         for phi in range(t_c):
-            hit = _first_hit_steps(edges, t_c, gaps, j, phi, limit)
-            if hit is None:
-                return UNBOUNDED
-            if hit > worst:
-                worst = hit
+            shift, k, pos = 0, j, phi
+            while not bisect_right(edges, pos) & 1:
+                shift += gaps[k % m]
+                if shift >= limit:
+                    return UNBOUNDED
+                k += 1
+                pos = (phi + shift) % t_c
+            if shift > worst:
+                worst = shift
         if wait + worst > best:
             best = wait + worst
     return best
@@ -313,41 +298,6 @@ def _oracle_endpoints(t_c, eff, gaps, limit):
         shift += gaps[k % m]
         k += 1
     return best
-
-
-def pairwise_latency(
-    e: ProtocolSpec,
-    f: ProtocolSpec,
-    phase_e: int,
-    phase_f: int,
-    max_hyperperiod: int = DEFAULT_HYPERPERIOD_BUDGET,
-):
-    """Discovery latency for one concrete pair of device phases.
-
-    ``phase_x`` is how far device x already is into its own schedule at the
-    instant the two radios come into range.  Returns ticks, or None when no
-    beacon ever lands, as ``simulate_pair`` does; the budget is charged as
-    in worst_case_latency_oracle.
-    """
-    setup = _oracle_setup(e, f, max_hyperperiod)
-    if setup is None:
-        return None
-    t_c, eff, gaps, limit, overrun = setup
-    b = e.beacons
-    # first emission strictly after the in-range instant
-    first = None
-    for idx, tau in enumerate(b.emission_times):
-        t = (tau - phase_e - 1) % b.period + 1
-        if first is None or t < first[0]:
-            first = (t, idx)
-    t0, j = first
-    phi = (phase_f + t0) % t_c
-    hit = _first_hit_steps(iv.edges(eff), t_c, gaps, j, phi, limit)
-    if hit is None:
-        if overrun is not None:
-            raise overrun
-        return None
-    return t0 + hit
 
 
 # ---------------------------------------------------------------------------

@@ -227,7 +227,9 @@ def simulate_pair(
     phase_f: int = 0,
     self_blocking: bool = True,
 ) -> tuple[int | None, int | None]:
-    """Replay both devices from the in-range instant at the given phases.
+    """Replay both devices from the in-range instant at the given phases:
+    the one per-phase replay of a pair, where the coverage oracle sweeps
+    all phases at once.
 
     Returns (latency of f hearing e, latency of e hearing f); None when a
     direction never succeeds.  Each direction is one scan of _trial_runner

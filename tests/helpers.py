@@ -123,9 +123,10 @@ def _beacon_starts(beacons: BeaconSchedule, lo: int, hi: int) -> list[int]:
     return out
 
 
-def _heard_ticks(omega: int, f: ProtocolSpec, self_blocking: bool, span: int) -> list[bool]:
+def _heard_ticks(omega: int, f: ProtocolSpec, self_blocking: bool, span: int) -> bytearray:
     """heard[x]: whether f hears a beacon of omega ticks that starts at its
-    device tick x, for x in [0, span).
+    device tick x, for x in [0, span); one byte a tick, so a horizon of
+    tens of millions of ticks stays within tens of MB.
 
     A beacon starting at x is received when x lies in a window occurrence;
     under CONTAINED it must not start in the occurrence's last omega ticks
@@ -137,7 +138,7 @@ def _heard_ticks(omega: int, f: ProtocolSpec, self_blocking: bool, span: int) ->
     contained = r.semantics is Semantics.CONTAINED
     tail = omega if contained else 0  # last window ticks a beacon may not start in
     need = omega if contained else 1  # beacon ticks that must miss an own beacon
-    heard = [False] * span
+    heard = bytearray(span)
     for base in range(0, span, f.receptions.period):
         for w in f.receptions.windows:
             for x in range(base + w.start, min(base + w.end - tail, span)):
@@ -148,7 +149,7 @@ def _heard_ticks(omega: int, f: ProtocolSpec, self_blocking: bool, span: int) ->
         for s in _beacon_starts(f.beacons, -pad, span + need + r.d_oRxTx):
             for y in range(max(0, s - r.d_oRxTx), min(s + pad, span + need)):
                 busy[y] = True
-        heard = [ok and not any(busy[x : x + need]) for x, ok in enumerate(heard)]
+        heard = bytearray(ok and not any(busy[x : x + need]) for x, ok in enumerate(heard))
     return heard
 
 

@@ -20,7 +20,6 @@ from ndlab import (
     build_coverage_map,
     check_correlated_quadruple,
     measured_blocked_fraction,
-    pairwise_latency,
     reception_duty_cycle,
     self_blocking_probability,
     simulate_multi,
@@ -42,6 +41,7 @@ from helpers import (
     beaconer,
     c7_devices,
     listener,
+    per_tick_pair,
     random_beacons,
     random_reception,
 )
@@ -116,10 +116,11 @@ def test_criterion_6_disco_worst_case():
     slot = 10
     p = gen_disco(3, 5, slot, 1)
     limit = 15 * slot
+    t_b = p.beacons.period
+    reference = per_tick_pair(p, p, False, t_b + math.lcm(t_b, p.receptions.period))
     for delta in range(15):
-        lat = pairwise_latency(p, p, 0, delta * slot)
-        sim, _ = simulate_pair(p, p, 0, delta * slot, self_blocking=False)
-        assert lat == sim
+        lat, _ = simulate_pair(p, p, 0, delta * slot, self_blocking=False)
+        assert lat == reference(0, delta * slot)
         assert isinstance(lat, int) and lat <= limit, (delta, lat)
     # the full-phase worst case stays within the slot-level guarantee too
     assert worst_case_latency_oracle(p, p) <= limit

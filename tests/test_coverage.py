@@ -23,7 +23,6 @@ from ndlab import (
     analyze,
     build_coverage_map,
     check_correlated_quadruple,
-    pairwise_latency,
     protocol_from_json,
     protocol_to_json,
     simulate_pair,
@@ -46,6 +45,7 @@ from helpers import (
     listener,
     one_shot,
     per_tick_max_gap,
+    per_tick_pair,
     random_beacons,
     random_protocol,
     random_reception,
@@ -102,15 +102,12 @@ def test_contained_window_must_outlast_the_beacon_by_a_tick():
     e = beaconer([0], 20, omega=2)
     f = listener([(4, 3)], 20, semantics=Semantics.CONTAINED)
     # phase_e 19: the first beacon starts 1 tick into range, at f's tick phase_f + 1
-    assert pairwise_latency(e, f, 19, 3) == 1
     assert simulate_pair(e, f, 19, 3, self_blocking=False)[0] == 1
-    assert pairwise_latency(e, f, 19, 4) is None
     assert simulate_pair(e, f, 19, 4, self_blocking=False)[0] is None
     # a window exactly omega long hears nothing
     f = listener([(4, 2)], 20, semantics=Semantics.CONTAINED)
     assert worst_case_latency_oracle(e, f) is UNBOUNDED
     for phase_f in range(20):
-        assert pairwise_latency(e, f, 19, phase_f) is None
         assert simulate_pair(e, f, 19, phase_f, self_blocking=False)[0] is None
 
 
@@ -251,7 +248,7 @@ def test_budget_charges_joint_time_scanned_not_lcm():
     p = gen_pi0m(99, 1000, 1)
     assert lcm(p.beacons.period, p.receptions.period) > 10_000_000
     assert worst_case_latency_oracle(p, p) == 100000
-    assert pairwise_latency(p, p, 0, 0) <= 100000
+    assert simulate_pair(p, p, 0, 0, self_blocking=False)[0] <= 100000
     # the worst case waits one 1000-tick gap for the first in-range beacon,
     # then needs 99000 ticks past it: a budget of 99000 suffices, one less not
     assert worst_case_latency_oracle(p, p, max_hyperperiod=99_000) == 100000
@@ -287,13 +284,22 @@ def test_pair_too_sparse_for_the_budget_is_refused_without_a_sweep(monkeypatch):
 
 
 def test_pairwise_latency_charges_the_same_budget():
+    # the one per-phase replay, simulate_pair, takes no budget: it answers
+    # the pair whose lcm the oracle's default budget refuses, as the
+    # per-tick reference does
     e = beaconer([0], 10)
     f = listener([(0, 3)], 10)
-    assert pairwise_latency(e, f, 0, 5) is None  # lcm 10 is in budget
+    assert simulate_pair(e, f, 0, 5, self_blocking=False)[0] is None
+    assert per_tick_pair(e, f, False, 10 + 10)(0, 5) is None
     e = beaconer([0], 10_007)
     f = listener([(0, 4)], 9_973)
     with pytest.raises(HyperperiodTooLarge):
-        pairwise_latency(e, f, 0, 100, max_hyperperiod=10_000)
+        worst_case_latency_oracle(e, f, max_hyperperiod=10_000)
+    lat = simulate_pair(e, f, 0, 100, self_blocking=False)[0]
+    assert lat == 1757 * 10_007  # beacon 1757 lands at 100 + 1757 * 34 = 6 * 9973
+    # a horizon of lat checks every earlier beacon too, and keeps the
+    # reference's tick list near 18M entries instead of the 100M-tick lcm
+    assert per_tick_pair(e, f, False, lat)(0, 100) == lat
 
 
 def test_negative_budget_is_refused_before_any_sweep(monkeypatch):
@@ -302,20 +308,18 @@ def test_negative_budget_is_refused_before_any_sweep(monkeypatch):
     def no_sweep(*args):
         raise AssertionError("swept under a negative budget")
 
-    for name in ("_oracle_full", "_oracle_endpoints", "_first_hit_steps"):
+    for name in ("_oracle_full", "_oracle_endpoints"):
         monkeypatch.setattr(coverage, name, no_sweep)
     e, f = beaconer([0], 10), listener([(0, 3)], 10)
     for budget in (-1, -5):
         for method in ("full", "endpoints"):
             with pytest.raises(ValueError, match="max_hyperperiod must be >= 0"):
                 worst_case_latency_oracle(e, f, method=method, max_hyperperiod=budget)
-        with pytest.raises(ValueError, match="max_hyperperiod must be >= 0"):
-            pairwise_latency(e, f, 0, 5, max_hyperperiod=budget)
     monkeypatch.undo()
     # a budget of 0 still answers a pair whose first in-range beacon is heard
     always = listener([(0, 10)], 10)
     assert worst_case_latency_oracle(e, always, max_hyperperiod=0) == 10
-    assert pairwise_latency(e, always, 0, 5, max_hyperperiod=0) == 10
+    assert simulate_pair(e, always, 0, 5, self_blocking=False)[0] == 10
 
 
 def _oracle_or_overrun(e, f, method, budget=DEFAULT_HYPERPERIOD_BUDGET):
@@ -425,8 +429,8 @@ def test_pairwise_latency_counts_wait_to_first_landing_beacon():
     e = beaconer([0], 10)
     f = listener([(0, 21)], 21)
     # in-range right at an emission: that beacon is in flight, next counts
-    assert pairwise_latency(e, f, phase_e=0, phase_f=0) == 10
-    assert pairwise_latency(e, f, phase_e=9, phase_f=0) == 1
+    assert simulate_pair(e, f, phase_e=0, phase_f=0, self_blocking=False)[0] == 10
+    assert simulate_pair(e, f, phase_e=9, phase_f=0, self_blocking=False)[0] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -826,15 +830,24 @@ def test_quadruple_zeta_anchor_validated():
 def test_oracle_refuses_an_unknown_method():
     with pytest.raises(ValueError, match="unknown oracle method"):
         worst_case_latency_oracle(beaconer([0], 10), listener([(0, 5)], 10), method="bogus")
+    # refused before anything else, also where no sweep would run: a silent
+    # transmitter, and a receiver with no effective window
+    silent = listener([(0, 5)], 10)
+    deaf = listener([(4, 2)], 20, omega=2, semantics=Semantics.CONTAINED)
+    for e, f in ((silent, silent), (beaconer([0], 10, omega=2), deaf)):
+        assert worst_case_latency_oracle(e, f) is UNBOUNDED
+        for budget in (DEFAULT_HYPERPERIOD_BUDGET, -1):
+            with pytest.raises(ValueError, match="unknown oracle method"):
+                worst_case_latency_oracle(e, f, method="bogus", max_hyperperiod=budget)
 
 
 def test_pairwise_latency_is_none_without_a_beacon_or_an_effective_window():
     # a 2-tick beacon never fits the 2-tick window whole under CONTAINED
     e = beaconer([0], 10, omega=2)
     f = listener([(0, 2)], 10, omega=2, semantics=Semantics.CONTAINED)
-    assert pairwise_latency(e, f, 0, 3) is None
     assert simulate_pair(e, f, 0, 3, self_blocking=False)[0] is None
-    assert pairwise_latency(listener([(0, 5)], 10), listener([(0, 5)], 10), 0, 3) is None
+    silent = listener([(0, 5)], 10)
+    assert simulate_pair(silent, silent, 0, 3, self_blocking=False) == (None, None)
 
 
 def test_quadruple_refuses_a_device_without_beacons():

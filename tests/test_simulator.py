@@ -26,7 +26,6 @@ from ndlab import (
     SimConfig,
     exhaustive_pair_worst_case,
     measured_blocked_fraction,
-    pairwise_latency,
     protocol_from_json,
     self_blocking_probability,
     simulate_multi,
@@ -64,15 +63,29 @@ def optimal_pair():
     return e, f
 
 
+def _per_tick_reference(e, f):
+    """per_tick_pair for f hearing e without self-blocking, over a horizon
+    that holds the first emission and one joint cycle past it."""
+    t_b = e.beacons.period
+    return per_tick_pair(e, f, False, t_b + lcm(t_b, f.receptions.period))
+
+
 def test_pair_agrees_with_coverage_engine_pointwise():
+    # the per-phase reference is per_tick_pair, which shares no code with
+    # either the simulator or the coverage sweeps
     e, f = optimal_pair()
+    late = beaconer([85, 105, 125, 145], 80)  # starts past its period
+    wide = beaconer([0, 20, 40, 60], 80, omega=3)
+    contained = listener([(0, 23)], 80, omega=3, semantics=Semantics.CONTAINED)
     rng = random.Random(3)
-    for _ in range(300):
-        pe = rng.randrange(e.device_period)
-        pf = rng.randrange(f.device_period)
-        lat, back = simulate_pair(e, f, pe, pf, self_blocking=False)
-        assert lat == pairwise_latency(e, f, pe, pf)
-        assert back is None  # f never transmits
+    for tx, rx in ((e, f), (late, f), (wide, contained), (late, contained)):
+        want = _per_tick_reference(tx, rx)
+        for _ in range(300):
+            pe = rng.randrange(tx.device_period)
+            pf = rng.randrange(rx.device_period)
+            lat, back = simulate_pair(tx, rx, pe, pf, self_blocking=False)
+            assert lat == want(pe, pf), (tx, rx, pe, pf)
+            assert back is None  # rx never transmits
 
 
 def test_exhaustive_worst_case_equals_oracle():
@@ -462,9 +475,28 @@ def test_random_protocol_pair_engines_agree():
         e, f = random_protocol(rng), random_protocol(rng)
         pe = rng.randrange(e.device_period)
         pf = rng.randrange(f.device_period)
-        want = pairwise_latency(e, f, pe, pf)
         got, _ = simulate_pair(e, f, pe, pf, self_blocking=False)
-        assert got == want
+        assert got == _per_tick_reference(e, f)(pe, pf)
+    # CONTAINED receivers, wider beacons, and beacon lists shifted whole
+    # periods past their start
+    for _ in range(60):
+        omega = rng.randrange(1, 4)
+        b = random_beacons(rng, omega)
+        late = rng.randrange(3) * b.period
+        e = ProtocolSpec(
+            BeaconSchedule(tuple(t + late for t in b.emission_times), omega, b.period),
+            random_reception(rng),
+            RadioModel(omega=omega),
+        )
+        f = ProtocolSpec(
+            random_beacons(rng, omega),
+            random_reception(rng),
+            RadioModel(omega=omega, semantics=rng.choice(list(Semantics))),
+        )
+        pe = rng.randrange(e.device_period)
+        pf = rng.randrange(f.device_period)
+        got, _ = simulate_pair(e, f, pe, pf, self_blocking=False)
+        assert got == _per_tick_reference(e, f)(pe, pf), (e, f, pe, pf)
 
 
 # ---------------------------------------------------------------------------
@@ -1008,15 +1040,29 @@ def _package_imports(module: str) -> set[str]:
     return {name for name in names if name.startswith("ndlab.")}
 
 
-def test_simulator_imports_nothing_from_coverage():
-    # the simulator cross-checks the coverage engine, so neither it nor any
-    # package module it imports may reach ndlab.coverage
-    seen, todo = set(), ["ndlab.simulator"]
+def _assert_never_reaches(start: str, banned: str) -> set[str]:
+    """Walk the package modules ``start`` imports, directly or through one
+    another, assert that none names ``banned`` and return those seen."""
+    seen, todo = set(), [start]
     while todo:
         module = todo.pop()
         seen.add(module)
         for name in _package_imports(module):
-            assert not (name + ".").startswith("ndlab.coverage."), (module, name)
+            assert not (name + ".").startswith(banned + "."), (module, name)
             if name in sys.modules and name not in seen:
                 todo.append(name)
+    return seen
+
+
+def test_simulator_imports_nothing_from_coverage():
+    # the simulator cross-checks the coverage engine, so neither it nor any
+    # package module it imports may reach ndlab.coverage
+    seen = _assert_never_reaches("ndlab.simulator", "ndlab.coverage")
     assert {"ndlab.simulator", "ndlab.schedule", "ndlab.intervals"} <= seen
+
+
+def test_coverage_imports_nothing_from_simulator():
+    # and the other way round: the oracle's sweeps never call the replay
+    # that checks them
+    seen = _assert_never_reaches("ndlab.coverage", "ndlab.simulator")
+    assert {"ndlab.coverage", "ndlab.schedule", "ndlab.intervals"} <= seen
