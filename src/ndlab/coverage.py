@@ -164,7 +164,8 @@ def worst_case_latency_oracle(
     proving UNBOUNDED would (that takes one whole lcm of the periods); a
     pair too sparse to cover every offset within that span is not swept.
     A budget of 0 scans the first in-range beacon alone.  An unknown method
-    or a negative budget is refused before anything else.
+    or a negative budget is refused before anything else, then two devices
+    that disagree on tick size.
 
     Returns ticks, or UNBOUNDED when some alignment never discovers.
     """
@@ -173,6 +174,8 @@ def worst_case_latency_oracle(
         raise ValueError(f"unknown oracle method: {method!r}")
     if max_hyperperiod < 0:
         raise ValueError(f"max_hyperperiod must be >= 0, got {max_hyperperiod}")
+    if e.tick != f.tick:
+        raise ValueError(f"devices disagree on tick size: {[e.tick.tick_ns, f.tick.tick_ns]} ns")
     b = e.beacons
     eff = effective_window_spans(f.receptions, f.radio.semantics, b.beacon_duration)
     if not b.count or not eff:  # a silent transmitter or a deaf receiver

@@ -96,8 +96,8 @@ def gen_slotted(params: SlottedParams, omega: int, radio: RadioModel | None = No
     """Materialize a slot grid as windows plus beacons.
 
     Active slot [s*I, (s+1)*I): window over the full slot, beacons at its
-    first and last omega ticks (a single centered beacon when the slot is
-    too short for two).
+    first and last omega ticks (one beacon at the slot start when the slot
+    is too short for two).
     """
     i = params.slot_length
     if i < omega:

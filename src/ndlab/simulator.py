@@ -2,11 +2,11 @@
 
 An independent replay engine: it never consults the coverage machinery, so
 agreement between the two is a meaningful check.  One overlap rule decides
-both collision and self-deafness: transmissions of different devices that
-overlap in time destroy each other for every receiver, and a device that
-transmits while scanning cannot hear while its own turnaround-padded beacon
-overlaps the remote one.  Every beacon list repeats with its period; a
-device with no beacons is silent.
+both collision and self-deafness: overlapping beacons of different devices,
+the receiver's own included, destroy each other, and a self-blocking
+receiver cannot hear while its own turnaround-padded beacon overlaps the
+remote one (a full-duplex receiver's beacons do neither).  Every beacon
+list repeats with its period; a device with no beacons is silent.
 
 Each call sets its devices up once, from their ProtocolSpecs.  simulate_multi
 spreads its trials over the CPUs and itself plays any range a forked child
@@ -147,7 +147,9 @@ def _trial_runner(
     """run(phase_joiner, phase_receiver, interferer_phases=()) plays one
     trial and returns (latency, first beacon collided, covering beacon
     collided, failed).  Every interferer must send; a silent joiner fails
-    every trial.
+    every trial.  With self_blocking a receiver that sends is deafened by
+    its own beacons and also jams as the first interferer, at its own
+    phase.  All the devices must share one tick size.
 
     A trial builds the joiner's emission offsets with one bisect_right
     rotation of its taus, reduced modulo t_b and sorted once per call, at
@@ -155,22 +157,25 @@ def _trial_runner(
     one period later, less p, are the emissions in (0, t_b], and the scan
     steps through them by t_b.  With no interferers no collision test runs.
 
-    The joiner's emissions, hears (the receiver's t_c, and its t_b when its
-    own beacons deafen it) and each interferer's overlaps repeat with their
+    The joiner's emissions, hears (the receiver's t_c, and its t_b when it
+    sends and self-blocks) and each interferer's overlaps repeat with their
     periods, so every test at t + cycle, their lcm, repeats the one at t.
     So the scan stops one cycle past the joiner's first emission: a first
     success comes within it.  A horizon only cuts the scan shorter.
     """
+    devices = (joiner, receiver, *interferers)
+    if len({d.tick for d in devices}) > 1:
+        raise ValueError(f"devices disagree on tick size: {[d.tick.tick_ns for d in devices]} ns")
     b = joiner.beacons
-    hears = _listener(receiver, b.beacon_duration, self_blocking)
+    own = self_blocking and receiver.beacons.count > 0
+    interferers = (receiver, *interferers) if own else interferers
+    hears = _listener(receiver, b.beacon_duration, own)
     jams = [_jammer(d, b.beacon_duration) for d in interferers]
     jammed = bool(jams)
     if not b.count:
         return lambda *phases: (None, False, None, True)
     t_b = b.period
     periods = [t_b, receiver.receptions.period] + [d.beacons.period for d in interferers]
-    if self_blocking and receiver.beacons.count:
-        periods.append(receiver.beacons.period)
     # a schedule may start at or past its period: reduce its taus (distinct,
     # as they span less than a period) into [0, t_b)
     taus = tuple(sorted(tau % t_b for tau in b.emission_times))
@@ -187,6 +192,8 @@ def _trial_runner(
         return False
 
     def run(phase_joiner: int, phase_receiver: int, interferer_phases: Sequence[int] = ()):
+        if own:
+            interferer_phases = (phase_receiver, *interferer_phases)
         p = phase_joiner % t_b
         k = bisect_right(taus, p)
         first = ring[k] - p
@@ -232,34 +239,30 @@ def simulate_pair(
     all phases at once.
 
     Returns (latency of f hearing e, latency of e hearing f); None when a
-    direction never succeeds.  Each direction is one scan of _trial_runner
-    with no interferers, so it stops one joint cycle past its first
-    emission.
+    direction never succeeds.  Each direction is one two-device scan of
+    _trial_runner, as in simulate_multi, so it stops one joint cycle past
+    its first emission.
     """
     ef = _trial_runner(e, f, (), self_blocking=self_blocking)
     fe = _trial_runner(f, e, (), self_blocking=self_blocking)
     return ef(phase_e, phase_f)[0], fe(phase_f, phase_e)[0]
 
 
-def exhaustive_pair_worst_case(
-    e: ProtocolSpec,
-    f: ProtocolSpec,
-    self_blocking: bool = False,
-):
-    """Worst f-hears-e latency over every pair of device phases.
+def exhaustive_pair_worst_case(e: ProtocolSpec, f: ProtocolSpec):
+    """Worst f-hears-e latency over every pair of device phases, with a
+    full-duplex receiver: the question the coverage oracle answers.
 
-    Without self-blocking that direction only depends on the transmitter
-    phase modulo its beacon period and the receiver phase modulo its
-    reception period, so those grids are swept.  None when some phase pair
-    never discovers, as for a silent transmitter.
+    That direction only depends on the transmitter phase modulo its beacon
+    period and the receiver phase modulo its reception period, so those
+    grids are swept.  None when some phase pair never discovers, as for a
+    silent transmitter.  The half-duplex grid is simulate_multi's
+    ``exhaustive_ticks`` mode on the two devices.
     """
     if not e.beacons.count:
         return None
-    p_e = e.beacons.period if not self_blocking else e.device_period
-    p_f = f.receptions.period if not self_blocking else f.device_period
-    run = _trial_runner(e, f, (), self_blocking=self_blocking)
+    run = _trial_runner(e, f, (), self_blocking=False)
     worst = 0
-    for pe, pf in product(range(p_e), range(p_f)):
+    for pe, pf in product(range(e.beacons.period), range(f.receptions.period)):
         lat = run(pe, pf)[0]
         if lat is None:
             return None
@@ -422,8 +425,8 @@ def simulate_multi(cfg: SimConfig) -> SimOutcome:
     a forked child plays each range after the first (see _play_split).
 
     Every device after the joiner that sends interferes, the receiver
-    included.  A trial stops one joint cycle past its first emission (see
-    _trial_runner), and the horizon only cuts it shorter; a silent joiner
+    included (see _trial_runner).  A trial stops one joint cycle past its
+    first emission, and the horizon only cuts it shorter; a silent joiner
     fails every trial.
     """
     if cfg.offset_sampling is OffsetSampling.EXHAUSTIVE_TICKS:
@@ -440,7 +443,7 @@ def simulate_multi(cfg: SimConfig) -> SimOutcome:
         phase_of = lambda i: _draw_phases(rng, _derive_seed(cfg.seed, i), periods)
 
     devices = cfg.devices
-    senders = [i for i in range(1, len(devices)) if devices[i].beacons.count]
+    senders = [i for i in range(2, len(devices)) if devices[i].beacons.count]
     run = _trial_runner(
         devices[0], devices[1], [devices[i] for i in senders], cfg.horizon, cfg.latency_budget
     )

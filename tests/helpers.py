@@ -153,16 +153,17 @@ def _heard_ticks(omega: int, f: ProtocolSpec, self_blocking: bool, span: int) ->
     return heard
 
 
-def per_tick_pair(e: ProtocolSpec, f: ProtocolSpec, self_blocking: bool, horizon: int):
-    """Independent per-tick reference for f hearing e, with no modulo and no
-    simulator internals.  Returns latency(phase_e, phase_f): the first
-    global tick t in [1, horizon] at which e starts a beacon that f hears
-    (see _heard_ticks), or None, for phases below the devices' periods.
-    Every schedule is unrolled onto an absolute tick axis of f's device
-    time.
+def per_tick_pair(e: ProtocolSpec, f: ProtocolSpec, horizon: int):
+    """Independent per-tick reference for a full-duplex f hearing e, with no
+    modulo and no simulator internals.  Returns latency(phase_e, phase_f):
+    the first global tick t in [1, horizon] at which e starts a beacon
+    that f hears (see _heard_ticks), or None, for phases below the devices'
+    periods.  Every schedule is unrolled onto an absolute tick axis of f's
+    device time.  For a self-blocking f, per_tick_trial((e, f), horizon)
+    is the reference.
     """
     span = f.device_period + horizon + 1
-    heard = _heard_ticks(e.beacons.beacon_duration, f, self_blocking, span)
+    heard = _heard_ticks(e.beacons.beacon_duration, f, False, span)
     starts = _beacon_starts(e.beacons, 1, e.device_period + horizon + 1)
 
     def latency(phase_e: int, phase_f: int):
@@ -188,15 +189,14 @@ def per_tick_trial(devices, horizon: int, budget: int | None = None):
     time.  The receiver hears as in _heard_ticks, deafened by its own
     padded beacons.  An emission at t collides when any tick of it, [t, t +
     omega), meets a tick on which another sending device transmits, and
-    the receiver counts as such a device too: this is today's rule of
-    simulate_multi.  So joiner ``beaconer([0], 10, omega=3)`` against an
-    always-listening receiver with a 1-tick beacon at 1 every 10 ticks is
-    heard at 10 by simulate_pair (the receiver's beacon at 11 misses the
-    start tick, so it is not deaf), while here every emission collides with
-    that beacon and the trial at phases (0, 0) never discovers.  The latency
-    is the first emission heard without a collision; the covering beacon is
-    the first emission heard at all; a trial fails without a latency or
-    with one above the budget.
+    the receiver counts as such a device too.  So joiner
+    ``beaconer([0], 10, omega=3)`` against an always-listening receiver
+    with a 1-tick beacon at 1 every 10 ticks never discovers at phases
+    (0, 0): the receiver's beacon at 11 misses the start tick of the
+    emission at 10, so it is not deaf, but it collides with that emission
+    and with every later one.  The latency is the first emission heard
+    without a collision; the covering beacon is the first emission heard at
+    all; a trial fails without a latency or with one above the budget.
     """
     e, f = devices[0], devices[1]
     omega = e.beacons.beacon_duration

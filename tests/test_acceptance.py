@@ -117,7 +117,7 @@ def test_criterion_6_disco_worst_case():
     p = gen_disco(3, 5, slot, 1)
     limit = 15 * slot
     t_b = p.beacons.period
-    reference = per_tick_pair(p, p, False, t_b + math.lcm(t_b, p.receptions.period))
+    reference = per_tick_pair(p, p, t_b + math.lcm(t_b, p.receptions.period))
     for delta in range(15):
         lat, _ = simulate_pair(p, p, 0, delta * slot, self_blocking=False)
         assert lat == reference(0, delta * slot)

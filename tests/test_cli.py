@@ -589,6 +589,31 @@ def test_analyze_rejects_malformed_protocol(tmp_path, capsys, field, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_devices_that_disagree_on_tick_size_are_refused(tmp_path, capsys, command):
+    # the same protocol at 1000 and at 500 ns ticks: its tick counts mean
+    # different times, so no latency between the two is right
+    p = gen_pi0m(3, 100, 1)
+    docs = [protocol_to_json(p), protocol_to_json(replace(p, tick=TimeBase(500)))]
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    a, b, config = inputs / "a.json", inputs / "b.json", inputs / "config.json"
+    a.write_text(json.dumps(docs[0]))
+    b.write_text(json.dumps(docs[1]))
+    config.write_text(json.dumps({"devices": docs, "trials": 5}))
+    if command == "analyze":
+        argv = ["analyze", str(a), str(b), "--out", str(tmp_path / "report.json"),
+                "--coverage-csv", str(tmp_path / "cov.csv")]
+    else:
+        argv = ["simulate", str(config), "--out-dir", str(tmp_path / "out")]
+    assert run(argv) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "ValueError"
+    assert "tick size" in err["detail"]
+    assert os.listdir(tmp_path) == ["in"]
+
+
 def sim_config(tmp_path, trials=500, seed=11):
     e = beaconer([0, 20, 40, 60], 80)
     f = listener([(0, 20)], 80)

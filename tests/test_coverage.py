@@ -20,6 +20,7 @@ from ndlab import (
     ReceptionSchedule,
     ReceptionWindow,
     Semantics,
+    TimeBase,
     analyze,
     build_coverage_map,
     check_correlated_quadruple,
@@ -290,7 +291,7 @@ def test_pairwise_latency_charges_the_same_budget():
     e = beaconer([0], 10)
     f = listener([(0, 3)], 10)
     assert simulate_pair(e, f, 0, 5, self_blocking=False)[0] is None
-    assert per_tick_pair(e, f, False, 10 + 10)(0, 5) is None
+    assert per_tick_pair(e, f, 10 + 10)(0, 5) is None
     e = beaconer([0], 10_007)
     f = listener([(0, 4)], 9_973)
     with pytest.raises(HyperperiodTooLarge):
@@ -299,7 +300,7 @@ def test_pairwise_latency_charges_the_same_budget():
     assert lat == 1757 * 10_007  # beacon 1757 lands at 100 + 1757 * 34 = 6 * 9973
     # a horizon of lat checks every earlier beacon too, and keeps the
     # reference's tick list near 18M entries instead of the 100M-tick lcm
-    assert per_tick_pair(e, f, False, lat)(0, 100) == lat
+    assert per_tick_pair(e, f, lat)(0, 100) == lat
 
 
 def test_negative_budget_is_refused_before_any_sweep(monkeypatch):
@@ -839,6 +840,16 @@ def test_oracle_refuses_an_unknown_method():
         for budget in (DEFAULT_HYPERPERIOD_BUDGET, -1):
             with pytest.raises(ValueError, match="unknown oracle method"):
                 worst_case_latency_oracle(e, f, method="bogus", max_hyperperiod=budget)
+
+
+def test_oracle_refuses_devices_that_disagree_on_tick_size():
+    p = gen_pi0m(3, 100, 1)
+    fine = replace(p, tick=TimeBase(500))
+    for e, f in ((p, fine), (fine, p), (listener([(0, 5)], 10), fine)):  # also where no sweep runs
+        for method in ("full", "endpoints"):
+            with pytest.raises(ValueError, match="tick size"):
+                worst_case_latency_oracle(e, f, method=method)
+    assert worst_case_latency_oracle(fine, fine) == worst_case_latency_oracle(p, p)
 
 
 def test_pairwise_latency_is_none_without_a_beacon_or_an_effective_window():

@@ -162,6 +162,8 @@ def test_slotted_layout():
 def test_slot_shorter_than_two_beacons_gets_one():
     p = gen_slotted(SlottedParams(3, 3, (0,)), 2)
     assert p.beacons.emission_times == (0,)
+    # at the slot start, where a centered beacon would start at tick 1
+    assert gen_slotted(SlottedParams(5, 3, (0,)), 3).beacons.emission_times == (0,)
 
 
 def test_disco_counts_and_duty_cycle():

@@ -5,6 +5,7 @@ import os
 import random
 import sys
 import threading
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
 from math import lcm
@@ -24,6 +25,7 @@ from ndlab import (
     ReceptionWindow,
     Semantics,
     SimConfig,
+    TimeBase,
     exhaustive_pair_worst_case,
     measured_blocked_fraction,
     protocol_from_json,
@@ -67,7 +69,7 @@ def _per_tick_reference(e, f):
     """per_tick_pair for f hearing e without self-blocking, over a horizon
     that holds the first emission and one joint cycle past it."""
     t_b = e.beacons.period
-    return per_tick_pair(e, f, False, t_b + lcm(t_b, f.receptions.period))
+    return per_tick_pair(e, f, t_b + lcm(t_b, f.receptions.period))
 
 
 def test_pair_agrees_with_coverage_engine_pointwise():
@@ -627,7 +629,7 @@ PINNED_OUTCOMES = {
     "exhaustive_self_blocking": "651b4f7a83109c8bb6ddcdd4a44f5e8b8542f018f939e83df0680bd5b310ff40",
     "non_repetitive": "676e36f0ab3e956fc6abfe84af0e47f96b5fb8880785d7c7a323b96804e16948",
     "random_configs": "11a15c5f178e591914e0e40097b7c1de96f977e3c1d24f68d8df492d18d470e5",
-    "simulate_pair": "6544653afc0fb83562fcff62e708db3fd0ba783a5652438e41379a21bb1d3a96",
+    "simulate_pair": "2331d9012508c680cfbeaedf82a0ad89a065a33cababbfcfd41ea1bfc3c62ea8",
     "exhaustive_pair_worst_case": "ef01768edae228e318dfce28d1f68224a0c5d85504aeec03a459fc84a88208db",
 }
 
@@ -661,11 +663,20 @@ def test_pair_replays_are_pinned():
     assert _digest(got) == PINNED_OUTCOMES["simulate_pair"]
 
 
+def _exhaustive_worst_latency(e, f):
+    """The worst latency of a two-device exhaustive_ticks run: the
+    half-duplex worst case over every pair of device phases, None when some
+    pair never discovers."""
+    out = simulate_multi(SimConfig((e, f), offset_sampling=OffsetSampling.EXHAUSTIVE_TICKS))
+    return None if None in out.latencies else max(out.latencies)
+
+
 def test_exhaustive_pair_worst_cases_are_pinned():
+    # each pair's full-duplex worst case, then its half-duplex one
     got = [
-        exhaustive_pair_worst_case(e, f, self_blocking=self_blocking)
+        worst(e, f)
         for e, f in _pinned_pairs()
-        for self_blocking in (False, True)
+        for worst in (exhaustive_pair_worst_case, _exhaustive_worst_latency)
     ]
     assert _digest(got) == PINNED_OUTCOMES["exhaustive_pair_worst_case"]
 
@@ -709,10 +720,10 @@ def _emissions(spec: ProtocolSpec, phase: int, horizon: int) -> list[int]:
     return [s - phase for s in starts]
 
 
-def _uncut_pair(e, f, phase_e, phase_f, horizon, self_blocking):
-    """f hearing e at the given phases, every emission up to the horizon
-    tested, with no stop after one joint cycle."""
-    hears = _listener(f, e.beacons.beacon_duration, self_blocking)
+def _uncut_pair(e, f, phase_e, phase_f, horizon):
+    """A full-duplex f hearing e at the given phases, every emission up to
+    the horizon tested, with no stop after one joint cycle."""
+    hears = _listener(f, e.beacons.beacon_duration, self_blocking=False)
     emissions = _emissions(e, phase_e, horizon)
     return next((t for t in emissions if hears(phase_f, t)), None)
 
@@ -873,18 +884,25 @@ def test_pair_replays_equal_an_uncut_scan(seed, self_blocking):
     e, f = _repetitive_device(rng), _repetitive_device(rng)
     # the first emission comes within 30 ticks and the joint cycle divides 60
     horizon = 4 * 60
+
+    def uncut(e, f, pe, pf):
+        if self_blocking:
+            return _uncut_replay(SimConfig((e, f), horizon=horizon), [(pe, pf)])[0][0]
+        return _uncut_pair(e, f, pe, pf, horizon)
+
     for _ in range(10):
         pe, pf = rng.randrange(e.device_period), rng.randrange(f.device_period)
         assert simulate_pair(e, f, pe, pf, self_blocking=self_blocking) == (
-            _uncut_pair(e, f, pe, pf, horizon, self_blocking),
-            _uncut_pair(f, e, pf, pe, horizon, self_blocking),
+            uncut(e, f, pe, pf),
+            uncut(f, e, pf, pe),
         )
-    lats = [
-        _uncut_pair(e, f, pe, pf, horizon, self_blocking)
-        for pe, pf in product(range(e.device_period), range(f.device_period))
-    ]
-    worst = None if None in lats else max(lats)
-    assert exhaustive_pair_worst_case(e, f, self_blocking=self_blocking) == worst
+    if not self_blocking:
+        lats = [
+            _uncut_pair(e, f, pe, pf, horizon)
+            for pe, pf in product(range(e.device_period), range(f.device_period))
+        ]
+        worst = None if None in lats else max(lats)
+        assert exhaustive_pair_worst_case(e, f) == worst
 
 
 def test_finite_beacon_list_deafens_its_receiver():
@@ -912,15 +930,21 @@ def test_pair_replays_equal_a_per_tick_reference(seed):
         for _ in "ef"
     )
     # as above, tick 240 lies past one joint cycle after every first emission
-    for self_blocking in (False, True):
-        ef, fe = per_tick_pair(e, f, self_blocking, 240), per_tick_pair(f, e, self_blocking, 240)
-        for _ in range(10):
-            pe, pf = rng.randrange(e.device_period), rng.randrange(f.device_period)
-            got = simulate_pair(e, f, pe, pf, self_blocking=self_blocking)
-            assert got == (ef(pe, pf), fe(pf, pe))
-        lats = [ef(pe, pf) for pe, pf in product(range(e.device_period), range(f.device_period))]
-        worst = None if None in lats else max(lats)
-        assert exhaustive_pair_worst_case(e, f, self_blocking=self_blocking) == worst
+    ef, fe = per_tick_pair(e, f, 240), per_tick_pair(f, e, 240)
+    for _ in range(10):
+        pe, pf = rng.randrange(e.device_period), rng.randrange(f.device_period)
+        assert simulate_pair(e, f, pe, pf, self_blocking=False) == (ef(pe, pf), fe(pf, pe))
+    grid = list(product(range(e.device_period), range(f.device_period)))
+    lats = [ef(pe, pf) for pe, pf in grid]
+    assert exhaustive_pair_worst_case(e, f) == (None if None in lats else max(lats))
+    trial, back = per_tick_trial((e, f), 240), per_tick_trial((f, e), 240)
+    for _ in range(10):
+        pe, pf = rng.randrange(e.device_period), rng.randrange(f.device_period)
+        assert simulate_pair(e, f, pe, pf) == (trial((pe, pf))[0], back((pf, pe))[0])
+    # a sending receiver's own beacons decide only a few phase pairs, so the
+    # self-blocking scan simulate_pair plays is compared on the whole grid
+    run = simulator._trial_runner(e, f, ())
+    assert [run(*ph)[0] for ph in grid] == [trial(ph)[0] for ph in grid]
 
 
 @settings(deadline=None, max_examples=100)
@@ -954,9 +978,9 @@ def test_multi_device_trials_equal_a_per_tick_reference(seed):
 def test_joiner_beacons_at_or_past_their_period_repeat_from_the_start(times, heard_at):
     e, f = beaconer(times, 10), listener([(0, 10)], 10)
     assert simulate_pair(e, f, 0, 0) == (heard_at, None)
-    assert simulate_pair(e, f, 0, 0) == (per_tick_pair(e, f, True, 40)(0, 0), None)
-    out = simulate_multi(SimConfig((e, f), offset_sampling=OffsetSampling.EXHAUSTIVE_TICKS))
     trial = per_tick_trial((e, f), 40)
+    assert simulate_pair(e, f, 0, 0) == (trial((0, 0))[0], None)
+    out = simulate_multi(SimConfig((e, f), offset_sampling=OffsetSampling.EXHAUSTIVE_TICKS))
     assert [trial(ph) for ph in out.phases] == _trial_rows(out)
     assert out.latencies[out.phases.index((0, 0))] == heard_at
 
@@ -979,23 +1003,32 @@ def test_multi_device_trial_counts_a_sending_receiver_as_an_interferer():
     out = simulate_multi(SimConfig((e, f), offset_sampling=OffsetSampling.EXHAUSTIVE_TICKS))
     row = _trial_rows(out)[out.phases.index((0, 0))]
     assert row == per_tick_trial((e, f), 40)((0, 0)) == (None, True, True, True)
-    assert simulate_pair(e, f, 0, 0) == (10, None)
+    # a full-duplex receiver neither goes deaf nor jams
+    assert simulate_pair(e, f, 0, 0, self_blocking=False) == (10, None)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason=(
-        "simulate_pair hears the joiner's beacon at 10, because the receiver's own "
-        "beacon at 11 misses its start tick, while simulate_multi counts that beacon "
-        "as a collision; one of the two rules must decide a sending receiver's own "
-        "overlap, and a fix that moves the Disco seed-0 benchmark goldens belongs in "
-        "a benchmark change"
-    ),
-)
 def test_pair_and_multi_device_replays_agree_on_a_sending_receiver():
+    # the receiver's beacon at 11 misses the start tick of the joiner's at
+    # 10, so it does not deafen the receiver, but it collides with that beacon
     e, f = _sending_receiver_pair()
+    assert simulate_pair(e, f, 0, 0) == (None, None)
     out = simulate_multi(SimConfig((e, f), offset_sampling=OffsetSampling.EXHAUSTIVE_TICKS))
-    assert out.latencies[out.phases.index((0, 0))] == simulate_pair(e, f, 0, 0)[0]
+    assert out.latencies == tuple(simulate_pair(e, f, pe, pf)[0] for pe, pf in out.phases)
+
+
+def test_devices_that_disagree_on_tick_size_are_refused():
+    e = gen_disco(3, 5, 4, 1)
+    coarse = replace(e, tick=TimeBase(2000))
+    calls = [
+        lambda: simulate_pair(e, coarse),
+        lambda: simulate_pair(coarse, e, self_blocking=False),
+        lambda: exhaustive_pair_worst_case(e, coarse),
+        lambda: simulate_multi(SimConfig((e, coarse))),
+        lambda: simulate_multi(SimConfig((e, e, coarse), trials=3)),  # a sending interferer
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="tick size"):
+            call()
 
 
 def test_exhaustive_sampling_needs_exactly_two_devices():
