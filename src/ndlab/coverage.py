@@ -43,6 +43,7 @@ from .schedule import (
     ReceptionSchedule,
     ceil_div,
     effective_window_spans,
+    require_one_tick,
     write_csv,
 )
 
@@ -174,8 +175,7 @@ def worst_case_latency_oracle(
         raise ValueError(f"unknown oracle method: {method!r}")
     if max_hyperperiod < 0:
         raise ValueError(f"max_hyperperiod must be >= 0, got {max_hyperperiod}")
-    if e.tick != f.tick:
-        raise ValueError(f"devices disagree on tick size: {[e.tick.tick_ns, f.tick.tick_ns]} ns")
+    require_one_tick((e, f))
     b = e.beacons
     eff = effective_window_spans(f.receptions, f.radio.semantics, b.beacon_duration)
     if not b.count or not eff:  # a silent transmitter or a deaf receiver

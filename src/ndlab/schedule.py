@@ -218,6 +218,12 @@ class ProtocolSpec:
         return p
 
 
+def require_one_tick(devices) -> None:
+    """Raise ValueError unless every device counts time in one tick size."""
+    if len({d.tick for d in devices}) > 1:
+        raise ValueError(f"devices disagree on tick size: {[d.tick.tick_ns for d in devices]} ns")
+
+
 # ---------------------------------------------------------------------------
 # duty cycles
 # ---------------------------------------------------------------------------

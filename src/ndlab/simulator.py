@@ -6,7 +6,8 @@ both collision and self-deafness: overlapping beacons of different devices,
 the receiver's own included, destroy each other, and a self-blocking
 receiver cannot hear while its own turnaround-padded beacon overlaps the
 remote one (a full-duplex receiver's beacons do neither).  Every beacon
-list repeats with its period; a device with no beacons is silent.
+list repeats with its period; a device with no beacons is silent.  A trial
+yields its latency and first-beacon collision; SimOutcome decides failure.
 
 Each call sets its devices up once, from their ProtocolSpecs.  simulate_multi
 spreads its trials over the CPUs and itself plays any range a forked child
@@ -36,6 +37,7 @@ from .schedule import (
     Semantics,
     effective_window_spans,
     reception_duty_cycle,
+    require_one_tick,
     transmission_duty_cycle,
 )
 
@@ -61,6 +63,7 @@ class SimConfig:
         object.__setattr__(self, "devices", tuple(self.devices))
         if len(self.devices) < 2:
             raise ValueError("need at least a transmitter and a receiver")
+        require_one_tick(self.devices)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         # every latency is at least one tick, so a smaller budget fails all
@@ -76,13 +79,17 @@ class SimOutcome:
     phases: tuple[tuple[int, ...], ...]
     latencies: tuple[int | None, ...]
     first_beacon_collided: tuple[bool, ...]
-    covering_beacon_collided: tuple[bool | None, ...]
-    failed: tuple[bool, ...]
     latency_budget: int | None
 
     @property
     def trials(self) -> int:
         return len(self.latencies)
+
+    @property
+    def failed(self) -> tuple[bool, ...]:
+        """Per trial: it never discovered, or discovered past the budget."""
+        budget = self.latency_budget
+        return tuple(lat is None or (budget is not None and lat > budget) for lat in self.latencies)
 
     @property
     def failure_rate(self) -> Fraction:
@@ -141,15 +148,14 @@ def _trial_runner(
     receiver: ProtocolSpec,
     interferers: Sequence[ProtocolSpec],
     horizon: int | None = None,
-    budget: int | None = None,
     self_blocking: bool = True,
 ):
     """run(phase_joiner, phase_receiver, interferer_phases=()) plays one
-    trial and returns (latency, first beacon collided, covering beacon
-    collided, failed).  Every interferer must send; a silent joiner fails
-    every trial.  With self_blocking a receiver that sends is deafened by
-    its own beacons and also jams as the first interferer, at its own
-    phase.  All the devices must share one tick size.
+    trial and returns (latency, first beacon collided); the latency is None
+    when no emission is heard without a collision, as for a silent joiner.
+    Every interferer must send.  With self_blocking a receiver that sends
+    is deafened by its own beacons and also jams as the first interferer,
+    at its own phase.  All the devices must share one tick size.
 
     A trial builds the joiner's emission offsets with one bisect_right
     rotation of its taus, reduced modulo t_b and sorted once per call, at
@@ -163,9 +169,7 @@ def _trial_runner(
     So the scan stops one cycle past the joiner's first emission: a first
     success comes within it.  A horizon only cuts the scan shorter.
     """
-    devices = (joiner, receiver, *interferers)
-    if len({d.tick for d in devices}) > 1:
-        raise ValueError(f"devices disagree on tick size: {[d.tick.tick_ns for d in devices]} ns")
+    require_one_tick((joiner, receiver, *interferers))
     b = joiner.beacons
     own = self_blocking and receiver.beacons.count > 0
     interferers = (receiver, *interferers) if own else interferers
@@ -173,7 +177,7 @@ def _trial_runner(
     jams = [_jammer(d, b.beacon_duration) for d in interferers]
     jammed = bool(jams)
     if not b.count:
-        return lambda *phases: (None, False, None, True)
+        return lambda *phases: (None, False)
     t_b = b.period
     periods = [t_b, receiver.receptions.period] + [d.beacons.period for d in interferers]
     # a schedule may start at or past its period: reduce its taus (distinct,
@@ -198,27 +202,23 @@ def _trial_runner(
         k = bisect_right(taus, p)
         first = ring[k] - p
         if first > end:
-            return None, False, None, True
+            return None, False
         first_collided = jammed and collided(interferer_phases, first)
         last = first + reach
         if last > end:
             last = end
 
-        covering_collided = None
         emitted = ring[k : k + m]
         for base in range(-p, last - p, t_b):
             for t in emitted:
                 t += base
                 if t > last:
                     break
-                if not hears(phase_receiver, t):
-                    continue
-                hit = jammed and (first_collided if t == first else collided(interferer_phases, t))
-                if covering_collided is None:
-                    covering_collided = hit
-                if not hit:
-                    return t, first_collided, covering_collided, budget is not None and t > budget
-        return None, first_collided, covering_collided, True
+                if hears(phase_receiver, t) and not (
+                    jammed and (first_collided if t == first else collided(interferer_phases, t))
+                ):
+                    return t, first_collided
+        return None, first_collided
 
     return run
 
@@ -258,9 +258,9 @@ def exhaustive_pair_worst_case(e: ProtocolSpec, f: ProtocolSpec):
     silent transmitter.  The half-duplex grid is simulate_multi's
     ``exhaustive_ticks`` mode on the two devices.
     """
+    run = _trial_runner(e, f, (), self_blocking=False)
     if not e.beacons.count:
         return None
-    run = _trial_runner(e, f, (), self_blocking=False)
     worst = 0
     for pe, pf in product(range(e.beacons.period), range(f.receptions.period)):
         lat = run(pe, pf)[0]
@@ -366,7 +366,7 @@ def _collect(child):
 
 
 def _play_split(n: int, play) -> list[tuple]:
-    """The five columns of ``play(0, n)``, played over _split(n): one
+    """The columns of ``play(0, n)``, played over _split(n): one
     forked child per range after the first while this process plays the
     first, then each child's columns in trial order.  A range whose fork
     fails, or whose child raises or sends no full payload, is played here,
@@ -426,8 +426,8 @@ def simulate_multi(cfg: SimConfig) -> SimOutcome:
 
     Every device after the joiner that sends interferes, the receiver
     included (see _trial_runner).  A trial stops one joint cycle past its
-    first emission, and the horizon only cuts it shorter; a silent joiner
-    fails every trial.
+    first emission, and the horizon only cuts it shorter.  A range yields
+    three columns: the phases, latencies and first-beacon collisions.
     """
     if cfg.offset_sampling is OffsetSampling.EXHAUSTIVE_TICKS:
         if len(cfg.devices) != 2:
@@ -444,9 +444,7 @@ def simulate_multi(cfg: SimConfig) -> SimOutcome:
 
     devices = cfg.devices
     senders = [i for i in range(2, len(devices)) if devices[i].beacons.count]
-    run = _trial_runner(
-        devices[0], devices[1], [devices[i] for i in senders], cfg.horizon, cfg.latency_budget
-    )
+    run = _trial_runner(devices[0], devices[1], [devices[i] for i in senders], cfg.horizon)
 
     def play(lo: int, hi: int) -> tuple:
         phases = tuple(map(phase_of, range(lo, hi)))
@@ -454,8 +452,8 @@ def simulate_multi(cfg: SimConfig) -> SimOutcome:
         interfering = zip(*(cols[i] for i in senders)) if senders else repeat(())
         return (phases, *zip(*map(run, cols[0], cols[1], interfering)))
 
-    phases, lat, first, cover, failed = _play_split(n, play)
-    return SimOutcome(phases, lat, first, cover, failed, cfg.latency_budget)
+    phases, lat, first = _play_split(n, play)
+    return SimOutcome(phases, lat, first, cfg.latency_budget)
 
 
 # ---------------------------------------------------------------------------

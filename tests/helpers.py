@@ -10,13 +10,19 @@ from fractions import Fraction
 from ndlab import (
     BeaconSchedule,
     DomainError,
+    InfeasibleError,
     ProtocolSpec,
     RadioModel,
     ReceptionSchedule,
     ReceptionWindow,
     Semantics,
 )
-from ndlab.bounds import MutualExclusiveBound, SymmetricBound
+from ndlab.bounds import (
+    AsymmetricBound,
+    ChannelConstrainedBound,
+    MutualExclusiveBound,
+    SymmetricBound,
+)
 from ndlab.schedule import protocol_to_json, rat
 
 
@@ -181,9 +187,8 @@ def per_tick_trial(devices, horizon: int, budget: int | None = None):
     """Independent per-tick reference for one multi-device trial, with no
     modulo and no simulator internals.  devices[0] joins, devices[1]
     receives and every later device that sends interferes.  Returns
-    trial(phases) -> (latency, first collided, covering collided, failed)
-    for phases below the devices' periods, with the emissions at global
-    ticks [1, horizon].
+    trial(phases) -> (latency, first collided, failed) for phases below the
+    devices' periods, with the emissions at global ticks [1, horizon].
 
     Every device is unrolled onto an absolute tick axis of its own device
     time.  The receiver hears as in _heard_ticks, deafened by its own
@@ -195,8 +200,8 @@ def per_tick_trial(devices, horizon: int, budget: int | None = None):
     (0, 0): the receiver's beacon at 11 misses the start tick of the
     emission at 10, so it is not deaf, but it collides with that emission
     and with every later one.  The latency is the first emission heard
-    without a collision; the covering beacon is the first emission heard at
-    all; a trial fails without a latency or with one above the budget.
+    without a collision; a trial fails without a latency or with one above
+    the budget.
     """
     e, f = devices[0], devices[1]
     omega = e.beacons.beacon_duration
@@ -216,20 +221,16 @@ def per_tick_trial(devices, horizon: int, budget: int | None = None):
     def trial(phases):
         emissions = [s - phases[0] for s in starts if phases[0] < s <= phases[0] + horizon]
         if not emissions:
-            return None, False, None, True
+            return None, False, True
 
         def collided(t):
             return any(any(busy[phases[i] + t : phases[i] + t + omega]) for i, busy in sending)
 
-        first, covering = collided(emissions[0]), None
+        first = collided(emissions[0])
         for t in emissions:
-            if heard[phases[1] + t]:
-                hit = collided(t)
-                if covering is None:
-                    covering = hit
-                if not hit:
-                    return t, first, covering, budget is not None and t > budget
-        return None, first, covering, True
+            if heard[phases[1] + t] and not collided(t):
+                return t, first, budget is not None and t > budget
+        return None, first, True
 
     return trial
 
@@ -367,6 +368,43 @@ def ref_bound_symmetric_approx(eta, omega, alpha) -> Fraction:
         raise DomainError("eta must be positive")
     _ref_positive(omega, alpha)
     return 4 * alpha * omega / (eta * eta)
+
+
+def ref_bound_channel_constrained(eta, beta_m, omega, alpha) -> ChannelConstrainedBound:
+    """The symmetric bound while its beacon rate fits under the cap beta_m
+    (ties included); past it, the unidirectional bound of beacons at the
+    cap heard by a receiver that listens with the rest of the budget, at
+    most all the time."""
+    eta, beta_m, omega, alpha = rat(eta), rat(beta_m), rat(omega), rat(alpha)
+    _ref_positive(omega, alpha)
+    if beta_m <= 0:
+        raise DomainError("beta_m must be positive")
+    listening = eta - alpha * beta_m
+    if listening <= 0:
+        raise InfeasibleError("duty cycle too small to afford beta_m plus listening")
+    sym = ref_bound_symmetric(eta, omega, alpha)
+    if listening <= sym.gamma_o:
+        return ChannelConstrainedBound(sym.latency, 1, sym.gamma_o)
+    latency = ref_bound_unidirectional(min(listening, Fraction(1)), beta_m, omega)
+    return ChannelConstrainedBound(latency, 2, sym.gamma_o)
+
+
+def ref_bound_asymmetric(eta_e, eta_f, omega, alpha) -> AsymmetricBound:
+    """Each device spends half its budget on listening and half, at alpha
+    times the cost, on beacons; a direction then takes omega over the
+    sender's beacon rate times the listener's reception rate, and the two
+    directions agree."""
+    eta_e, eta_f, omega, alpha = rat(eta_e), rat(eta_f), rat(omega), rat(alpha)
+    if eta_e <= 0 or eta_f <= 0:
+        raise DomainError("duty cycles must be positive")
+    _ref_positive(omega, alpha)
+    gamma_e, gamma_f = eta_e / 2, eta_f / 2
+    beta_e, beta_f = gamma_e / alpha, gamma_f / alpha
+    latency = omega / (beta_e * gamma_f)
+    assert latency == omega / (beta_f * gamma_e)
+    # the split is reachable exactly when both reception rates are 1/k
+    tight = gamma_e.numerator == 1 and gamma_f.numerator == 1
+    return AsymmetricBound(latency, tight, beta_e, gamma_e, beta_f, gamma_f)
 
 
 def ref_bound_mutual_exclusive(eta, omega, alpha) -> MutualExclusiveBound:

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from helpers import (
+    ref_bound_asymmetric,
+    ref_bound_channel_constrained,
     ref_bound_mutual_exclusive,
     ref_bound_relaxed,
     ref_bound_slotted_full_duplex,
@@ -107,6 +109,9 @@ def test_channel_constrained_boundary_resolves_to_case1():
 def test_channel_constrained_infeasible():
     with pytest.raises(InfeasibleError):
         bd.bound_channel_constrained(F(1, 100), F(1, 50), 1, 1)
+    # eta == alpha * beta_m exactly: the whole budget goes to beacons
+    with pytest.raises(InfeasibleError):
+        bd.bound_channel_constrained(F(3, 100), F(1, 50), 32, F(3, 2))
 
 
 def test_asymmetric_values():
@@ -149,6 +154,9 @@ def test_collision_probability_values():
     assert bd.collision_probability(1, F(1, 100)) == 0.0
     assert bd.collision_probability(2, F(1, 100)) == pytest.approx(1 - math.exp(-0.02))
     assert bd.collision_probability(5, F(1, 200)) == pytest.approx(0.039210, abs=1e-6)
+    # both ends of the utilization range are in the domain
+    assert bd.collision_probability(3, 0) == 0.0
+    assert bd.collision_probability(3, F(1)) == 1.0 - math.exp(-4.0)
 
 
 def test_relaxed_reduces_to_ideal():
@@ -286,11 +294,11 @@ _BETAS = st.one_of(_rationals(0, 1), st.sampled_from((F(0), F(-1, 100))))
 
 def _agree(fn, ref, *args, **kwargs):
     """fn and its reference give equal values of one type, or the same
-    DomainError."""
+    DomainError or InfeasibleError."""
     try:
         want = ref(*args, **kwargs)
-    except DomainError as exc:
-        with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
+    except (DomainError, InfeasibleError) as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
             fn(*args, **kwargs)
         return
     got = fn(*args, **kwargs)
@@ -329,6 +337,13 @@ def test_rate_bounds_equal_their_references(gamma, beta, omega, do_tx, do_rx, se
     radio = RadioModel(omega=1, d_oTx=do_tx, d_oRx=do_rx, semantics=sem)
     _agree(bd.bound_unidirectional, ref_bound_unidirectional, gamma, beta, omega)
     _agree(bd.bound_relaxed, ref_bound_relaxed, gamma, beta, omega, radio, first)
+
+
+@settings(max_examples=300)
+@given(_ETAS, _ETAS, _BETAS, _OMEGAS, _ALPHAS)
+def test_two_rate_bounds_equal_their_references(eta, eta_f, beta_m, omega, alpha):
+    _agree(bd.bound_asymmetric, ref_bound_asymmetric, eta, eta_f, omega, alpha)
+    _agree(bd.bound_channel_constrained, ref_bound_channel_constrained, eta, beta_m, omega, alpha)
 
 
 @pytest.mark.parametrize(
@@ -417,8 +432,10 @@ def test_bounds_refuse_non_positive_omega_and_alpha(name, omega, alpha):
         (lambda: bd.bound_asymmetric(F(1, 10), F(-1, 10), 1, 1), "duty cycles must be"),
         (lambda: bd.collision_probability(0, F(1, 10)), "at least one sender"),
         (lambda: bd.collision_probability(2, F(3, 2)), "beta must lie in"),
+        (lambda: bd.bound_asymmetric(F(1, 10), 0, 1, 1), "duty cycles must be positive"),
     ],
-    ids=["channel-beta_m", "asymmetric-eta_e", "asymmetric-eta_f", "no-sender", "beta"],
+    ids=["channel-beta_m", "asymmetric-eta_e", "asymmetric-eta_f", "no-sender", "beta",
+         "asymmetric-eta_f-zero"],
 )
 def test_bounds_refuse_inputs_outside_their_domain(call, message):
     with pytest.raises(DomainError, match=message):

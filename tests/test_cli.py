@@ -614,6 +614,20 @@ def test_devices_that_disagree_on_tick_size_are_refused(tmp_path, capsys, comman
     assert os.listdir(tmp_path) == ["in"]
 
 
+def test_simulate_refuses_a_silent_device_on_another_tick(tmp_path, capsys):
+    # the receive-only third device takes part in no trial, yet its tick
+    # counts mean other times than the two senders'
+    p = gen_pi0m(3, 100, 1)
+    quiet = replace(listener([(0, 5)], 10), tick=TimeBase(500))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"devices": [protocol_to_json(d) for d in (p, p, quiet)]}))
+    assert run(["simulate", str(config), "--out-dir", str(tmp_path / "out")]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert err == {"error": "ValueError", "detail": "devices disagree on tick size: [1000, 1000, 500] ns"}
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
 def sim_config(tmp_path, trials=500, seed=11):
     e = beaconer([0, 20, 40, 60], 80)
     f = listener([(0, 20)], 80)

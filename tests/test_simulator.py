@@ -93,6 +93,8 @@ def test_pair_agrees_with_coverage_engine_pointwise():
 def test_exhaustive_worst_case_equals_oracle():
     e, f = optimal_pair()
     assert exhaustive_pair_worst_case(e, f) == worst_case_latency_oracle(e, f) == 80
+    # a silent transmitter has no beacon period to sweep
+    assert exhaustive_pair_worst_case(listener([(0, 5)], 10), beaconer([0], 10)) is None
 
 
 def test_exhaustive_mode_in_simulate_multi_matches_oracle():
@@ -338,19 +340,24 @@ def test_failure_rate_counts_budget_misses():
 
 
 def test_disjoint_protocol_fails_iff_covering_beacon_collides():
-    # joiner + receiver + one interferer at matching rates
+    # joiner + receiver + one interferer at matching rates: the interferer
+    # repeats with the joiner's period, so a trial whose first heard beacon
+    # collides loses every later one too, and every other trial meets the
+    # oracle's bound
     e, f = optimal_pair()
     interferer = beaconer([3], 80)
     bound = worst_case_latency_oracle(e, f)
-    out = simulate_multi(
-        SimConfig((e, f, interferer), trials=2000, seed=7, horizon=800, latency_budget=bound)
-    )
-    saw_collision = False
-    for covered_hit, failed in zip(out.covering_beacon_collided, out.failed):
-        if covered_hit:
-            saw_collision = True
-            assert failed
-    assert saw_collision
+    cfg = SimConfig((e, f, interferer), trials=2000, seed=7, horizon=800, latency_budget=bound)
+    out = simulate_multi(cfg)
+    # the covering beacon is the first emission the receiver hears at all
+    hears = _listener(f, e.beacons.beacon_duration, self_blocking=True)
+    jams = _jammer(interferer, e.beacons.beacon_duration)
+    covering = []
+    for pe, pf, pi in out.phases:
+        t = next(t for t in _emissions(e, pe, cfg.horizon) if hears(pf, t))
+        covering.append(bool(jams(pi, t)))
+    assert covering == list(out.failed)
+    assert sum(out.failed) == 23
 
 
 def test_blocked_fraction_zero_turnarounds_equals_beta():
@@ -619,16 +626,16 @@ PINNED_CONFIGS = {
 }
 
 PINNED_OUTCOMES = {
-    "budget_fails": "e6d1445749d64d91b2449d115a77eafeae05308773e78bf30e82aa9161e8f897",
-    "c7_S10": "15f373161ec0167ba334c496024205aa9b40a5fb88e94da6a08a85b5258da4c7",
-    "c7_S2": "2958190bae0a11533b646c2742ce63fc6daf7b3d36e135c9aabe236f89f41ec8",
-    "c7_S5": "f04c38b02070c9bf1fb8b3cdaca4b8c3d1a52ac2aa2574efb5a423ce74fcce0c",
-    "contained_turnarounds": "6fbace2de32d91f36fd9c03188eb6d0911aada0cf3eac951cef0cb90e5d0118d",
-    "disco_x3": "fa21e00562f18fbfe1ae4caaee36c88bc1ff082fd572219129b867d10b29156f",
-    "exhaustive_disco": "5a9ff17c405bc18bdad37127cecc0caab19f427f426b61945cf4ec840726a6e3",
-    "exhaustive_self_blocking": "651b4f7a83109c8bb6ddcdd4a44f5e8b8542f018f939e83df0680bd5b310ff40",
-    "non_repetitive": "676e36f0ab3e956fc6abfe84af0e47f96b5fb8880785d7c7a323b96804e16948",
-    "random_configs": "11a15c5f178e591914e0e40097b7c1de96f977e3c1d24f68d8df492d18d470e5",
+    "budget_fails": "ce00c6df2f3bedb9e8931a0492352a1575def9ba6ba6e5ca34d7c92c0b6d9b53",
+    "c7_S10": "bf9e3eed61b56ee560fc9cd9e0f6a565b0e9c1aaca33379024641141b14742ff",
+    "c7_S2": "a7b654083716f6506618a81023ade9b23121346edea5b4a51c107d84bb7b1381",
+    "c7_S5": "517128a16b59c9dc11918a0027d1ac756cadaf5c531580a87b06e5b7b046406a",
+    "contained_turnarounds": "b77e86f64235aeb39c0c2c2b6c3a0d5255422df19b154759a9230bc3314d2f77",
+    "disco_x3": "dc171b7cfcf566de187f320879a0a3931c43f567707f9e49d7e18e4f210126c4",
+    "exhaustive_disco": "526cd733a1432a9493cf0d1b872312ea30e00a2f3bbed7f5a272eea6712dab90",
+    "exhaustive_self_blocking": "3528ee77565f004b0764cec1af54cd65a713eb75c9f458aa826c4f33a20f5451",
+    "non_repetitive": "498474382dbbbf25eeb543149e5fce8e6e7007e6b66bc600249bab1b303054ec",
+    "random_configs": "caa0c8a5588200ecf5531cb65a2c36b6281359e5df44f47267c88704ad17dd1a",
     "simulate_pair": "2331d9012508c680cfbeaedf82a0ad89a065a33cababbfcfd41ea1bfc3c62ea8",
     "exhaustive_pair_worst_case": "ef01768edae228e318dfce28d1f68224a0c5d85504aeec03a459fc84a88208db",
 }
@@ -760,14 +767,13 @@ def test_finite_joiner_is_scanned_to_its_last_beacon(sampling):
 
 
 def _trial_rows(out):
-    return list(
-        zip(out.latencies, out.first_beacon_collided, out.covering_beacon_collided, out.failed)
-    )
+    return list(zip(out.latencies, out.first_beacon_collided, out.failed))
 
 
 def _uncut_replay(cfg: SimConfig, phases):
     """Each trial of simulate_multi scanned to the config's horizon: every
-    emission is tested, with no stop after one joint cycle."""
+    emission is tested, with no stop after one joint cycle.  A row is
+    (latency, first collided, failed), as in _trial_rows."""
     devices = cfg.devices
     omega = devices[0].beacons.beacon_duration
     hears = _listener(devices[1], omega, self_blocking=True)
@@ -776,10 +782,9 @@ def _uncut_replay(cfg: SimConfig, phases):
     for ph in phases:
         emissions = _emissions(cfg.devices[0], ph[0], cfg.horizon)
         hits = [any(jam(ph[i], t) for i, jam in jammers) for t in emissions]
-        heard = [hit for t, hit in zip(emissions, hits) if hears(ph[1], t)]
         lat = next((t for t, hit in zip(emissions, hits) if hears(ph[1], t) and not hit), None)
         failed = lat is None or (cfg.latency_budget is not None and lat > cfg.latency_budget)
-        out.append((lat, bool(hits) and hits[0], heard[0] if heard else None, failed))
+        out.append((lat, bool(hits) and hits[0], failed))
     return out
 
 
@@ -1002,7 +1007,7 @@ def test_multi_device_trial_counts_a_sending_receiver_as_an_interferer():
     e, f = _sending_receiver_pair()
     out = simulate_multi(SimConfig((e, f), offset_sampling=OffsetSampling.EXHAUSTIVE_TICKS))
     row = _trial_rows(out)[out.phases.index((0, 0))]
-    assert row == per_tick_trial((e, f), 40)((0, 0)) == (None, True, True, True)
+    assert row == per_tick_trial((e, f), 40)((0, 0)) == (None, True, True)
     # a full-duplex receiver neither goes deaf nor jams
     assert simulate_pair(e, f, 0, 0, self_blocking=False) == (10, None)
 
@@ -1023,12 +1028,24 @@ def test_devices_that_disagree_on_tick_size_are_refused():
         lambda: simulate_pair(e, coarse),
         lambda: simulate_pair(coarse, e, self_blocking=False),
         lambda: exhaustive_pair_worst_case(e, coarse),
+        lambda: exhaustive_pair_worst_case(replace(listener([(0, 5)], 10), tick=TimeBase(2000)), e),
         lambda: simulate_multi(SimConfig((e, coarse))),
         lambda: simulate_multi(SimConfig((e, e, coarse), trials=3)),  # a sending interferer
+        # a receive-only device never reaches the trial runner, so the
+        # config checks every device's tick itself
+        lambda: SimConfig((e, e, replace(listener([(0, 5)], 10), tick=TimeBase(500)))),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="tick size"):
             call()
+
+
+def test_horizon_on_the_first_emission_keeps_it():
+    # the joiner's first emission comes at tick 5, the horizon itself: the
+    # scan tests it, where a scan cut before it would fail the trial
+    e, f = beaconer([5], 10), listener([(0, 10)], 10)
+    assert simulator._trial_runner(e, f, (), horizon=5)(0, 0)[0] == 5
+    assert per_tick_trial((e, f), 5)((0, 0))[0] == 5
 
 
 def test_exhaustive_sampling_needs_exactly_two_devices():
