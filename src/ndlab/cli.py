@@ -20,7 +20,6 @@ from itertools import count
 from . import bounds
 from .coverage import (
     DEFAULT_HYPERPERIOD_BUDGET,
-    UNBOUNDED,
     analyze,
     build_coverage_map,
     worst_case_latency_oracle,
@@ -217,10 +216,10 @@ def cmd_analyze(args) -> int:
         "uncovered": [list(span) for span in rep.uncovered],
         "beta": [beta.numerator, beta.denominator],
         "gamma": [gamma.numerator, gamma.denominator],
-        "oracle_latency_ticks": None if oracle is UNBOUNDED else oracle,
-        "unbounded": oracle is UNBOUNDED,
+        "oracle_latency_ticks": oracle,
+        "unbounded": oracle is None,
     }
-    if beta > 0 and oracle is not UNBOUNDED:
+    if beta > 0 and oracle is not None:
         bound = bounds.bound_unidirectional(gamma, beta, e.beacons.beacon_duration)
         report["bound_unidirectional_ticks"] = float(bound)
         report["gap_ratio"] = float((Fraction(oracle) - bound) / bound)

@@ -16,9 +16,10 @@ period to the next heard one: m + S beacon steps for m beacons per period
 and a longest wait of S steps.  Its one state is a set of sorted pending
 runs of offsets, edited in place and tagged with the beacon they were
 last heard at, or -1 while not heard since beacon 0; one rule proves
-UNBOUNDED: a run still pending a whole scan limit past the beacon after
-its tag.  A beacon step places each window with one modulo and
-splits it only where it wraps past the reception period.
+that some alignment never discovers: a run still pending a whole scan
+limit past the beacon after its tag.  A beacon step places each window
+with one modulo and splits it only where it wraps past the reception
+period.
 
 One engine per role: the endpoints sweep gives the answer; the per-tick
 sweep (``method="full"``, slow and obviously correct) is its reference,
@@ -48,18 +49,9 @@ from .schedule import (
 )
 
 
-class _Sentinel:
-    __slots__ = ("_name",)
-
-    def __init__(self, name: str):
-        self._name = name
-
-    def __repr__(self):
-        return self._name
-
-
-#: Returned when some alignment of the two devices never discovers.
-UNBOUNDED = _Sentinel("UNBOUNDED")
+#: The oracle's answer when some alignment of the two devices never
+#: discovers: None, as every replay engine answers.
+UNBOUNDED = None
 
 DEFAULT_HYPERPERIOD_BUDGET = 10_000_000
 
@@ -150,7 +142,7 @@ def worst_case_latency_oracle(
     f: ProtocolSpec,
     method: str = "endpoints",
     max_hyperperiod: int = DEFAULT_HYPERPERIOD_BUDGET,
-):
+) -> int | None:
     """Exact worst-case discovery latency of ``f`` hearing ``e``.
 
     Sweeps every alignment of the two periodic schedules and every in-range
@@ -162,13 +154,15 @@ def worst_case_latency_oracle(
     ``method="full"`` is the per-tick reference sweep.  A scan looks at
     most ``max_hyperperiod`` ticks past the first in-range beacon and raises
     HyperperiodTooLarge only when the worst case lies further, or when
-    proving UNBOUNDED would (that takes one whole lcm of the periods); a
-    pair too sparse to cover every offset within that span is not swept.
+    proving that some alignment never discovers would (that takes one
+    whole lcm of the periods); a pair too sparse to cover every offset
+    within that span is not swept.
     A budget of 0 scans the first in-range beacon alone.  An unknown method
     or a negative budget is refused before anything else, then two devices
     that disagree on tick size.
 
-    Returns ticks, or UNBOUNDED when some alignment never discovers.
+    Returns ticks, or None (``UNBOUNDED``) when some alignment never
+    discovers.
     """
     sweep = {"full": _oracle_full, "endpoints": _oracle_endpoints}.get(method)
     if sweep is None:
@@ -179,7 +173,7 @@ def worst_case_latency_oracle(
     b = e.beacons
     eff = effective_window_spans(f.receptions, f.radio.semantics, b.beacon_duration)
     if not b.count or not eff:  # a silent transmitter or a deaf receiver
-        return UNBOUNDED
+        return None
     t_c = f.receptions.period
     gaps = b.gaps()
     hyper = lcm(b.period, t_c)
@@ -189,9 +183,9 @@ def worst_case_latency_oracle(
     # covering all t_c offsets takes ceil(t_c / cover) beacons or more, and
     # the last of them lies at least (that many - 1) * min(gaps) past the first
     too_far = (ceil_div(t_c, iv.measure(eff)) - 1) * min(gaps) >= limit
-    worst = UNBOUNDED if too_far else sweep(t_c, eff, gaps, limit)
-    # only a scan of the whole lcm proves UNBOUNDED
-    if worst is UNBOUNDED and limit < hyper:
+    worst = None if too_far else sweep(t_c, eff, gaps, limit)
+    # only a scan of the whole lcm proves that some alignment never discovers
+    if worst is None and limit < hyper:
         raise HyperperiodTooLarge(hyper, max_hyperperiod)
     return worst
 
@@ -212,7 +206,7 @@ def _oracle_full(t_c, eff, gaps, limit):
             while not bisect_right(edges, pos) & 1:
                 shift += gaps[k % m]
                 if shift >= limit:
-                    return UNBOUNDED
+                    return None
                 k += 1
                 pos = (phi + shift) % t_c
             if shift > worst:
@@ -285,7 +279,7 @@ def _oracle_endpoints(t_c, eff, gaps, limit):
     while k < m or tags:
         # min(tags) is O(runs); as at[h + 2] >= 0, no run fails before limit
         if shift >= limit and shift - at[min(tags) + 2] >= limit:
-            return UNBOUNDED
+            return None
         tag = k if k < m else None
         for a, length in pieces:
             x = (a - shift) % t_c

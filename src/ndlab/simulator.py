@@ -66,6 +66,9 @@ class SimConfig:
         require_one_tick(self.devices)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        # _derive_seed works modulo 2**64, so a seed outside would replay another
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         # every latency is at least one tick, so a smaller budget fails all
         if self.latency_budget is not None and self.latency_budget < 1:
             raise ValueError("latency_budget must be >= 1")
@@ -414,6 +417,12 @@ def _play_split(n: int, play) -> list[tuple]:
     return [tuple(chain.from_iterable(col)) for col in zip(*parts)]
 
 
+#: The most phase pairs an ``exhaustive_ticks`` run plays.  A trial's
+#: outcome takes about 365 bytes while the columns are built, so this grid
+#: holds about 365 MB; a larger one is refused before anything is allocated.
+_MAX_EXHAUSTIVE_PAIRS = 10**6
+
+
 def simulate_multi(cfg: SimConfig) -> SimOutcome:
     """Seeded multi-device trials; identical config and seed give an
     identical outcome, bit for bit, on any number of CPUs.
@@ -422,7 +431,8 @@ def simulate_multi(cfg: SimConfig) -> SimOutcome:
     in ``exhaustive_ticks`` mode from its index in the phase grid, so any
     contiguous range of trials can be played alone.  The trials are split
     into one range per available CPU, each at least _MIN_RANGE_TRIALS long;
-    a forked child plays each range after the first (see _play_split).
+    a forked child plays each range after the first (see _play_split).  An
+    ``exhaustive_ticks`` grid above _MAX_EXHAUSTIVE_PAIRS raises DomainError.
 
     Every device after the joiner that sends interferes, the receiver
     included (see _trial_runner).  A trial stops one joint cycle past its
@@ -434,6 +444,10 @@ def simulate_multi(cfg: SimConfig) -> SimOutcome:
             raise ValueError("exhaustive phase sweep supports exactly two devices")
         p_e, p_f = (d.device_period for d in cfg.devices)
         n = p_e * p_f
+        if n > _MAX_EXHAUSTIVE_PAIRS:
+            raise DomainError(
+                f"exhaustive phase grid of {n} pairs exceeds {_MAX_EXHAUSTIVE_PAIRS}"
+            )
         # the grid index i is the phase pair divmod(i, p_f), in product order
         phase_of = lambda i: divmod(i, p_f)
     else:

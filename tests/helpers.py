@@ -235,6 +235,30 @@ def per_tick_trial(devices, horizon: int, budget: int | None = None):
     return trial
 
 
+def first_collision_rate(joiner: ProtocolSpec, interferers) -> Fraction:
+    """Exact chance that the joiner's first beacon collides when each
+    interferer's phase is uniform, from the schedule fields alone.
+
+    A joiner beacon of omega ticks starting at t and an interferer beacon
+    of w ticks starting at tau overlap when t - tau lies in [1 - omega,
+    w - 1].  So B_i, the interferer phases modulo its period t_b at which
+    it overlaps a given joiner beacon, are its beacon spans widened by
+    omega - 1 ticks ahead, taken modulo t_b, and the phases are independent:
+    the rate is 1 - prod(1 - B_i / t_b), whatever the joiner's phase.
+    """
+    omega = joiner.beacons.beacon_duration
+    clear = Fraction(1)
+    for d in interferers:
+        b = d.beacons
+        hit = {
+            (tau + x) % b.period
+            for tau in b.emission_times
+            for x in range(1 - omega, b.beacon_duration)
+        }
+        clear *= 1 - Fraction(len(hit), b.period)
+    return 1 - clear
+
+
 def per_tick_max_gap(e: ProtocolSpec, f: ProtocolSpec):
     """Independent reference for the worst-case latency of f hearing e, by
     brute force over one joint cycle, with no coverage internals.
@@ -262,6 +286,70 @@ def per_tick_max_gap(e: ProtocolSpec, f: ProtocolSpec):
         gaps = [y - x for x, y in zip(hits, hits[1:])] + [hits[0] + cycle - hits[-1]]
         worst = max(worst, *gaps)
     return worst
+
+
+def fewest_covering_points(circle: int, step: int, d: int):
+    """The least n for which the points k * step mod circle, k < n, leave no
+    circular gap longer than d, or None when no n does.
+
+    The gap process in division form.  Between rounds the gaps take two
+    lengths: the longest, x (cx gaps), and y (cy gaps); one point leaves
+    one gap, the whole circle, and the point at ``step`` splits it first.
+    By the three-distance theorem each new point splits one gap of length
+    x into y and x - y, so the longest gap stays x until a round of cx
+    points has split them all.  Rounds repeat with x - y, x - 2y, ... while
+    that exceeds y, so one division counts them, and the lengths follow
+    Euclid's algorithm on (circle, step).  When y divides x, the points
+    close up into equal gaps y after q - 1 rounds and gain no more.
+    """
+    x, cx, y, cy = circle, 1, step % circle, 0
+    while x > d:
+        if not y:  # the points repeat: no gap gets shorter than x
+            return None
+        q, r = divmod(x, y)
+        rounds = -(-(x - d) // y)  # rounds until the longest gap is at most d
+        if rounds < q:
+            return cx + cy + rounds * cx
+        if not r:  # after q - 1 rounds every gap is y > d, and stays so
+            return None
+        x, cx, y, cy = y, cy + q * cx, r, cx
+    return cx + cy
+
+
+def three_gap_worst_case(e: ProtocolSpec, f: ProtocolSpec):
+    """Independent closed-form reference for the worst-case latency of f
+    hearing e when e sends one beacon per period t_b and the ticks at which
+    f hears a beacon start form one arc of d ticks on its circle of t_c
+    offsets; no lcm, no sweep and no coverage internals.
+
+    Beacon k lands at offset phi + k t_b modulo t_c, so the worst case is
+    t_b * n for the fewest n consecutive beacons that every offset hears
+    at least once: fewest_covering_points(t_c, t_b, d).  A beacon starting
+    at x is heard as in per_tick_max_gap, and pieces that touch, across
+    0 and t_c too, are one arc.  Returns None when some offset never
+    hears a beacon; raises ValueError on a pair of another shape.
+    """
+    b, r = e.beacons, f.receptions
+    if b.count != 1:
+        raise ValueError("three_gap_worst_case needs one beacon per period")
+    tail = b.beacon_duration if f.radio.semantics is Semantics.CONTAINED else 0
+    arcs = []
+    for w in r.windows:
+        a, z = w.start, w.end - tail
+        if a >= z:
+            continue
+        if arcs and arcs[-1][1] == a:
+            arcs[-1][1] = z
+        else:
+            arcs.append([a, z])
+    if len(arcs) > 1 and arcs[0][0] == 0 and arcs[-1][1] == r.period:
+        arcs[0][0] = arcs.pop()[0] - r.period
+    if not arcs:
+        return None
+    if len(arcs) > 1:
+        raise ValueError(f"heard ticks form {len(arcs)} arcs, not one")
+    n = fewest_covering_points(r.period, b.period, arcs[0][1] - arcs[0][0])
+    return None if n is None else b.period * n
 
 
 #: (dotted field, value) edits that turn a valid protocol document into one

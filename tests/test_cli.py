@@ -26,6 +26,7 @@ from ndlab import (
     worst_case_latency_oracle,
 )
 from ndlab import bounds as bd
+from ndlab import simulator
 from ndlab.cli import _grid, _k_grid, main
 from ndlab.errors import DomainError
 from ndlab.protocols import (
@@ -625,6 +626,41 @@ def test_simulate_refuses_a_silent_device_on_another_tick(tmp_path, capsys):
     [line] = capsys.readouterr().err.splitlines()
     err = json.loads(line)
     assert err == {"error": "ValueError", "detail": "devices disagree on tick size: [1000, 1000, 500] ns"}
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+def test_simulate_refuses_an_exhaustive_grid_too_large_to_hold(tmp_path, capsys, monkeypatch):
+    # two devices repeating every 39 900 ticks form 1.59e9 phase pairs,
+    # gigabytes of outcomes: refused before any pair is played
+    def never(*args):
+        raise AssertionError("the grid was played")
+
+    monkeypatch.setattr(simulator, "_play_split", never)
+    doc = protocol_to_json(gen_pi0m(3, 100, 1))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"devices": [doc, doc], "offset_sampling": "exhaustive_ticks"}))
+    assert run(["simulate", str(config), "--out-dir", str(tmp_path / "out")]) == 3
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {
+        "error": "DomainError",
+        "detail": "exhaustive phase grid of 1592010000 pairs exceeds 1000000",
+    }
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+@pytest.mark.parametrize("seed", [2**64, -1])
+def test_simulate_refuses_a_seed_outside_64_bits(tmp_path, capsys, seed):
+    # trial seeds are derived modulo 2**64: such a seed would replay another
+    # one while summary.json recorded it
+    doc = protocol_to_json(gen_pi0m(3, 100, 1))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"devices": [doc, doc], "trials": 5, "seed": seed}))
+    assert run(["simulate", str(config), "--out-dir", str(tmp_path / "out")]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {
+        "error": "ValueError",
+        "detail": f"seed must lie in [0, 2**64), got {seed}",
+    }
     assert os.listdir(tmp_path) == ["config.json"]
 
 

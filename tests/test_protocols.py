@@ -337,7 +337,7 @@ def _two_way(e, f):
     """Worst case over phase pairs of max(L_ef, L_fe), None if unbounded:
     without self-blocking the two maxima commute."""
     ef, fe = worst_case_latency_oracle(e, f), worst_case_latency_oracle(f, e)
-    return None if UNBOUNDED in (ef, fe) else max(ef, fe)
+    return None if None in (ef, fe) else max(ef, fe)
 
 
 def test_closest_pair_to_the_asymmetric_bound():

@@ -35,7 +35,7 @@ from ndlab import (
     worst_case_latency_oracle,
 )
 from ndlab import simulator
-from ndlab.protocols import gen_disco
+from ndlab.protocols import gen_disco, gen_pi0m
 from ndlab.simulator import (
     _MIN_RANGE_TRIALS,
     _derive_seed,
@@ -47,6 +47,7 @@ from helpers import (
     _beacon_starts,
     beaconer,
     c7_devices,
+    first_collision_rate,
     listener,
     one_shot,
     per_tick_pair,
@@ -476,6 +477,12 @@ def test_simconfig_validation():
         with pytest.raises(ValueError, match="latency_budget"):
             SimConfig((e, f), latency_budget=budget)
     assert SimConfig((e, f), latency_budget=1).latency_budget == 1
+    # trial seeds are derived modulo 2**64, so 2**64 would replay seed 0
+    assert _derive_seed(2**64, 5) == _derive_seed(0, 5)
+    for seed in (2**64, 2**70, -1):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            SimConfig((e, f), seed=seed)
+    assert SimConfig((e, f), seed=2**64 - 1).seed == 2**64 - 1
 
 
 def test_random_protocol_pair_engines_agree():
@@ -1052,6 +1059,46 @@ def test_exhaustive_sampling_needs_exactly_two_devices():
     cfg = SimConfig(c7_devices(3), offset_sampling=OffsetSampling.EXHAUSTIVE_TICKS)
     with pytest.raises(ValueError, match="exactly two devices"):
         simulate_multi(cfg)
+
+
+def test_exhaustive_grid_too_large_to_hold_is_refused(monkeypatch):
+    # gen_pi0m(3, 100, 1) repeats every lcm(100, 399) = 39 900 ticks, so
+    # two of them form 39 900**2 phase pairs: refused before any is played
+    def never(*args):
+        raise AssertionError("the grid was played")
+
+    monkeypatch.setattr(simulator, "_play_split", never)
+    exhaustive = dict(offset_sampling=OffsetSampling.EXHAUSTIVE_TICKS)
+    p = gen_pi0m(3, 100, 1)
+    with pytest.raises(DomainError, match="grid of 1592010000 pairs exceeds 1000000"):
+        simulate_multi(SimConfig((p, p), **exhaustive))
+    # a grid of exactly 10**6 pairs is played, one of 1000 x 1001 is not
+    e = beaconer([0], 1000)
+    with pytest.raises(AssertionError, match="was played"):
+        simulate_multi(SimConfig((e, listener([(0, 5)], 1000)), **exhaustive))
+    with pytest.raises(DomainError, match="1001000 pairs"):
+        simulate_multi(SimConfig((e, listener([(0, 5)], 1001)), **exhaustive))
+
+
+@pytest.mark.parametrize(
+    "t_b, omega, senders, taus, rate",
+    [
+        (40, 1, 2, (0,), F(1, 40)),
+        (40, 3, 2, (0,), F(1, 8)),
+        (20, 3, 3, (0,), F(7, 16)),
+        (15, 2, 4, (0,), F(61, 125)),
+        (30, 2, 3, (0, 11), F(9, 25)),
+    ],
+)
+def test_first_beacon_collisions_equal_the_exact_rate(t_b, omega, senders, taus, rate):
+    # every phase tuple of the joiner and its equal interferers, against an
+    # always-on receiver that sends nothing: no sigma, an exact count
+    joiner = beaconer(taus, t_b, omega=omega)
+    interferers = (joiner,) * (senders - 1)
+    run = simulator._trial_runner(joiner, listener([(0, 1)], 1), interferers)
+    grid = list(product(range(t_b), repeat=senders))
+    collided = sum(run(p[0], 0, p[1:])[1] for p in grid)
+    assert F(collided, len(grid)) == first_collision_rate(joiner, interferers) == rate
 
 
 def test_silent_device_loses_no_reception_to_its_own_beacons():
