@@ -310,32 +310,26 @@ def _draw_phases(rng: random.Random, seed: int, periods: Sequence[int]) -> tuple
 _MIN_RANGE_TRIALS = 400
 
 
-def _split(n: int) -> tuple[list[int], list[tuple[int, int]]]:
-    """(CPUs, ranges): contiguous [lo, hi) ranges of n trials, one per CPU
-    this process may run on and none shorter than _MIN_RANGE_TRIALS, with
-    the CPU each range runs on.  One range when the platform cannot fork or
-    report its CPUs, or another thread is alive (a forked child would
-    inherit its locks held)."""
-    calls = ("fork", "sched_getaffinity", "sched_setaffinity")
+def _split(n: int) -> list[tuple[int, int]]:
+    """Contiguous [lo, hi) ranges of n trials, one per CPU this process may
+    run on and none shorter than _MIN_RANGE_TRIALS.  One range when the
+    platform cannot fork or report its CPUs, or another thread is alive (a
+    forked child would inherit its locks held)."""
+    calls = ("fork", "sched_getaffinity")
     if not all(hasattr(os, f) for f in calls) or threading.active_count() > 1:
-        return [], [(0, n)]
-    cpus = sorted(os.sched_getaffinity(0))
-    k = max(1, min(len(cpus), n // _MIN_RANGE_TRIALS))
-    return cpus[:k], [(n * j // k, n * (j + 1) // k) for j in range(k)]
+        return [(0, n)]
+    k = max(1, min(len(os.sched_getaffinity(0)), n // _MIN_RANGE_TRIALS))
+    return [(n * j // k, n * (j + 1) // k) for j in range(k)]
 
 
-def _affine(cpus) -> None:
-    """Let this process run on ``cpus`` alone; a refusal leaves it as it was."""
-    with suppress(OSError):
-        os.sched_setaffinity(0, cpus)
-
-
-def _fork(play, lo: int, hi: int, mask):
+def _fork(play, lo: int, hi: int):
     """(pid, read end) of a child that sends ``play(lo, hi)`` as one
-    marshal payload, or nothing when play raises; None when fork() fails.
-    The child first takes the CPU set ``mask`` back, and it always leaves
-    through os._exit."""
-    r, w = os.pipe()
+    marshal payload, or nothing when play raises; None when pipe() or
+    fork() fails.  The child always leaves through os._exit."""
+    try:
+        r, w = os.pipe()
+    except OSError:
+        return None
     try:
         pid = os.fork()
     except OSError:
@@ -347,7 +341,6 @@ def _fork(play, lo: int, hi: int, mask):
             # a collection would touch, and so copy, every page of the
             # parent's heap; the child's own garbage is freed by refcount
             gc.disable()
-            _affine(mask)
             os.close(r)
             payload = marshal.dumps(play(lo, hi))
             with open(w, "wb") as fh:
@@ -369,9 +362,9 @@ def _collect(child):
 
 
 def _play_split(n: int, play) -> list[tuple]:
-    """The columns of ``play(0, n)``, played over _split(n): one
-    forked child per range after the first while this process plays the
-    first, then each child's columns in trial order.  A range whose fork
+    """The columns of ``play(0, n)``, played over _split(n): one forked
+    child per range after the first while this process plays the first,
+    then each child's columns in trial order.  A range whose pipe or fork
     fails, or whose child raises or sends no full payload, is played here,
     so neither the columns nor an exception depends on the split: a range
     that raises wherever it is played raises here, with this process's
@@ -382,22 +375,13 @@ def _play_split(n: int, play) -> list[tuple]:
     devices' set-up and starts within about a millisecond, where a pool
     costs about as much to start per call as a 1000-trial run, and one
     kept between calls would leave processes running."""
-    cpus, ranges = _split(n)
+    ranges = _split(n)
     if len(ranges) == 1:
         return list(play(0, n))
-    mask = os.sched_getaffinity(0)
     children = []
     try:
-        # left to the scheduler, a fresh child shared its parent's CPU for
-        # milliseconds (Linux 6.18, 2 cores).  So each child is forked while
-        # this process may run on the child's CPU alone, and starts there;
-        # this process then moves to the first CPU.  Both take the whole
-        # mask back at once, so the scheduler can still move them.
-        for cpu, (lo, hi) in zip(cpus[1:], ranges[1:]):
-            _affine((cpu,))
-            children.append(_fork(play, lo, hi, mask))
-        _affine((cpus[0],))
-        _affine(mask)
+        for lo, hi in ranges[1:]:
+            children.append(_fork(play, lo, hi))
         parts = [play(*ranges[0])]
         for (lo, hi), child in zip(ranges[1:], children):
             part = None if child is None else _collect(child)
@@ -413,7 +397,6 @@ def _play_split(n: int, play) -> list[tuple]:
                     os.kill(pid, signal.SIGKILL)
                 with suppress(ChildProcessError):
                     os.waitpid(pid, 0)
-        _affine(mask)
     return [tuple(chain.from_iterable(col)) for col in zip(*parts)]
 
 

@@ -23,6 +23,7 @@ from ndlab.bounds import (
     MutualExclusiveBound,
     SymmetricBound,
 )
+from ndlab.protocols import gen_optimal_unidirectional
 from ndlab.schedule import protocol_to_json, rat
 
 
@@ -350,6 +351,47 @@ def three_gap_worst_case(e: ProtocolSpec, f: ProtocolSpec):
         raise ValueError(f"heard ticks form {len(arcs)} arcs, not one")
     n = fewest_covering_points(r.period, b.period, arcs[0][1] - arcs[0][0])
     return None if n is None else b.period * n
+
+
+# ---------------------------------------------------------------------------
+# tightness witnesses: schedules whose oracle latency equals a bound exactly
+# ---------------------------------------------------------------------------
+
+def asymmetric_witness(k_e: int, k_f: int, omega: int, alpha) -> tuple[ProtocolSpec, ProtocolSpec]:
+    """A pair at total duty cycles 2/k_e and 2/k_f whose two-way latency is
+    bound_asymmetric's A * k_e * k_f, with A = alpha * omega whole ticks.
+
+    e beacons once per A k_e ticks and listens A k_f ticks per A k_e k_f,
+    so alpha * beta_e = gamma_e = 1/k_e; f is the mirror image.  f's
+    window is as long as e's beacon period, so each of f's periods holds
+    exactly one heard beacon of e, and the other way round.
+    """
+    a = alpha * omega
+    if Fraction(a).denominator != 1:
+        raise ValueError(f"alpha * omega = {a} is not a whole tick count")
+    a = int(a)
+    radio = RadioModel(alpha=Fraction(alpha), omega=omega)
+    cycle = a * k_e * k_f
+
+    def device(k_own: int, k_other: int) -> ProtocolSpec:
+        return ProtocolSpec(
+            BeaconSchedule((0,), omega, period=a * k_own),
+            ReceptionSchedule((ReceptionWindow(0, a * k_other),), cycle),
+            radio,
+        )
+
+    return device(k_e, k_f), device(k_f, k_e)
+
+
+def channel_constrained_witness(eta, beta_m, omega: int, alpha) -> ProtocolSpec:
+    """A device that, against itself, attains the case-2 value of
+    bound_channel_constrained(eta, beta_m, omega, alpha): the optimal
+    unidirectional schedule beaconing at beta_m and listening 1/k of the
+    time, k = ceil(1 / (eta - alpha * beta_m)), so its duty cycle is at
+    most eta and its latency k * omega / beta_m."""
+    k = math.ceil(1 / (rat(eta) - rat(alpha) * rat(beta_m)))
+    radio = RadioModel(alpha=Fraction(alpha), omega=omega)
+    return gen_optimal_unidirectional(k, beta_m, omega, radio)
 
 
 #: (dotted field, value) edits that turn a valid protocol document into one

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from ndlab import (
@@ -34,6 +34,8 @@ from ndlab.protocols import (
     slots_overlap_all_rotations,
     SlottedParams,
 )
+
+from helpers import asymmetric_witness, channel_constrained_witness
 
 
 def deterministic(p):
@@ -313,10 +315,11 @@ def test_no_generated_protocol_beats_the_bounds(case):
     if got is UNBOUNDED:
         return
     eta, omega, alpha = total_duty_cycle(p), p.radio.omega, p.radio.alpha
+    beta = transmission_duty_cycle(p.beacons)
     if eta <= 2:
         assert got >= bd.bound_symmetric(eta, omega, alpha).latency
+        assert got >= bd.bound_channel_constrained(eta, beta, omega, alpha).latency
     if kind in SLOTTED_KINDS:
-        beta = transmission_duty_cycle(p.beacons)
         assert got >= bd.bound_slotted_channel(eta, beta, omega, alpha)
 
 
@@ -355,6 +358,51 @@ def test_no_generated_pair_beats_the_asymmetric_bound_two_ways(a, b):
     if got is None:
         return
     assert got >= bd.bound_asymmetric(total_duty_cycle(e), total_duty_cycle(f), 1, 1).latency
+
+
+@st.composite
+def _asymmetric_witness_case(draw):
+    alpha = draw(st.sampled_from((1, 2, 3, F(3, 2))))
+    omega = draw(st.sampled_from([w for w in range(1, 5) if (alpha * w).denominator == 1]))
+    k_e = draw(st.integers(2, 8))
+    return k_e, draw(st.integers(k_e, 10)), omega, alpha
+
+
+@settings(deadline=None, max_examples=200)
+@given(_asymmetric_witness_case())
+def test_asymmetric_witness_attains_the_bound(case):
+    k_e, k_f, omega, alpha = case
+    e, f = asymmetric_witness(k_e, k_f, omega, alpha)
+    assert (total_duty_cycle(e), total_duty_cycle(f)) == (F(2, k_e), F(2, k_f))
+    bound = bd.bound_asymmetric(F(2, k_e), F(2, k_f), omega, alpha)
+    assert bound.tight
+    assert worst_case_latency_oracle(e, f) == worst_case_latency_oracle(f, e) == bound.latency
+
+
+@st.composite
+def _channel_case_2(draw):
+    """(eta, beta_m, omega, alpha) at which the channel cap binds."""
+    omega, alpha = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    beta_m = F(1, draw(st.integers(3, 39)))
+    etas = sorted(
+        eta
+        for eta in {F(n, d) for n in (1, 2, 3) for d in range(2, 40)}
+        if eta > alpha * beta_m
+        and bd.bound_channel_constrained(eta, beta_m, omega, alpha).case == 2
+    )
+    assume(etas)
+    return draw(st.sampled_from(etas)), beta_m, omega, alpha
+
+
+@settings(deadline=None, max_examples=200)
+@given(_channel_case_2())
+def test_channel_constrained_witness_attains_case_2(case):
+    eta, beta_m, omega, alpha = case
+    p = channel_constrained_witness(eta, beta_m, omega, alpha)
+    assert total_duty_cycle(p) <= eta
+    assert transmission_duty_cycle(p.beacons) == beta_m
+    bound = bd.bound_channel_constrained(eta, beta_m, omega, alpha)
+    assert worst_case_latency_oracle(p, p) == bound.latency
 
 
 #: (builder, error type, message) of every generator input refused up front

@@ -140,11 +140,10 @@ def test_seeded_runs_are_identical():
     assert c != a
 
 
-def fake_cpus(monkeypatch, k: int, fork=None) -> tuple[list, list]:
-    """Report k CPUs to simulate_multi, record the CPU sets it pins itself
-    to instead of pinning, and count its fork() calls, which go to ``fork``
-    (the real one by default).  Returns (forks, pins)."""
-    forks, pins = [], []
+def fake_cpus(monkeypatch, k: int, fork=None) -> list:
+    """Report k CPUs to simulate_multi and count its fork() calls, which go
+    to ``fork`` (the real one by default).  Returns the list of forks."""
+    forks = []
     fork = fork or os.fork
 
     def counted_fork():
@@ -152,9 +151,8 @@ def fake_cpus(monkeypatch, k: int, fork=None) -> tuple[list, list]:
         return fork()
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
-    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: pins.append(set(cpus)))
     monkeypatch.setattr(os, "fork", counted_fork)
-    return forks, pins
+    return forks
 
 
 def assert_no_child_left():
@@ -179,13 +177,9 @@ def test_thread_count_does_not_change_results(monkeypatch):
     big = SimConfig((e, f), trials=SPLIT_TRIALS, seed=5, horizon=400)
     outcomes = []
     for k in (1, 2, 3):
-        forks, pins = fake_cpus(monkeypatch, k)
+        forks = fake_cpus(monkeypatch, k)
         outcomes.append(simulate_multi(big))
         assert len(forks) == k - 1
-        # each child is forked onto a CPU of its own; the caller then moves
-        # to the first and takes every CPU back before it plays its range
-        every = set(range(k))
-        assert pins == ([{j} for j in range(1, k)] + [{0}, every, every] if k > 1 else [])
         assert_no_child_left()
     assert outcomes[0] == outcomes[1] == outcomes[2]
     assert outcomes[0].phases[:300] == serial.phases
@@ -195,7 +189,7 @@ def test_cpu_count_does_not_change_exhaustive_outcomes(monkeypatch):
     cfg = PINNED_CONFIGS["exhaustive_disco"]()
     assert cfg.devices[0].device_period * cfg.devices[1].device_period >= 3 * _MIN_RANGE_TRIALS
     for k in (1, 2, 3):
-        forks, _ = fake_cpus(monkeypatch, k)
+        forks = fake_cpus(monkeypatch, k)
         assert _digest(simulate_multi(cfg)) == PINNED_OUTCOMES["exhaustive_disco"]
         assert len(forks) == k - 1
         assert_no_child_left()
@@ -213,9 +207,30 @@ def test_failed_fork_plays_the_range_in_the_caller(monkeypatch, working_forks):
             raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
         return real_fork()
 
-    forks, _ = fake_cpus(monkeypatch, 3, fork)
+    forks = fake_cpus(monkeypatch, 3, fork)
     assert simulate_multi(cfg) == serial
     assert len(forks) == 2
+    assert_no_child_left()
+
+
+def test_failed_pipe_plays_the_range_in_the_caller(monkeypatch):
+    # the second range's pipe() runs out of descriptors: that range is
+    # played here, as for a failed fork(), and is never forked
+    e, f = optimal_pair()
+    cfg = SimConfig((e, f), trials=SPLIT_TRIALS, seed=8, horizon=400)
+    serial = simulate_multi(cfg)
+    real_pipe, pipes = os.pipe, []
+
+    def pipe():
+        pipes.append(None)
+        if len(pipes) == 2:
+            raise OSError(errno.EMFILE, "Too many open files")
+        return real_pipe()
+
+    forks = fake_cpus(monkeypatch, 3)
+    monkeypatch.setattr(os, "pipe", pipe)
+    assert simulate_multi(cfg) == serial
+    assert len(forks) == 1
     assert_no_child_left()
 
 
@@ -261,7 +276,7 @@ def test_child_exception_is_raised_by_the_caller(monkeypatch, cfg):
         return real(n, failing)
 
     monkeypatch.setattr(simulator, "_play_split", play_split)
-    forks, _ = fake_cpus(monkeypatch, 3)
+    forks = fake_cpus(monkeypatch, 3)
     with pytest.raises(RuntimeError, match=r"range \[\d+, \d+\) failed"):
         simulate_multi(cfg)
     assert len(forks) == 2
@@ -276,7 +291,7 @@ def test_child_that_raises_has_its_range_played_by_the_caller(monkeypatch, cfg):
         raise RuntimeError("trial failed in a child")
 
     _runner_failing_in(monkeypatch, "child", fail)
-    forks, _ = fake_cpus(monkeypatch, 3)
+    forks = fake_cpus(monkeypatch, 3)
     assert simulate_multi(cfg) == serial
     assert len(forks) == 2
     assert_no_child_left()
@@ -286,7 +301,7 @@ def test_child_that_raises_has_its_range_played_by_the_caller(monkeypatch, cfg):
 def test_child_that_sends_nothing_has_its_range_played_by_the_caller(monkeypatch, cfg):
     serial = simulate_multi(cfg)
     _runner_failing_in(monkeypatch, "child", lambda: os._exit(3))
-    forks, _ = fake_cpus(monkeypatch, 3)
+    forks = fake_cpus(monkeypatch, 3)
     assert simulate_multi(cfg) == serial
     assert len(forks) == 2
     assert_no_child_left()
@@ -297,18 +312,17 @@ def test_caller_exception_stops_and_reaps_the_children(monkeypatch):
         raise RuntimeError("trial failed in the caller")
 
     _runner_failing_in(monkeypatch, "parent", fail)
-    forks, pins = fake_cpus(monkeypatch, 3)
+    forks = fake_cpus(monkeypatch, 3)
     with pytest.raises(RuntimeError, match="trial failed in the caller"):
         simulate_multi(_split_configs()[0])
     assert len(forks) == 2
-    assert pins[-1] == {0, 1, 2}
     assert_no_child_left()
 
 
 def test_another_live_thread_keeps_every_trial_in_the_caller(monkeypatch):
     cfg = _split_configs()[0]
     serial = simulate_multi(cfg)
-    forks, _ = fake_cpus(monkeypatch, 3)
+    forks = fake_cpus(monkeypatch, 3)
     stop = threading.Event()
     waiter = threading.Thread(target=stop.wait)
     waiter.start()
