@@ -16,10 +16,10 @@ does not send back in full, so no outcome or exception depends on the split.
 
 from __future__ import annotations
 
+import _random
 import gc
 import marshal
 import os
-import random
 import threading
 from bisect import bisect_right
 from contextlib import suppress
@@ -66,7 +66,7 @@ class SimConfig:
         require_one_tick(self.devices)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        # _derive_seed works modulo 2**64, so a seed outside would replay another
+        # trial seeds are derived modulo 2**64, so a seed outside would replay another
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         # every latency is at least one tick, so a smaller budget fails all
@@ -116,16 +116,9 @@ def _overlapping(spec: ProtocolSpec, width: int, before: int = 0, after: int = 0
     return iv.edges(iv.shift_mod(spans, 0, b.period))
 
 
-def _jammer(spec: ProtocolSpec, width: int):
-    """overlaps(phase, t): whether any beacon of the device overlaps the
-    global interval [t, t + width)."""
-    busy, t_b = _overlapping(spec, width), spec.beacons.period
-    return lambda phase, t: bisect_right(busy, (phase + t) % t_b) & 1
-
-
 def _listener(spec: ProtocolSpec, tx_omega: int, self_blocking: bool):
     """hears(phase, t): whether the device receives a remote beacon of
-    tx_omega ticks starting at global t.  With self_blocking the jammer's
+    tx_omega ticks starting at global t.  With self_blocking the interferers'
     overlap rule makes it deaf while an own beacon, padded by the
     turnarounds, overlaps that beacon's start (IDEAL) or all of it
     (CONTAINED); a silent device is never deaf."""
@@ -177,7 +170,9 @@ def _trial_runner(
     own = self_blocking and receiver.beacons.count > 0
     interferers = (receiver, *interferers) if own else interferers
     hears = _listener(receiver, b.beacon_duration, own)
-    jams = [_jammer(d, b.beacon_duration) for d in interferers]
+    # per interferer, the edges of the device times at which one of its
+    # beacons overlaps the joiner's, and its beacon period
+    jams = [(_overlapping(d, b.beacon_duration), d.beacons.period) for d in interferers]
     jammed = bool(jams)
     if not b.count:
         return lambda *phases: (None, False)
@@ -193,8 +188,8 @@ def _trial_runner(
     end = inf if horizon is None else horizon
 
     def collided(phases: Sequence[int], t: int) -> bool:
-        for overlaps, phase in zip(jams, phases):
-            if overlaps(phase, t):
+        for (busy, t_i), phase in zip(jams, phases):
+            if bisect_right(busy, (phase + t) % t_i) & 1:
                 return True
         return False
 
@@ -277,36 +272,45 @@ def exhaustive_pair_worst_case(e: ProtocolSpec, f: ProtocolSpec):
 # multi-device simulation
 # ---------------------------------------------------------------------------
 
-def _derive_seed(seed: int, trial: int) -> int:
-    return (seed * 0x9E3779B97F4A7C15 + trial * 0xBF58476D1CE4E5B9 + 1) % (1 << 64)
+def _phase_sampler(seed: int, periods: Sequence[int]):
+    """draw(trial): the trial's phases, ``rng.randrange(p)`` for each period
+    p in turn on ``rng = random.Random(s)``, where the trial's own seed s is
+    ``(seed * 0x9E3779B97F4A7C15 + trial * 0xBF58476D1CE4E5B9 + 1) % 2**64``.
 
+    For p >= 1 CPython's ``randrange(p)`` takes ``getrandbits(p.bit_length())``
+    until the value falls below p.  draw reseeds one C generator, the base
+    class of random.Random whose seed the Python wrapper only forwards an
+    int to, and calls that loop directly with each period's bit length taken
+    once.  The reseed, about 6 us of a criterion-7 trial's 9 (medians of 6.5
+    and 6.1 us over 21 runs of 2000 reseeds, Linux 6.18, 2 cores, Python
+    3.11), is the floor of a trial's cost on one CPU; simulate_multi shares
+    that floor across CPUs, and a trial's phases depend on its seed and
+    index alone, wherever it is drawn."""
+    gen = _random.Random()
+    reseed, bits = gen.seed, gen.getrandbits
+    sizes = [(p, p.bit_length()) for p in periods]
+    base = seed * 0x9E3779B97F4A7C15 + 1
 
-def _draw_phases(rng: random.Random, seed: int, periods: Sequence[int]) -> tuple[int, ...]:
-    """``random.Random(seed).randrange(p)`` for each period in turn, drawn on
-    ``rng`` after reseeding it.  For p >= 1 CPython's ``randrange(p)`` takes
-    ``getrandbits(p.bit_length())`` until the value falls below p; calling
-    that directly skips the argument checks and one generator per trial.
-    The one reseed per trial is the floor of a trial's cost on one CPU;
-    simulate_multi shares that floor across CPUs, and a trial's phases
-    depend on its seed and index alone, wherever it is drawn."""
-    rng.seed(seed)
-    bits = rng.getrandbits
-    phases = []
-    for p in periods:
-        k = p.bit_length()
-        r = bits(k)
-        while r >= p:
+    def draw(trial: int) -> tuple[int, ...]:
+        reseed((base + trial * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF)
+        phases = []
+        for p, k in sizes:
             r = bits(k)
-        phases.append(r)
-    return tuple(phases)
+            while r >= p:
+                r = bits(k)
+            phases.append(r)
+        return tuple(phases)
+
+    return draw
 
 
 #: The fewest trials a range gets.  One fork, marshal and collect costs
-#: about 3 ms in a 27 MB process (medians of 2.8 and 3.0 ms over 200
+#: about 2 ms in a 29 MB process (medians of 2.4 and 1.7 ms over 200
 #: calls, Linux 6.18, 2 cores, Python 3.11), and about 1 ms more goes to
 #: copy-on-write faults while parent and child both run.  The cheapest
-#: criterion-7 trial takes about 10 us, so a range of 400 trials is the
-#: shortest whose move to another CPU pays for its process.
+#: criterion-7 trial takes about 9 us (medians of 10.9 and 8.5 us over 15
+#: one-CPU runs of 1000 trials), so a range of 400 trials, about 3.6 ms,
+#: still pays for its move to another CPU.
 _MIN_RANGE_TRIALS = 400
 
 
@@ -410,8 +414,8 @@ def simulate_multi(cfg: SimConfig) -> SimOutcome:
     """Seeded multi-device trials; identical config and seed give an
     identical outcome, bit for bit, on any number of CPUs.
 
-    A trial's phases come from its own seed, ``_derive_seed(seed, i)``, or
-    in ``exhaustive_ticks`` mode from its index in the phase grid, so any
+    A trial's phases come from its own seed (see _phase_sampler), or in
+    ``exhaustive_ticks`` mode from its index in the phase grid, so any
     contiguous range of trials can be played alone.  The trials are split
     into one range per available CPU, each at least _MIN_RANGE_TRIALS long;
     a forked child plays each range after the first (see _play_split).  An
@@ -435,9 +439,7 @@ def simulate_multi(cfg: SimConfig) -> SimOutcome:
         phase_of = lambda i: divmod(i, p_f)
     else:
         n = cfg.trials
-        periods = [d.device_period for d in cfg.devices]
-        rng = random.Random()
-        phase_of = lambda i: _draw_phases(rng, _derive_seed(cfg.seed, i), periods)
+        phase_of = _phase_sampler(cfg.seed, [d.device_period for d in cfg.devices])
 
     devices = cfg.devices
     senders = [i for i in range(2, len(devices)) if devices[i].beacons.count]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import math
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 from ndlab import (
@@ -25,6 +26,7 @@ from ndlab.bounds import (
 )
 from ndlab.protocols import gen_optimal_unidirectional
 from ndlab.schedule import protocol_to_json, rat
+from ndlab.simulator import _overlapping
 
 
 def listener(windows, period, omega=1, alpha=1, semantics=Semantics.IDEAL):
@@ -234,6 +236,14 @@ def per_tick_trial(devices, horizon: int, budget: int | None = None):
         return None, first, True
 
     return trial
+
+
+def jammer(spec: ProtocolSpec, width: int):
+    """overlaps(phase, t): whether any beacon of the device overlaps the
+    global interval [t, t + width), the simulator's collision test for one
+    interferer."""
+    busy, t_b = _overlapping(spec, width), spec.beacons.period
+    return lambda phase, t: bisect_right(busy, (phase + t) % t_b) & 1
 
 
 def first_collision_rate(joiner: ProtocolSpec, interferers) -> Fraction:

@@ -185,6 +185,8 @@ def test_bounds_deviation_grid(tmp_path):
         ["--beta-steps", "0"],
         ["--beta-steps", "1"],
         ["--beta-steps", "-3"],
+        # k_hi / k_lo has no float
+        ["--k-hi", "1" + "0" * 400],
     ],
 )
 def test_bounds_deviation_refuses_broken_grid(tmp_path, capsys, flags):
@@ -215,6 +217,15 @@ def test_bounds_sweep_refuses_non_positive_omega_and_alpha(tmp_path, capsys, fla
     assert not out.exists()
 
 
+def test_bounds_sweep_past_the_float_range_is_refused(tmp_path, capsys):
+    # the bound at eta = 1e-300, about omega / eta**2 ticks, has no float
+    out = tmp_path / "sweep.csv"
+    assert run(["bounds", "--sweep", "eta=1e-300:1:1", "--omega-us", "1", "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert [json.loads(line)["error"] for line in lines] == ["ValueError"]
+    assert not out.exists()
+
+
 def test_bounds_requires_sweep_or_deviation(tmp_path, capsys):
     out = tmp_path / "bounds.csv"
     rc = run(["bounds", "--omega-us", "32", "--out", str(out)])
@@ -235,6 +246,9 @@ def test_bounds_requires_sweep_or_deviation(tmp_path, capsys):
         ("eta=1/2:1:-1/2", "bad sweep range"),
         ("eta=1:1/2:1/2", "bad sweep range"),
         ("eta=0:1:1/2", "bad sweep range"),
+        ("eta=1/0:1:0.1", "sweep must look like"),
+        ("eta=0.1:1:1/0", "sweep must look like"),
+        ("eta=0.1:2/0:0.1", "sweep must look like"),
     ]:
         with pytest.raises(SystemExit) as exc:
             run(["bounds", "--sweep", sweep, "--omega-us", "32", "--out", str(out)])

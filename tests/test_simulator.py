@@ -1,6 +1,7 @@
 import ast
 import errno
 import hashlib
+import marshal
 import os
 import random
 import sys
@@ -10,6 +11,7 @@ from fractions import Fraction as F
 from itertools import product
 from math import lcm
 from pathlib import Path
+from types import SimpleNamespace
 
 import hypothesis.strategies as st
 import pytest
@@ -38,16 +40,15 @@ from ndlab import simulator
 from ndlab.protocols import gen_disco, gen_pi0m
 from ndlab.simulator import (
     _MIN_RANGE_TRIALS,
-    _derive_seed,
-    _draw_phases,
-    _jammer,
     _listener,
+    _phase_sampler,
 )
 from helpers import (
     _beacon_starts,
     beaconer,
     c7_devices,
     first_collision_rate,
+    jammer,
     listener,
     one_shot,
     per_tick_pair,
@@ -307,6 +308,19 @@ def test_child_that_sends_nothing_has_its_range_played_by_the_caller(monkeypatch
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("cfg", _split_configs(), ids=["uniform_random", "exhaustive_ticks"])
+def test_child_whose_payload_is_cut_short_has_its_range_played_by_the_caller(monkeypatch, cfg):
+    # each child writes its payload less the last byte, which marshal
+    # refuses with EOFError
+    serial = simulate_multi(cfg)
+    cut = SimpleNamespace(dumps=lambda value: marshal.dumps(value)[:-1], loads=marshal.loads)
+    monkeypatch.setattr(simulator, "marshal", cut)
+    forks = fake_cpus(monkeypatch, 3)
+    assert simulate_multi(cfg) == serial
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
 def test_caller_exception_stops_and_reaps_the_children(monkeypatch):
     def fail():
         raise RuntimeError("trial failed in the caller")
@@ -366,7 +380,7 @@ def test_disjoint_protocol_fails_iff_covering_beacon_collides():
     out = simulate_multi(cfg)
     # the covering beacon is the first emission the receiver hears at all
     hears = _listener(f, e.beacons.beacon_duration, self_blocking=True)
-    jams = _jammer(interferer, e.beacons.beacon_duration)
+    jams = jammer(interferer, e.beacons.beacon_duration)
     covering = []
     for pe, pf, pi in out.phases:
         t = next(t for t in _emissions(e, pe, cfg.horizon) if hears(pf, t))
@@ -492,7 +506,7 @@ def test_simconfig_validation():
             SimConfig((e, f), latency_budget=budget)
     assert SimConfig((e, f), latency_budget=1).latency_budget == 1
     # trial seeds are derived modulo 2**64, so 2**64 would replay seed 0
-    assert _derive_seed(2**64, 5) == _derive_seed(0, 5)
+    assert _phase_sampler(2**64, (20000, 257))(5) == _phase_sampler(0, (20000, 257))(5)
     for seed in (2**64, 2**70, -1):
         with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
             SimConfig((e, f), seed=seed)
@@ -716,17 +730,35 @@ def test_exhaustive_pair_worst_cases_are_pinned():
 SAMPLER_PERIODS = (1, 2, 3, 255, 256, 257, 1500, 20000)
 
 
+def _reference_trial_seed(seed: int, trial: int) -> int:
+    """A trial's own seed, by the derivation _phase_sampler documents."""
+    return (seed * 0x9E3779B97F4A7C15 + trial * 0xBF58476D1CE4E5B9 + 1) % 2**64
+
+
+def _first_wrap(seed: int, start: int) -> int:
+    """The first trial past ``start`` whose unreduced seed has passed a
+    multiple of 2**64 since the trial before."""
+    base, step = seed * 0x9E3779B97F4A7C15 + 1, 0xBF58476D1CE4E5B9
+    w = (base + start * step) // 2**64 + 1
+    return -(-(w * 2**64 - base) // step)
+
+
 def test_phase_sampler_matches_stdlib_randrange():
-    rng = random.Random()
-    for seed in range(4):
-        for trial in range(50):
-            s = _derive_seed(seed, trial)
-            for p in SAMPLER_PERIODS:
-                assert _draw_phases(rng, s, (p,)) == (random.Random(s).randrange(p),)
+    for seed in (0, 1, 2, 3, 2**63, 2**64 - 1):
+        trials = list(range(50))
+        for start in (0, 10**6, 2**40, 2**64):
+            at = _first_wrap(seed, start)
+            # the reduced seed falls at a wrap, as it does at no other step
+            assert _reference_trial_seed(seed, at) < _reference_trial_seed(seed, at - 1)
+            trials += [at - 1, at]
+        draw = _phase_sampler(seed, SAMPLER_PERIODS)
+        alone = [_phase_sampler(seed, (p,)) for p in SAMPLER_PERIODS]
+        for trial in trials:
+            s = _reference_trial_seed(seed, trial)
+            for p, one in zip(SAMPLER_PERIODS, alone):
+                assert one(trial) == (random.Random(s).randrange(p),)
             want = random.Random(s)
-            assert _draw_phases(rng, s, SAMPLER_PERIODS) == tuple(
-                want.randrange(p) for p in SAMPLER_PERIODS
-            )
+            assert draw(trial) == tuple(want.randrange(p) for p in SAMPLER_PERIODS)
 
 
 def test_cycle_cut_makes_a_long_horizon_free():
@@ -798,7 +830,7 @@ def _uncut_replay(cfg: SimConfig, phases):
     devices = cfg.devices
     omega = devices[0].beacons.beacon_duration
     hears = _listener(devices[1], omega, self_blocking=True)
-    jammers = [(i, _jammer(d, omega)) for i, d in enumerate(devices) if i and d.beacons.count]
+    jammers = [(i, jammer(d, omega)) for i, d in enumerate(devices) if i and d.beacons.count]
     out = []
     for ph in phases:
         emissions = _emissions(cfg.devices[0], ph[0], cfg.horizon)
