@@ -113,15 +113,9 @@ def analyze(cov: CoverageMap) -> DeterminismReport:
     most the window sum, so fewer can never cover the period (necessary,
     not sufficient).  It is None when no window can hold a whole beacon.
     """
-    return _report(cov.per_beacon, cov.period, cov.window_coverage)
-
-
-def _report(span_sets, period: int, cover: int) -> DeterminismReport:
-    """Determinism verdicts on per-beacon covered offset sets over one
-    period; ``cover`` is the most offsets a single beacon can cover."""
-    covered = iv.union(*span_sets)
-    uncovered = iv.complement(covered, period)
-    coverage_lambda = sum(iv.measure(spans) for spans in span_sets)
+    covered = iv.union(*cov.per_beacon)
+    uncovered = iv.complement(covered, cov.period)
+    coverage_lambda = sum(iv.measure(spans) for spans in cov.per_beacon)
     return DeterminismReport(
         deterministic=not uncovered,
         uncovered=uncovered,
@@ -129,7 +123,7 @@ def _report(span_sets, period: int, cover: int) -> DeterminismReport:
         # tick lies in two of them
         redundant=coverage_lambda > iv.measure(covered),
         coverage_lambda=coverage_lambda,
-        min_beacons=ceil_div(period, cover) if cover else None,
+        min_beacons=ceil_div(cov.period, cov.window_coverage) if cov.window_coverage else None,
     )
 
 
@@ -298,30 +292,20 @@ def _oracle_endpoints(t_c, eff, gaps, limit):
 
 
 # ---------------------------------------------------------------------------
-# correlated beacon/window pairs (mutually exclusive one-way discovery)
+# either-way discovery of two devices with one common period
 # ---------------------------------------------------------------------------
 
-def _anchored_zeta(p: ProtocolSpec) -> set[int]:
-    """Offsets of each beacon behind each window end, modulo the period."""
-    t = p.receptions.period
-    out = set()
-    for tau in p.beacons.emission_times:
-        for w in p.receptions.windows:
-            out.add((tau - w.end) % t)
-    return out
+def check_correlated_quadruple(e: ProtocolSpec, f: ProtocolSpec) -> DeterminismReport:
+    """Determinism of either-way discovery for two devices whose beacons
+    and windows all repeat with one common period.
 
-
-def check_correlated_quadruple(
-    e: ProtocolSpec, f: ProtocolSpec, zeta: int
-) -> DeterminismReport:
-    """Determinism of one-way discovery for two devices whose beacons keep a
-    fixed distance ``zeta`` behind a window of their own schedule.
-
-    Locking beacons to windows makes the two directions mirror images of a
-    single relative alignment, so it is enough that the offsets where f's
-    beacons hit e's windows and the reflected offsets where e's beacons hit
-    f's windows jointly cover one period.  Offsets are reported as the
-    position of f's period origin inside e's period.
+    A pair is discovered at an alignment when either device hears the
+    other, so it is deterministic exactly when the alignments at which f's
+    beacons hit e's windows and those at which e's beacons hit f's windows
+    jointly cover one period.  With one common period both sets are fixed
+    per beacon, so no anchor between beacons and windows is needed.
+    Offsets are the position of f's period origin inside e's period, and
+    ``coverage_lambda`` sums the images of both devices' beacons.
     """
     t = e.receptions.period
     for p, name in ((e, "e"), (f, "f")):
@@ -329,12 +313,10 @@ def check_correlated_quadruple(
             raise MisalignedPeriods("all four sequences must share one period")
         if p.beacons.count == 0:
             raise ValueError(f"device {name} has no beacons")
-        if zeta % t not in _anchored_zeta(p):
-            raise ValueError(f"device {name} has no beacon at zeta after a window end")
 
     from_f, from_e = _quadruple_images(e, f)
     # from_f[0] is a rotation of e's effective windows
-    return _report(from_f + from_e, t, iv.measure(from_f[0]))
+    return analyze(CoverageMap(t, tuple(from_f + from_e), iv.measure(from_f[0])))
 
 
 def _quadruple_images(e: ProtocolSpec, f: ProtocolSpec):

@@ -117,12 +117,18 @@ def gen_slotted(params: SlottedParams, omega: int, radio: RadioModel | None = No
 
 def gen_disco(p1: int, p2: int, slot_length: int, omega: int, radio: RadioModel | None = None) -> ProtocolSpec:
     """Two coprime slot periods; a slot is active when its index is a
-    multiple of either, which guarantees an overlap within p1*p2 slots."""
+    multiple of either, which guarantees an overlap within p1*p2 slots.
+
+    When every active slot holds two beacons (slot_length >= 2 * omega),
+    the exact worst case of the device hearing a copy of itself is
+    ``(p1 * p2 - 2) * slot_length + omega`` under IDEAL and
+    ``(p1 * p2 - 1) * slot_length`` under CONTAINED.
+    """
     if p1 < 2 or p2 < 2 or gcd(p1, p2) != 1:
         raise DomainError("p1 and p2 must be coprime and >= 2")
     hyper = p1 * p2
-    active = tuple(s for s in range(hyper) if s % p1 == 0 or s % p2 == 0)
-    return gen_slotted(SlottedParams(slot_length, hyper, active), omega, radio)
+    active = {*range(0, hyper, p1), *range(0, hyper, p2)}
+    return gen_slotted(SlottedParams(slot_length, hyper, tuple(active)), omega, radio)
 
 
 def gen_searchlight_striped(t_slots: int, slot_length: int, omega: int, radio: RadioModel | None = None) -> ProtocolSpec:
@@ -155,14 +161,20 @@ def gen_uconnect(p: int, slot_length: int, omega: int, radio: RadioModel | None 
     if not _is_prime(p) or p < 3:
         raise DomainError("p must be an odd prime")
     hyper = p * p
-    active = {s for s in range(hyper) if s % p == 0}
+    active = set(range(0, hyper, p))
     active.update(range(1, 1 + (p + 1) // 2))
     return gen_slotted(SlottedParams(slot_length, hyper, tuple(active)), omega, radio)
 
 
 def gen_diffcode(ds: DifferenceSet, slot_length: int, omega: int, radio: RadioModel | None = None) -> ProtocolSpec:
     """Active slots on the residues of a perfect difference set, the
-    fewest-active-slots way to meet every rotation of itself."""
+    fewest-active-slots way to meet every rotation of itself.
+
+    When every active slot holds two beacons (slot_length >= 2 * omega),
+    the exact worst case of the device hearing a copy of itself is
+    ``v * slot_length - omega`` under IDEAL and ``v * slot_length`` under
+    CONTAINED, for v the set's modulus.
+    """
     return gen_slotted(SlottedParams(slot_length, ds.modulus, ds.elements), omega, radio)
 
 

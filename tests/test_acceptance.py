@@ -231,7 +231,7 @@ def test_criterion_11_mutual_exclusive_pairing():
         ReceptionSchedule((ReceptionWindow(0, 3),), 10),
         IDEAL,
     )
-    rep = check_correlated_quadruple(dev, dev, zeta=2)
+    rep = check_correlated_quadruple(dev, dev)
     assert rep.deterministic
     assert rep.min_beacons == 4
     assert dev.beacons.count == rep.min_beacons // 2

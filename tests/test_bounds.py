@@ -230,6 +230,8 @@ def test_pi0m_latency_closed_form():
     assert bd.pi0m_latency(2 / eta - 1, 1, eta, 1) == bd.bound_symmetric_approx(eta, 1, 1)
     with pytest.raises(DomainError):
         bd.pi0m_latency(1, 1, F(1, 10), 1)  # eta*(m+1) <= 1
+    with pytest.raises(DomainError):
+        bd.pi0m_latency(1, 1, F(1, 2), 1)  # eta*(m+1) == 1 exactly
 
 
 def test_pi0m_integer_match_at_even_reciprocal():

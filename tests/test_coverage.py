@@ -841,7 +841,7 @@ def test_quadruple_half_coverage_per_device():
     # each side contributes 6 of 10 ticks; union covers everything with
     # half the plain minimum beacon count on each device
     p = quad_device([0, 5], [(0, 3)], 10)
-    rep = check_correlated_quadruple(p, p, zeta=2)
+    rep = check_correlated_quadruple(p, p)
     assert rep.deterministic
     assert rep.min_beacons == 4 and p.beacons.count == 2
     assert rep.coverage_lambda == 12
@@ -855,12 +855,12 @@ def test_quadruple_zeta_zero_sides_are_reflections():
     reflected = {(-t) % 10 for a, b in side_f for t in range(a, b)}
     as_ticks = {t for a, b in side_e for t in range(a, b)}
     assert as_ticks == reflected
-    check_correlated_quadruple(p, p, zeta=0)  # anchor validation passes
+    assert check_correlated_quadruple(p, p).uncovered == iv.complement(iv.union(side_f, side_e), 10)
 
 
 def test_quadruple_same_half_twice_not_deterministic():
     p = quad_device([0, 2], [(0, 3)], 10)
-    rep = check_correlated_quadruple(p, p, zeta=9)
+    rep = check_correlated_quadruple(p, p)
     assert not rep.deterministic
     assert rep.uncovered == ((3, 8),)
 
@@ -869,13 +869,60 @@ def test_quadruple_period_mismatch_rejected():
     p = quad_device([0, 5], [(0, 3)], 10)
     q = quad_device([0, 5], [(0, 3)], 12)
     with pytest.raises(MisalignedPeriods):
-        check_correlated_quadruple(p, q, zeta=2)
+        check_correlated_quadruple(p, q)
+    # equal reception periods do not hide a beacon period of its own
+    r = replace(p, beacons=BeaconSchedule((0, 5), 1, period=12))
+    for e, f in ((p, r), (r, p)):
+        with pytest.raises(MisalignedPeriods):
+            check_correlated_quadruple(e, f)
+
+
+def never_discovering_alignments(e, f):
+    """The alignments theta in [0, t) at which neither device of the pair
+    ever hears the other, replayed with f's period origin at theta in e's
+    period: the brute-force reference of check_correlated_quadruple."""
+    t = e.receptions.period
+    return [
+        theta for theta in range(t)
+        if simulate_pair(e, f, theta, 0, self_blocking=False) == (None, None)
+    ]
 
 
 def test_quadruple_zeta_anchor_validated():
-    p = quad_device([0, 5], [(0, 3)], 10)
-    with pytest.raises(ValueError):
-        check_correlated_quadruple(p, p, zeta=3)
+    # f's beacons sit one tick later than e's, so no beacon of either keeps
+    # the same distance behind a window end as one of the other: no shared
+    # anchor is needed for an answer
+    e = quad_device([0, 5], [(0, 3)], 10)
+    f = quad_device([1, 6], [(0, 3)], 10)
+    rep = check_correlated_quadruple(e, f)
+    assert rep.uncovered == ((2, 3), (7, 8))
+    assert [2, 7] == never_discovering_alignments(e, f)
+
+
+@st.composite
+def one_period_device(draw, t):
+    """A device with 1-2 beacons and 1-2 windows that all repeat every t."""
+    omega = draw(st.integers(1, 3))
+    times = draw(st.lists(st.integers(0, t - 1), min_size=1, max_size=2, unique=True))
+    try:
+        beacons = BeaconSchedule(tuple(sorted(times)), omega, period=t)
+    except ValueError:  # two beacons closer than omega, either way round
+        beacons = BeaconSchedule((times[0],), omega, period=t)
+    n = draw(st.integers(1, 2))
+    edges = sorted(draw(st.lists(st.integers(0, t), min_size=2 * n, max_size=2 * n, unique=True)))
+    windows = rec([(a, b - a) for a, b in zip(edges[::2], edges[1::2])], t)
+    semantics = draw(st.sampled_from(Semantics))
+    return ProtocolSpec(beacons, windows, RadioModel(omega=omega, semantics=semantics))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(4, 29).flatmap(lambda t: st.tuples(one_period_device(t), one_period_device(t))))
+def test_quadruple_uncovered_is_every_never_discovering_alignment(pair):
+    e, f = pair
+    rep = check_correlated_quadruple(e, f)
+    uncovered = [x for a, b in rep.uncovered for x in range(a, b)]
+    assert uncovered == never_discovering_alignments(e, f)
+    assert rep.deterministic == (not uncovered)
 
 
 def test_oracle_refuses_an_unknown_method():
@@ -915,4 +962,4 @@ def test_quadruple_refuses_a_device_without_beacons():
     p = quad_device([0, 5], [(0, 3)], 10)
     silent = ProtocolSpec(BeaconSchedule((), 1, period=10), rec([(0, 3)], 10), IDEAL)
     with pytest.raises(ValueError, match="device f has no beacons"):
-        check_correlated_quadruple(p, silent, zeta=2)
+        check_correlated_quadruple(p, silent)

@@ -20,6 +20,7 @@ from ndlab import (
     worst_case_latency_oracle,
 )
 from ndlab import bounds as bd
+from ndlab.schedule import protocol_to_json
 from ndlab.protocols import (
     BUILTIN_DIFFERENCE_SETS,
     DifferenceSet,
@@ -214,6 +215,52 @@ def test_uconnect_counts():
 def test_uconnect_slot_rotation_determinism():
     active = {0, 3, 6, 1, 2}
     assert slots_overlap_all_rotations(active, 9)
+
+
+def _scanned_slots(family, params):
+    """Active slots of a Disco or U-Connect grid, by testing every slot."""
+    if family == "disco":
+        p1, p2 = params
+        return p1 * p2, [s for s in range(p1 * p2) if s % p1 == 0 or s % p2 == 0]
+    (p,) = params
+    return p * p, sorted({s for s in range(p * p) if s % p == 0} | set(range(1, 1 + (p + 1) // 2)))
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [("disco", pq) for pq in [(2, 3), (3, 5), (3, 7), (5, 7), (4, 7), (2, 5), (5, 6), (3, 4), (7, 11)]]
+    + [("uconnect", (p,)) for p in (3, 5, 7, 11, 13)],
+)
+def test_slotted_documents_match_a_scan_of_every_slot(family, params):
+    # the generators step through the active slots; a scan of every slot
+    # of the hyper-period must give the same document, byte for byte
+    gen = {"disco": gen_disco, "uconnect": gen_uconnect}[family]
+    hyper, active = _scanned_slots(family, params)
+    for slot, omega in ((10, 1), (6, 3), (5, 3)):
+        want = gen_slotted(SlottedParams(slot, hyper, tuple(active)), omega)
+        assert protocol_to_json(gen(*params, slot, omega)) == protocol_to_json(want)
+
+
+@pytest.mark.parametrize(
+    "family, n",
+    [("disco", pq) for pq in [(2, 3), (3, 5), (3, 7), (5, 7), (4, 7), (2, 5), (5, 6), (3, 4)]]
+    + [("diffcode", v) for v in (7, 13, 21)],
+)
+def test_slotted_worst_case_closed_forms(family, n):
+    # the forms in the gen_disco and gen_diffcode docstrings, which hold
+    # wherever every active slot holds two beacons
+    for slot in (6, 8, 10, 15):
+        for omega in (1, 2, 3):
+            for semantics in Semantics:
+                radio = RadioModel(omega=omega, semantics=semantics)
+                if family == "disco":
+                    p = gen_disco(*n, slot, omega, radio)
+                    want = (n[0] * n[1] - 2) * slot + omega, (n[0] * n[1] - 1) * slot
+                else:
+                    p = gen_diffcode(builtin_difference_set(n), slot, omega, radio)
+                    want = n * slot - omega, n * slot
+                got = worst_case_latency_oracle(p, p)
+                assert got == want[semantics is Semantics.CONTAINED], (slot, omega, semantics)
 
 
 def test_slot_domain_worst_cases_on_slot_phases():

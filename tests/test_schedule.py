@@ -77,6 +77,10 @@ def test_overlapping_windows_rejected():
 def test_window_past_period_rejected():
     with pytest.raises(ValueError):
         ReceptionSchedule((ReceptionWindow(8, 5),), 10)
+    # one tick past the period is already too far; ending on it fits
+    with pytest.raises(ValueError, match="fit inside the period"):
+        ReceptionSchedule((ReceptionWindow(8, 3),), 10)
+    assert ReceptionSchedule((ReceptionWindow(7, 3),), 10).windows[-1].end == 10
 
 
 def test_total_duty_cycle_weighted_sum():

@@ -500,6 +500,12 @@ def test_simconfig_validation():
         SimConfig((e, f), trials=0)
     with pytest.raises(ValueError):
         SimConfig((e, f), horizon=10)
+    # the horizon must cover the larger device period, not only the smaller
+    short = listener([(0, 20)], 40)
+    for devices in ((e, short), (short, e)):
+        with pytest.raises(ValueError, match="largest device period"):
+            SimConfig(devices, horizon=40)
+        assert SimConfig(devices, horizon=80).horizon == 80
     # every latency is at least one tick, so such a budget fails every trial
     for budget in (-3, 0):
         with pytest.raises(ValueError, match="latency_budget"):
