@@ -2,17 +2,23 @@
 
 Results are exact ``Fraction`` values.  Each bound an eta sweep or a
 deviation grid evaluates per row is split in two.  A private integer
-kernel (``_symmetric``, ``_relaxed``, ...) takes the integer numerators
-and denominators of its arguments, assumes they lie in the domain, and
-returns the bound as an unreduced ``(num, den)`` pair, plus ``k`` and the
-branch where the bound has them.  The public function splits its
-arguments, raises ``DomainError`` outside the domain, and builds one
-``Fraction`` from the kernel's pair.  The mutual-exclusive bound is twice
-the symmetric one at twice the duty cycle, so it reuses ``_symmetric``.
+kernel (``_symmetric``, ``_relaxed``, ...) takes integer numerators and
+denominators, assumes they lie in the domain, and returns an unreduced
+``(num, den)`` pair, plus ``k`` and the branch where the bound has them.
+The public function splits its arguments, raises ``DomainError`` outside
+the domain, and builds one ``Fraction`` from the kernel's pair.
+``_symmetric`` takes the latency scale omega * alpha * d as two ints, so
+that the mutual-exclusive bound, twice the symmetric one at twice the
+duty cycle, reuses it.  The three bounds that scale as 1/eta^2
+(``symmetric_approx``, ``slotted_full_duplex`` and ``slotted_two_beacon``)
+have coefficient kernels: each returns C(omega, alpha) as ``(A, B)``, and
+the bound at eta = n/d is A * d^2 / (B * n^2).
 
 ``sweep_rows`` and ``deviation_rows`` yield the rows of the ``nd-lab
-bounds`` CSVs.  They call the kernels and write each cell as the int/int
-division ``num / den``, which Python rounds correctly, so it equals
+bounds`` CSVs.  ``sweep_rows`` computes every factor that does not depend
+on eta once per sweep, so a 1/eta^2 cell is one ``A / (B * n * n)``.
+Every cell is the int/int division ``num / den`` of the same rational
+the public function returns, which Python rounds correctly, so it equals
 ``float(Fraction(num, den))`` bit for bit; a cell outside the bound's
 domain is ``""``, a blank cell.  The only
 non-rational evaluations in the whole module are the exponential in the
@@ -112,16 +118,18 @@ def bound_symmetric(eta, omega, alpha) -> SymmetricBound:
     k^2 * omega * alpha * d / (n*k - d), and n*k > d holds for both
     candidates whenever k_floor >= 1.
     """
-    sym = _symmetric(*_rates(eta, omega, alpha))
+    n, d, wn, wd, p, q = _rates(eta, omega, alpha)
+    sym = _symmetric(n, d, wn * p * d, wd * q)
     if sym is None:
         raise DomainError("eta > 2 leaves no room for a reception phase")
     num, den, k, branch = sym
     return SymmetricBound(Fraction(num, den), k, branch, Fraction(1, k))
 
 
-def _symmetric(n, d, wn, wd, p, q) -> tuple[int, int, int, str] | None:
+def _symmetric(n, d, scale, scale_den) -> tuple[int, int, int, str] | None:
     """(num, den, k, branch) of the symmetric bound at eta = n/d > 0, or
-    None when eta > 2."""
+    None when eta > 2; the latency scale omega * alpha * d comes as
+    scale / scale_den."""
     k_floor = 2 * d // n
     if k_floor < 1:
         return None
@@ -133,17 +141,26 @@ def _symmetric(n, d, wn, wd, p, q) -> tuple[int, int, int, str] | None:
         k, den, branch = k_ceil, den_c, "ceil"
     else:
         k, den, branch = k_floor, den_f, "floor"
-    return k * k * wn * p * d, wd * q * den, k, branch
+    return k * k * scale, scale_den * den, k, branch
 
 
 def bound_symmetric_approx(eta, omega, alpha) -> Fraction:
     """Small-duty-cycle approximation 4*alpha*omega/eta**2; exact whenever
     2/eta is an integer."""
-    return Fraction(*_symmetric_approx(*_rates(eta, omega, alpha)))
+    return _over_eta_squared(_symmetric_approx, eta, omega, alpha)
 
 
-def _symmetric_approx(n, d, wn, wd, p, q) -> tuple[int, int]:
-    return 4 * p * wn * d * d, q * wd * n * n
+def _symmetric_approx(wn, wd, p, q) -> tuple[int, int]:
+    """4 * alpha * omega as (A, B)."""
+    return 4 * p * wn, q * wd
+
+
+def _over_eta_squared(kernel, eta, omega, alpha) -> Fraction:
+    """A * d^2 / (B * n^2) for the coefficient kernel's (A, B) at
+    eta = n/d."""
+    n, d, wn, wd, p, q = _rates(eta, omega, alpha)
+    a, b = kernel(wn, wd, p, q)
+    return Fraction(a * d * d, b * n * n)
 
 
 def bound_channel_constrained(eta, beta_m, omega, alpha) -> ChannelConstrainedBound:
@@ -197,7 +214,7 @@ def bound_mutual_exclusive(eta, omega, alpha) -> MutualExclusiveBound:
     same k and branch, so ``_symmetric`` evaluates it.
     """
     n, d, wn, wd, p, q = _rates(eta, omega, alpha)
-    me = _symmetric(2 * n, d, 2 * wn, wd, p, q)
+    me = _symmetric(2 * n, d, 2 * wn * p * d, wd * q)
     if me is None:
         raise DomainError("eta > 1 leaves no valid split")
     num, den, k, branch = me
@@ -295,12 +312,13 @@ def bound_slotted_full_duplex(eta, omega, alpha) -> Fraction:
     omega=5))`` (eta 14/13) has oracle latency 104 against a limit of
     21125/196 (about 107.8).
     """
-    return Fraction(*_slotted_full_duplex(*_rates(eta, omega, alpha)))
+    return _over_eta_squared(_slotted_full_duplex, eta, omega, alpha)
 
 
-def _slotted_full_duplex(n, d, wn, wd, p, q) -> tuple[int, int]:
+def _slotted_full_duplex(wn, wd, p, q) -> tuple[int, int]:
+    """(1 + alpha)^2 * omega as (A, B)."""
     # 1 + 2*alpha + alpha^2 = (q + p)^2 / q^2
-    return wn * (q + p) ** 2 * d * d, wd * q * q * n * n
+    return wn * (q + p) ** 2, wd * q * q
 
 
 def bound_slotted_two_beacon(eta, omega, alpha) -> Fraction:
@@ -317,12 +335,13 @@ def bound_slotted_two_beacon(eta, omega, alpha) -> Fraction:
     omega=5))`` (eta 14/13) has oracle latency 104 against a limit of
     68445/392 (about 174.6).
     """
-    return Fraction(*_slotted_two_beacon(*_rates(eta, omega, alpha)))
+    return _over_eta_squared(_slotted_two_beacon, eta, omega, alpha)
 
 
-def _slotted_two_beacon(n, d, wn, wd, p, q) -> tuple[int, int]:
+def _slotted_two_beacon(wn, wd, p, q) -> tuple[int, int]:
+    """(1/2 + 2 alpha + 2 alpha^2) * omega as (A, B)."""
     # 1/2 + 2*alpha + 2*alpha^2 = (q + 2p)^2 / (2 q^2)
-    return wn * (q + 2 * p) ** 2 * d * d, 2 * wd * q * q * n * n
+    return wn * (q + 2 * p) ** 2, 2 * wd * q * q
 
 
 def bound_slotted_channel(eta, beta, omega, alpha) -> Fraction:
@@ -384,28 +403,36 @@ def sweep_rows(lo, hi, step, omega, alpha):
     """Yield one ``SWEEP_HEADER`` tuple per eta = lo, lo + step, ... <= hi,
     for lo > 0 and step > 0.  Each cell is an int/int division of a
     kernel's (num, den); eta > 2 blanks the symmetric cells and eta > 1
-    the mutual-exclusive one, as ``""``."""
+    the mutual-exclusive one, as ``""``.  Every eta is n/den over one
+    den, so the latency scale and the coefficients are computed once."""
     lo, hi, step = rat(lo), rat(hi), rat(step)
     (wn, wd), (p, q) = _ratio(omega), _ratio(alpha)
     _positive(wn, p)
     den = math.lcm(lo.denominator, step.denominator)
+    scale, scale_den = wn * p * den, wd * q
+    # each 1/eta^2 coefficient (A, B) with A times den^2: a cell is one
+    # A / (B * n * n)
+    (a1, b1), (a2, b2), (a3, b3) = (
+        (a * den * den, b)
+        for a, b in (_symmetric_approx(wn, wd, p, q),
+                     _slotted_full_duplex(wn, wd, p, q),
+                     _slotted_two_beacon(wn, wd, p, q))
+    )
     for n in range(int(lo * den), math.floor(hi * den) + 1, int(step * den)):
-        sym = _symmetric(n, den, wn, wd, p, q)
+        sym = _symmetric(n, den, scale, scale_den)
         if sym is None:
             sym_cells = ("", "", "", "")
         else:
             num, d, k, branch = sym
             sym_cells = (num / d, k, branch, 1 / k)
-        approx_num, approx_den = _symmetric_approx(n, den, wn, wd, p, q)
-        fd_num, fd_den = _slotted_full_duplex(n, den, wn, wd, p, q)
-        tb_num, tb_den = _slotted_two_beacon(n, den, wn, wd, p, q)
-        me = _symmetric(2 * n, den, 2 * wn, wd, p, q)
+        me = _symmetric(2 * n, den, 2 * scale, scale_den)
+        nn = n * n
         yield (
             n / den,
             *sym_cells,
-            approx_num / approx_den,
-            fd_num / fd_den,
-            tb_num / tb_den,
+            a1 / (b1 * nn),
+            a2 / (b2 * nn),
+            a3 / (b3 * nn),
             "" if me is None else me[0] / me[1],
         )
 

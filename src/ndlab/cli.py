@@ -127,6 +127,11 @@ def _parse_sweep(text: str):
     return lo, hi, step
 
 
+#: Rows one ``nd-lab bounds`` run may write; it refuses a larger grid with
+#: exit 3 before it builds the grid or opens --out.
+BOUNDS_ROW_BUDGET = 1_000_000
+
+
 def cmd_bounds(args) -> int:
     if args.deviation == (args.sweep is not None):
         return _fail(2, "usage", "exactly one of --sweep or --deviation is required")
@@ -134,19 +139,15 @@ def cmd_bounds(args) -> int:
     omega = tick.ticks_from_us(args.omega_us)
     # refuses a non-positive omega or alpha before --out opens
     radio = _radio(args, tick, omega, semantics=Semantics.CONTAINED)
+    n_rows = _bounds_row_count(args)
+    if n_rows > BOUNDS_ROW_BUDGET:
+        return _fail(
+            3, "TooManyRows", f"{n_rows} rows exceed the budget of {BOUNDS_ROW_BUDGET} rows"
+        )
     # every k and every CSV cell is a float: a grid past the float range
     # has no rows to write
     try:
         if args.deviation:
-            if not (
-                1 <= args.k_lo <= args.k_hi
-                and 0 < args.beta_lo <= args.beta_hi <= 1
-                and args.beta_steps >= 2
-            ):
-                raise ValueError(
-                    "deviation grid needs 1 <= k_lo <= k_hi, 0 < beta_lo <= beta_hi <= 1"
-                    " and beta_steps >= 2"
-                )
             header = bounds.DEVIATION_HEADER
             rows = bounds.deviation_rows(
                 _grid(args.beta_lo, args.beta_hi, args.beta_steps),
@@ -162,6 +163,26 @@ def cmd_bounds(args) -> int:
     except OverflowError as exc:
         raise ValueError(f"a grid value exceeds the float range: {exc}") from exc
     return 0
+
+
+def _bounds_row_count(args) -> int:
+    """Rows of the sweep, or at most as many as the deviation grid has,
+    counted from the flags alone; a broken deviation grid raises
+    ValueError."""
+    if not args.deviation:
+        lo, hi, step = args.sweep
+        return (hi - lo) // step + 1
+    if not (
+        1 <= args.k_lo <= args.k_hi
+        and 0 < args.beta_lo <= args.beta_hi <= 1
+        and args.beta_steps >= 2
+    ):
+        raise ValueError(
+            "deviation grid needs 1 <= k_lo <= k_hi, 0 < beta_lo <= beta_hi <= 1"
+            " and beta_steps >= 2"
+        )
+    # one row per beta and distinct k; _k_grid has at most one k per step
+    return args.beta_steps * min(args.beta_steps, args.k_hi - args.k_lo + 1)
 
 
 def _grid(lo: Fraction, hi: Fraction, steps: int):

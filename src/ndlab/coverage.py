@@ -305,7 +305,10 @@ def check_correlated_quadruple(e: ProtocolSpec, f: ProtocolSpec) -> DeterminismR
     jointly cover one period.  With one common period both sets are fixed
     per beacon, so no anchor between beacons and windows is needed.
     Offsets are the position of f's period origin inside e's period, and
-    ``coverage_lambda`` sums the images of both devices' beacons.
+    ``coverage_lambda`` sums the images of both devices' beacons.  Each
+    image covers one device's effective window sum, so ``min_beacons``
+    divides the period by the larger of the two sums, in either argument
+    order, and is None when neither device has an effective window.
     """
     t = e.receptions.period
     for p, name in ((e, "e"), (f, "f")):
@@ -315,8 +318,10 @@ def check_correlated_quadruple(e: ProtocolSpec, f: ProtocolSpec) -> DeterminismR
             raise ValueError(f"device {name} has no beacons")
 
     from_f, from_e = _quadruple_images(e, f)
-    # from_f[0] is a rotation of e's effective windows
-    return analyze(CoverageMap(t, tuple(from_f + from_e), iv.measure(from_f[0])))
+    # from_f[0] is a rotation of e's effective windows, from_e[0] a
+    # reflection of f's
+    widest = max(iv.measure(from_f[0]), iv.measure(from_e[0]))
+    return analyze(CoverageMap(t, tuple(from_f + from_e), widest))
 
 
 def _quadruple_images(e: ProtocolSpec, f: ProtocolSpec):

@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 
 from . import intervals as iv
@@ -361,16 +362,25 @@ def write_json(doc, fh) -> None:
     fh.write("\n")
 
 
+#: Lines of a CSV file joined into one ``write`` call.
+CSV_BLOCK_LINES = 1024
+
+
 def write_csv(header, rows, fh) -> None:
     """``header`` and then each tuple of ``rows`` as comma-separated cells
     ending in ``\\r\\n``, on a text file opened with ``newline=""``: the
     one layout of every CSV file this package writes.  Rows hold two or
     more cells, each an int, a float, ``""`` for a blank or a plain word;
     none needs quoting, so the bytes are those ``csv.writer`` writes for
-    the same cells (``%s`` of a float is its ``repr``)."""
+    the same cells (``%s`` of a float is its ``repr``).  Lines go out
+    joined in blocks of ``CSV_BLOCK_LINES``: one ``write`` per block, and
+    memory bounded by one block however many rows come."""
     line = ",".join(["%s"] * len(header)) + "\r\n"
     fh.write(line % tuple(header))
-    fh.writelines(map(line.__mod__, rows))
+    lines = map(line.__mod__, rows)
+    # every line ends in \r\n, so only an exhausted iterator joins to ""
+    while block := "".join(islice(lines, CSV_BLOCK_LINES)):
+        fh.write(block)
 
 
 def save_protocol(p: ProtocolSpec, path) -> None:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -224,6 +225,43 @@ def test_bounds_sweep_past_the_float_range_is_refused(tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert [json.loads(line)["error"] for line in lines] == ["ValueError"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--deviation", "--omega-us", "100", "--beta-steps", "100000000"],
+        ["--sweep", "eta=1e-9:2:1e-9", "--omega-us", "1"],
+    ],
+)
+def test_bounds_past_the_row_budget_is_refused_before_any_row(tmp_path, capsys, flags):
+    # at most 10^8 betas times 1800 ks, and 2 * 10^9 etas: counted from the
+    # flags, never built
+    out = tmp_path / "bounds.csv"
+    start = time.perf_counter()
+    assert run(["bounds", *flags, "--out", str(out)]) == 3
+    assert time.perf_counter() - start < 1
+    lines = capsys.readouterr().err.splitlines()
+    assert [json.loads(line)["error"] for line in lines] == ["TooManyRows"]
+    assert not out.exists()
+
+
+def test_bounds_row_budget_admits_exactly_its_rows(tmp_path, monkeypatch):
+    # under a budget of 4 rows, 4 etas and 2 betas times 2 ks pass, 5 etas and
+    # 3 betas times 3 ks do not: the counts from the flags are the rows
+    monkeypatch.setattr("ndlab.cli.BOUNDS_ROW_BUDGET", 4)
+    out = tmp_path / "bounds.csv"
+    for flags, n_rows in [
+        (["--sweep", "eta=1/10:1/2:1/10"], 5),
+        (["--sweep", "eta=1/10:4/10:1/10"], 4),
+        (["--deviation", "--beta-steps", "3"], 9),
+        (["--deviation", "--beta-steps", "2"], 4),
+    ]:
+        rc = run(["bounds", *flags, "--omega-us", "1", "--out", str(out)])
+        assert (rc, out.exists()) == ((3, False) if n_rows > 4 else (0, True))
+        if rc == 0:
+            assert len(_csv_rows(out)) == n_rows
+            out.unlink()
 
 
 def test_bounds_requires_sweep_or_deviation(tmp_path, capsys):

@@ -865,6 +865,15 @@ def test_quadruple_same_half_twice_not_deterministic():
     assert rep.uncovered == ((3, 8),)
 
 
+def test_quadruple_min_beacons_does_not_depend_on_argument_order():
+    # one side's effective window sum is 1 tick, the other's 9: a beacon of
+    # either device covers at most 9 of the 10 alignments
+    narrow = quad_device([0], [(0, 1)], 10)
+    wide = quad_device([9], [(0, 9)], 10)
+    for e, f in ((narrow, wide), (wide, narrow)):
+        assert check_correlated_quadruple(e, f).min_beacons == 2
+
+
 def test_quadruple_period_mismatch_rejected():
     p = quad_device([0, 5], [(0, 3)], 10)
     q = quad_device([0, 5], [(0, 3)], 12)

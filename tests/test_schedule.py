@@ -7,7 +7,7 @@ from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from ndlab import (
     BeaconSchedule,
@@ -333,7 +333,17 @@ _CELLS = st.one_of(
 )
 
 
+# a table past two blocks of write_csv's joined lines, so every block
+# boundary meets the bytes csv.writer writes
+_LONG_TABLE = (
+    ["eta", "symmetric", "symmetric_k", "symmetric_branch", "a"],
+    [(j / 7, j * 1e16 / 3, j, ("ceil", "floor")[j % 2], "" if j % 3 else -0.0)
+     for j in range(1, 2501)],
+)
+
+
 @settings(max_examples=200, deadline=None)
+@example(table=_LONG_TABLE)
 @given(st.integers(2, 9).flatmap(
     lambda n: st.tuples(
         st.lists(_WORDS, min_size=n, max_size=n),
