@@ -212,6 +212,14 @@ def bound_mutual_exclusive(eta, omega, alpha) -> MutualExclusiveBound:
     2*n*k > d holds for both integers bracketing 1/eta whenever
     k_floor >= 1.  That is twice the symmetric bound at 2 * eta, with the
     same k and branch, so ``_symmetric`` evaluates it.
+
+    Tightness is not shown: no schedule is known to attain the bound.  A
+    census of every identical pair with one common period T <= 14, 1-3
+    beacons and one window at offset 0 (omega 1, IDEAL, full duplex,
+    eta <= 1) took the either-way worst case over every phase pair.  None
+    of the 9057 pairs that discover either way was below the bound, and
+    the least ratio was 9/8: beacons (0, 3) and a 2-tick window in period
+    7 give 7 against 56/9.
     """
     n, d, wn, wd, p, q = _rates(eta, omega, alpha)
     me = _symmetric(2 * n, d, 2 * wn * p * d, wd * q)

@@ -226,9 +226,7 @@ def cmd_analyze(args) -> int:
     f = load_protocol(args.receiver)
     beta = transmission_duty_cycle(e.beacons)
     gamma = reception_duty_cycle(f.receptions)
-    # the oracle trims windows by the transmitter's beacon, so the map does too
-    radio = replace(f.radio, omega=e.beacons.beacon_duration)
-    cov = build_coverage_map(e.beacons.emission_times, f.receptions, radio)
+    cov = build_coverage_map(e, f)
     rep = analyze(cov)
     oracle = worst_case_latency_oracle(
         e, f, method=args.method, max_hyperperiod=args.max_hyperperiod

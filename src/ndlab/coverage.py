@@ -1,12 +1,14 @@
 """Coverage maps, determinism analysis and the brute-force latency oracle.
 
-A coverage map holds, for each beacon of one period of a beacon list, the
-initial offsets of the transmitter's first beacon within the receiver's
-period at which that beacon lands inside a reception window.  Beacon lists
-and reception windows always repeat with their periods, so each beacon's
-offsets wrap around the reception period.  ``analyze``
-reads determinism, redundancy, total coverage and the fewest beacons that
-could cover a period from it.
+Every entry point takes the pair (e, f), the transmitter and the receiver,
+and trims f's windows by e's beacon length through
+``effective_window_spans(e, f)``.  The map of ``build_coverage_map(e, f)``
+holds, for each beacon of one period of e's beacon list, the initial
+offsets of e's first beacon within f's period at which that beacon lands
+inside one of f's windows.  Beacon lists and reception windows always
+repeat with their periods, so each beacon's offsets wrap around the
+reception period.  ``analyze`` reads determinism, redundancy, total
+coverage and the fewest beacons that could cover a period from it.
 
 The worst-case latency oracle sweeps coverage endpoints forward from the
 transmitter's beacon 0 (``method="endpoints"``, the default).  The worst
@@ -34,14 +36,11 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import lcm
-from typing import Sequence
 
 from . import intervals as iv
 from .errors import HyperperiodTooLarge, MisalignedPeriods
 from .schedule import (
     ProtocolSpec,
-    RadioModel,
-    ReceptionSchedule,
     ceil_div,
     effective_window_spans,
     require_one_tick,
@@ -83,22 +82,18 @@ class DeterminismReport:
     min_beacons: int | None
 
 
-def build_coverage_map(
-    beacon_times: Sequence[int],
-    receptions: ReceptionSchedule,
-    radio: RadioModel,
-) -> CoverageMap:
-    """Covered offsets for each beacon of ``beacon_times``, one period of
-    emissions.
+def build_coverage_map(e: ProtocolSpec, f: ProtocolSpec) -> CoverageMap:
+    """Covered offsets of ``f``'s period for each beacon of one period of
+    ``e``'s emissions, as ``f`` hears them (see effective_window_spans).
 
     Beacon 0 covers the window spans themselves; every later beacon covers
     the same spans shifted left by its distance to beacon 0, wrapped around
-    the period, since the windows repeat every period.  No beacons give a
-    map with no beacon sets.
+    the period, since the windows repeat every period.  A silent ``e``
+    gives a map with no beacon sets.
     """
-    times = sorted(beacon_times)
-    base = effective_window_spans(receptions, radio.semantics, radio.omega)
-    period = receptions.period
+    times = e.beacons.emission_times
+    base = effective_window_spans(e, f)
+    period = f.receptions.period
     return CoverageMap(
         period=period,
         per_beacon=tuple(iv.shift_mod(base, (t - times[0]) % period, period) for t in times),
@@ -165,7 +160,7 @@ def worst_case_latency_oracle(
         raise ValueError(f"max_hyperperiod must be >= 0, got {max_hyperperiod}")
     require_one_tick((e, f))
     b = e.beacons
-    eff = effective_window_spans(f.receptions, f.radio.semantics, b.beacon_duration)
+    eff = effective_window_spans(e, f)
     if not b.count or not eff:  # a silent transmitter or a deaf receiver
         return None
     t_c = f.receptions.period
@@ -327,8 +322,8 @@ def check_correlated_quadruple(e: ProtocolSpec, f: ProtocolSpec) -> DeterminismR
 def _quadruple_images(e: ProtocolSpec, f: ProtocolSpec):
     """Per beacon, the alignments at which f's beacons hit e and e's hit f."""
     t = e.receptions.period
-    eff_e = effective_window_spans(e.receptions, e.radio.semantics, f.radio.omega)
-    eff_f = effective_window_spans(f.receptions, f.radio.semantics, e.radio.omega)
+    eff_e = effective_window_spans(f, e)
+    eff_f = effective_window_spans(e, f)
     # f's beacon at tau lands in e's window [a, b) when the alignment theta
     # lies in [a - tau, b - tau); e's beacon at tau lands in f's window when
     # theta lies in the reflection [tau - b + 1, tau - a + 1).

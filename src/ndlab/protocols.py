@@ -133,7 +133,15 @@ def gen_disco(p1: int, p2: int, slot_length: int, omega: int, radio: RadioModel 
 
 def gen_searchlight_striped(t_slots: int, slot_length: int, omega: int, radio: RadioModel | None = None) -> ProtocolSpec:
     """Anchor slot 0 active every period of t_slots; a probe slot walks the
-    positions 1..ceil(t/2), one per period."""
+    positions 1..ceil(t/2), one per period.
+
+    When every active slot holds two beacons (slot_length >= 2 * omega),
+    the exact worst case of the device hearing a copy of itself is, for
+    h = t * ceil(t / 2), ``(h - 1) * slot_length + omega`` under IDEAL and
+    ``h * slot_length`` under CONTAINED; t = 3 gives
+    ``4 * slot_length + omega`` and ``5 * slot_length``.  Checked only for
+    t in {3, 4, 5, 6, 8}.
+    """
     if t_slots < 2:
         raise DomainError("need at least two slots per period")
     probes = ceil_div(t_slots, 2)
@@ -157,7 +165,16 @@ def _is_prime(n: int) -> bool:
 
 def gen_uconnect(p: int, slot_length: int, omega: int, radio: RadioModel | None = None) -> ProtocolSpec:
     """Every p-th slot active, plus a run of (p+1)/2 consecutive active
-    slots once per p*p slots."""
+    slots once per p*p slots.
+
+    When every active slot holds two beacons (slot_length >= 2 * omega),
+    the exact worst case of the device hearing a copy of itself is, under
+    IDEAL and CONTAINED, ``7 * slot_length + omega`` and
+    ``8 * slot_length`` for p = 3, ``24 * slot_length + omega`` and
+    ``25 * slot_length`` for p = 5, and ``49 * slot_length - omega`` and
+    ``49 * slot_length`` for p = 7.  No single form in p is known: these
+    are checked only for p in {3, 5, 7}.
+    """
     if not _is_prime(p) or p < 3:
         raise DomainError("p must be an odd prime")
     hyper = p * p

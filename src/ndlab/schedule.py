@@ -3,6 +3,8 @@
 Every quantity of time is a non-negative integer tick count (default tick:
 1 microsecond).  Duty cycles are exact ``Fraction`` values; floats are
 rejected on input so that coverage and latency results stay bit-exact.
+Latency belongs to a pair of devices: ``effective_window_spans(transmitter,
+receiver)`` alone says where one's beacons can land in the other's windows.
 """
 
 from __future__ import annotations
@@ -60,24 +62,6 @@ class Semantics(Enum):
 
     IDEAL = "ideal"
     CONTAINED = "contained"
-
-
-def effective_window_spans(
-    receptions: ReceptionSchedule, semantics: Semantics, omega: int
-) -> tuple[tuple[int, int], ...]:
-    """Window spans a beacon start may fall into and still be received.
-
-    Under CONTAINED semantics a beacon starting at ``s`` in the window
-    ``[start, end)`` is received iff ``start <= s < end - omega``: each span
-    loses its last ``omega`` ticks, so the beacon must end before the
-    window's last tick, and a window ``omega`` ticks long or shorter
-    contributes nothing.
-    """
-    if semantics is Semantics.CONTAINED:
-        spans = [(w.start, w.end - omega) for w in receptions.windows]
-    else:
-        spans = [(w.start, w.end) for w in receptions.windows]
-    return iv.normalize(spans)
 
 
 @dataclass(frozen=True)
@@ -217,6 +201,25 @@ class ProtocolSpec:
         if self.beacons.count:
             p = lcm(p, self.beacons.period)
         return p
+
+
+def effective_window_spans(
+    transmitter: ProtocolSpec, receiver: ProtocolSpec
+) -> tuple[tuple[int, int], ...]:
+    """Spans of ``receiver``'s windows in which a beacon of ``transmitter``
+    may start and still be received, under the receiver's semantics.
+
+    Under CONTAINED semantics a beacon of omega ticks starting at ``s`` in
+    the window ``[start, end)`` is received iff ``start <= s < end - omega``:
+    each span loses the transmitter's beacon length at its end, so the
+    beacon must end before the window's last tick, and a window ``omega``
+    ticks long or shorter contributes nothing.
+    """
+    windows = receiver.receptions.windows
+    if receiver.radio.semantics is Semantics.CONTAINED:
+        omega = transmitter.beacons.beacon_duration
+        return iv.normalize([(w.start, w.end - omega) for w in windows])
+    return iv.normalize([(w.start, w.end) for w in windows])
 
 
 def require_one_tick(devices) -> None:

@@ -1,13 +1,15 @@
 """Event-driven discovery simulation with a pure-ALOHA collision model.
 
 An independent replay engine: it never consults the coverage machinery, so
-agreement between the two is a meaningful check.  One overlap rule decides
-both collision and self-deafness: overlapping beacons of different devices,
-the receiver's own included, destroy each other, and a self-blocking
-receiver cannot hear while its own turnaround-padded beacon overlaps the
-remote one (a full-duplex receiver's beacons do neither).  Every beacon
-list repeats with its period; a device with no beacons is silent.  A trial
-yields its latency and first-beacon collision; SimOutcome decides failure.
+agreement between the two is a meaningful check; both read the model's
+rule of where a beacon lands, effective_window_spans(joiner, receiver).
+One overlap rule decides both collision and self-deafness: overlapping
+beacons of different devices, the receiver's own included, destroy each
+other, and a self-blocking receiver cannot hear while its own
+turnaround-padded beacon overlaps the remote one (a full-duplex receiver's
+beacons do neither).  Every beacon list repeats with its period; a device
+with no beacons is silent.  A trial yields its latency and first-beacon
+collision; SimOutcome decides failure.
 
 Each call sets its devices up once, from their ProtocolSpecs.  simulate_multi
 spreads its trials over the CPUs and itself plays any range a forked child
@@ -116,17 +118,17 @@ def _overlapping(spec: ProtocolSpec, width: int, before: int = 0, after: int = 0
     return iv.edges(iv.shift_mod(spans, 0, b.period))
 
 
-def _listener(spec: ProtocolSpec, tx_omega: int, self_blocking: bool):
-    """hears(phase, t): whether the device receives a remote beacon of
-    tx_omega ticks starting at global t.  With self_blocking the interferers'
-    overlap rule makes it deaf while an own beacon, padded by the
-    turnarounds, overlaps that beacon's start (IDEAL) or all of it
-    (CONTAINED); a silent device is never deaf."""
-    r = spec.radio
-    eff = iv.edges(effective_window_spans(spec.receptions, r.semantics, tx_omega))
-    width = tx_omega if r.semantics is Semantics.CONTAINED else 1
-    deaf = _overlapping(spec, width, r.d_oRxTx, r.d_oTxRx) if self_blocking else []
-    t_c, t_b = spec.receptions.period, spec.beacons.period
+def _listener(joiner: ProtocolSpec, receiver: ProtocolSpec, self_blocking: bool):
+    """hears(phase, t): whether ``receiver`` receives a beacon of ``joiner``
+    starting at global t.  With self_blocking the interferers' overlap rule
+    makes it deaf while an own beacon, padded by the turnarounds, overlaps
+    that beacon's start (IDEAL) or all of it (CONTAINED); a silent device
+    is never deaf."""
+    r = receiver.radio
+    eff = iv.edges(effective_window_spans(joiner, receiver))
+    width = joiner.beacons.beacon_duration if r.semantics is Semantics.CONTAINED else 1
+    deaf = _overlapping(receiver, width, r.d_oRxTx, r.d_oTxRx) if self_blocking else []
+    t_c, t_b = receiver.receptions.period, receiver.beacons.period
     if not deaf:
         return lambda phase, t: bisect_right(eff, (phase + t) % t_c) & 1
     return lambda phase, t: (
@@ -138,6 +140,14 @@ def _listener(spec: ProtocolSpec, tx_omega: int, self_blocking: bool):
 # ---------------------------------------------------------------------------
 # one scan: the joiner's emissions against the receiver and the interferers
 # ---------------------------------------------------------------------------
+
+def _reach(joiner: ProtocolSpec, receiver: ProtocolSpec, jammers: Sequence[ProtocolSpec]) -> int:
+    """How far past the joiner's first emission a scan looks: one cycle of
+    the joiner's beacons, the receiver's windows and each jammer's beacons,
+    less a tick (see _trial_runner)."""
+    periods = (d.beacons.period for d in jammers)
+    return lcm(joiner.beacons.period, receiver.receptions.period, *periods) - 1
+
 
 def _trial_runner(
     joiner: ProtocolSpec,
@@ -169,7 +179,7 @@ def _trial_runner(
     b = joiner.beacons
     own = self_blocking and receiver.beacons.count > 0
     interferers = (receiver, *interferers) if own else interferers
-    hears = _listener(receiver, b.beacon_duration, own)
+    hears = _listener(joiner, receiver, own)
     # per interferer, the edges of the device times at which one of its
     # beacons overlaps the joiner's, and its beacon period
     jams = [(_overlapping(d, b.beacon_duration), d.beacons.period) for d in interferers]
@@ -177,14 +187,13 @@ def _trial_runner(
     if not b.count:
         return lambda *phases: (None, False)
     t_b = b.period
-    periods = [t_b, receiver.receptions.period] + [d.beacons.period for d in interferers]
     # a schedule may start at or past its period: reduce its taus (distinct,
     # as they span less than a period) into [0, t_b)
     taus = tuple(sorted(tau % t_b for tau in b.emission_times))
     m = len(taus)
     # the taus, then the taus one period later: rotating at k takes ring[k:k + m]
     ring = taus + tuple(tau + t_b for tau in taus)
-    reach = lcm(*periods) - 1
+    reach = _reach(joiner, receiver, interferers)
     end = inf if horizon is None else horizon
 
     def collided(phases: Sequence[int], t: int) -> bool:
@@ -404,10 +413,19 @@ def _play_split(n: int, play) -> list[tuple]:
     return [tuple(chain.from_iterable(col)) for col in zip(*parts)]
 
 
-#: The most phase pairs an ``exhaustive_ticks`` run plays.  A trial's
-#: outcome takes about 365 bytes while the columns are built, so this grid
-#: holds about 365 MB; a larger one is refused before anything is allocated.
-_MAX_EXHAUSTIVE_PAIRS = 10**6
+#: The most trials one call plays, random draws or the phase pairs of an
+#: ``exhaustive_ticks`` grid.  A trial's outcome takes about 365 bytes while
+#: the columns are built, so this many hold about 365 MB; more are refused
+#: before anything is allocated.
+_MAX_TRIALS = 10**6
+
+#: The most emissions one call may test, summed over its trials' scans.  An
+#: emission test takes about 0.2 to 0.4 us (one bisect, plus one per
+#: interferer; Linux 6.18, 2 cores, Python 3.11), so a call at the budget
+#: scans for about 20 to 40 s on one CPU.  The largest call of the test
+#: suite tests 2.5 * 10**6 emissions, criterion 7 10**5 and a benchmark
+#: operation 14 000.
+_MAX_SCANNED_EMISSIONS = 10**8
 
 
 def simulate_multi(cfg: SimConfig) -> SimOutcome:
@@ -418,8 +436,12 @@ def simulate_multi(cfg: SimConfig) -> SimOutcome:
     ``exhaustive_ticks`` mode from its index in the phase grid, so any
     contiguous range of trials can be played alone.  The trials are split
     into one range per available CPU, each at least _MIN_RANGE_TRIALS long;
-    a forked child plays each range after the first (see _play_split).  An
-    ``exhaustive_ticks`` grid above _MAX_EXHAUSTIVE_PAIRS raises DomainError.
+    a forked child plays each range after the first (see _play_split).
+
+    The work is bounded before anything is allocated: more trials than
+    _MAX_TRIALS, random draws or the pairs of an ``exhaustive_ticks`` grid,
+    raise DomainError, and so do trials whose scans together may test more
+    than _MAX_SCANNED_EMISSIONS emissions.
 
     Every device after the joiner that sends interferes, the receiver
     included (see _trial_runner).  A trial stops one joint cycle past its
@@ -431,17 +453,30 @@ def simulate_multi(cfg: SimConfig) -> SimOutcome:
             raise ValueError("exhaustive phase sweep supports exactly two devices")
         p_e, p_f = (d.device_period for d in cfg.devices)
         n = p_e * p_f
-        if n > _MAX_EXHAUSTIVE_PAIRS:
-            raise DomainError(
-                f"exhaustive phase grid of {n} pairs exceeds {_MAX_EXHAUSTIVE_PAIRS}"
-            )
+        if n > _MAX_TRIALS:
+            raise DomainError(f"exhaustive phase grid of {n} pairs exceeds {_MAX_TRIALS}")
         # the grid index i is the phase pair divmod(i, p_f), in product order
         phase_of = lambda i: divmod(i, p_f)
     else:
         n = cfg.trials
+        if n > _MAX_TRIALS:
+            raise DomainError(f"{n} random trials exceed {_MAX_TRIALS}")
         phase_of = _phase_sampler(cfg.seed, [d.device_period for d in cfg.devices])
 
     devices = cfg.devices
+    b = devices[0].beacons
+    if b.count:
+        # every sender after the joiner jams, the receiver included
+        span = _reach(devices[0], devices[1], [d for d in devices[1:] if d.beacons.count])
+        if cfg.horizon is not None:
+            span = min(span, cfg.horizon)
+        # a scan tests the emissions within span of the first, m a period
+        scan = b.count * (span // b.period + 1)
+        if n * scan > _MAX_SCANNED_EMISSIONS:
+            raise DomainError(
+                f"{n} trials of up to {scan} emissions each exceed"
+                f" {_MAX_SCANNED_EMISSIONS} emissions"
+            )
     senders = [i for i in range(2, len(devices)) if devices[i].beacons.count]
     run = _trial_runner(devices[0], devices[1], [devices[i] for i in senders], cfg.horizon)
 
@@ -469,8 +504,8 @@ def self_blocking_probability(p: ProtocolSpec) -> Fraction:
     gamma = reception_duty_cycle(p.receptions)
     if (1 / gamma).denominator != 1:
         raise DomainError("blocked-fraction analysis assumes gamma = 1/k")
-    r = p.radio
-    return beta * (r.d_oTxRx + r.d_oRxTx + r.omega) / r.omega
+    r, omega = p.radio, p.beacons.beacon_duration
+    return beta * (r.d_oTxRx + r.d_oRxTx + omega) / omega
 
 
 def measured_blocked_fraction(p: ProtocolSpec) -> Fraction:

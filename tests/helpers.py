@@ -38,6 +38,11 @@ def listener(windows, period, omega=1, alpha=1, semantics=Semantics.IDEAL):
     )
 
 
+def receive_only(receptions: ReceptionSchedule) -> ProtocolSpec:
+    """Receive-only device with the given reception schedule."""
+    return ProtocolSpec(BeaconSchedule((), 1), receptions, RadioModel())
+
+
 def beaconer(times, t_b, omega=1, alpha=1, semantics=Semantics.IDEAL):
     """Transmit-only device (a token one-tick window keeps the model whole)."""
     return ProtocolSpec(

@@ -44,6 +44,7 @@ from helpers import (
     per_tick_pair,
     random_beacons,
     random_reception,
+    receive_only,
 )
 
 IDEAL = RadioModel(omega=1)
@@ -162,7 +163,7 @@ def test_criterion_9_property_suites():
     for _ in range(1000):
         rec = random_reception(rng)
         bea = random_beacons(rng)
-        cov = build_coverage_map(bea.emission_times, rec, IDEAL)
+        cov = build_coverage_map(beaconer(bea.emission_times, bea.period), receive_only(rec))
         for spans in cov.per_beacon:
             assert sum(b - a for a, b in spans) == rec.listen_ticks
 

@@ -538,7 +538,7 @@ def test_min_beacons_is_exact_past_float_precision(tmp_path):
     # to 2.0; the oracle needs three beacons too
     e = beaconer([0], 2**59 + 7)
     f = listener([(0, 2**59)], 2**60 + 1)
-    assert analyze(build_coverage_map([0], f.receptions, f.radio)).min_beacons == 3
+    assert analyze(build_coverage_map(e, f)).min_beacons == 3
     pe, pf = tmp_path / "e.json", tmp_path / "f.json"
     pe.write_text(json.dumps(protocol_to_json(e)))
     pf.write_text(json.dumps(protocol_to_json(f)))
@@ -698,6 +698,24 @@ def test_simulate_refuses_an_exhaustive_grid_too_large_to_hold(tmp_path, capsys,
         "detail": "exhaustive phase grid of 1592010000 pairs exceeds 1000000",
     }
     assert os.listdir(tmp_path) == ["config.json"]
+
+
+def test_simulate_past_the_emission_budget_is_refused_before_any_trial(tmp_path, capsys):
+    # one trial against a window repeating every 10^12 ticks scans up to
+    # one joint cycle, 10^12 emissions: counted from the periods, never played
+    devices = [protocol_to_json(d) for d in (beaconer([0], 7), listener([(0, 1)], 10**12))]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"devices": devices, "trials": 1}))
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert run(["simulate", str(config), "--out-dir", str(out)]) == 3
+    assert time.perf_counter() - start < 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {
+        "error": "DomainError",
+        "detail": "1 trials of up to 1000000000000 emissions each exceed 100000000 emissions",
+    }
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("seed", [2**64, -1])

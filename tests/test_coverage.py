@@ -51,6 +51,7 @@ from helpers import (
     random_beacons,
     random_protocol,
     random_reception,
+    receive_only,
     three_gap_worst_case,
     with_field,
 )
@@ -62,9 +63,11 @@ def rec(windows, period):
     return ReceptionSchedule(tuple(ReceptionWindow(a, d) for a, d in windows), period)
 
 
-def report_min_beacons(receptions, radio):
-    """The analyze report's min_beacons; any one beacon gives the same."""
-    return analyze(build_coverage_map([0], receptions, radio)).min_beacons
+def report_min_beacons(f, omega=1):
+    """The analyze report's min_beacons of f hearing beacons of omega
+    ticks; any one beacon gives the same."""
+    e = beaconer([0], f.receptions.period, omega=omega)
+    return analyze(build_coverage_map(e, f)).min_beacons
 
 
 def first_landing(cov, times, phi):
@@ -82,19 +85,19 @@ def first_landing(cov, times, phi):
 # ---------------------------------------------------------------------------
 
 def test_single_beacon_covers_window():
-    cov = build_coverage_map([0], rec([(2, 3)], 10), IDEAL)
+    cov = build_coverage_map(beaconer([0], 10), listener([(2, 3)], 10))
     assert cov.per_beacon == (((2, 5),),)
 
 
 def test_second_beacon_shifts_left_and_wraps():
-    cov = build_coverage_map([0, 4], rec([(2, 3)], 10), IDEAL)
+    cov = build_coverage_map(beaconer([0, 4], 10), listener([(2, 3)], 10))
     assert cov.per_beacon[0] == ((2, 5),)
     assert cov.per_beacon[1] == ((0, 1), (8, 10))
 
 
 def test_contained_mode_drops_window_tail():
-    radio = RadioModel(omega=1, semantics=Semantics.CONTAINED)
-    cov = build_coverage_map([0], rec([(2, 3)], 10), radio)
+    f = listener([(2, 3)], 10, semantics=Semantics.CONTAINED)
+    cov = build_coverage_map(beaconer([0], 10), f)
     assert cov.per_beacon == (((2, 4),),)
 
 
@@ -115,7 +118,7 @@ def test_contained_window_must_outlast_the_beacon_by_a_tick():
 
 
 def test_csv_rows():
-    cov = build_coverage_map([0, 4], rec([(2, 3)], 10), IDEAL)
+    cov = build_coverage_map(beaconer([0, 4], 10), listener([(2, 3)], 10))
     fh = io.StringIO(newline="")
     cov.write_csv(fh)
     assert fh.getvalue().splitlines() == [
@@ -128,7 +131,7 @@ def test_csv_rows():
 # ---------------------------------------------------------------------------
 
 def test_full_listening_is_deterministic_and_disjoint():
-    cov = build_coverage_map([0], rec([(0, 12)], 12), IDEAL)
+    cov = build_coverage_map(beaconer([0], 12), listener([(0, 12)], 12))
     rep = analyze(cov)
     assert rep.deterministic and not rep.redundant
     assert rep.coverage_lambda == 12
@@ -137,10 +140,10 @@ def test_full_listening_is_deterministic_and_disjoint():
 
 def test_one_beacon_short_of_minimum_is_not_deterministic():
     # two unit windows per 8 ticks: at least 4 beacons needed
-    r = rec([(0, 1), (4, 1)], 8)
-    assert report_min_beacons(r, IDEAL) == 4
+    f = listener([(0, 1), (4, 1)], 8)
+    assert report_min_beacons(f) == 4
     times = [0, 1, 2]  # 3 equally spaced beacons
-    rep = analyze(build_coverage_map(times, r, IDEAL))
+    rep = analyze(build_coverage_map(beaconer(times, 8), f))
     assert rep.coverage_lambda == 6 < 8
     assert not rep.deterministic
 
@@ -148,9 +151,9 @@ def test_one_beacon_short_of_minimum_is_not_deterministic():
 def test_redundant_seven_beacon_instance():
     # seven beacons against two unit windows per 8 ticks, shifts chosen so
     # the whole period is covered and most offsets twice
-    r = rec([(0, 1), (4, 1)], 8)
+    f = listener([(0, 1), (4, 1)], 8)
     times = [0, 1, 2, 3, 8, 9, 10]
-    cov = build_coverage_map(times, r, IDEAL)
+    cov = build_coverage_map(beaconer(times, 16), f)
     rep = analyze(cov)
 
     # independent oracle: count covering beacons per tick by direct replay
@@ -167,27 +170,27 @@ def test_redundant_seven_beacon_instance():
 
 
 def test_min_beacons_examples():
-    assert report_min_beacons(rec([(0, 1), (4, 1)], 8), IDEAL) == 4
-    assert report_min_beacons(rec([(0, 3)], 10), IDEAL) == 4
-    assert report_min_beacons(rec([(0, 10)], 10), IDEAL) == 1
+    assert report_min_beacons(listener([(0, 1), (4, 1)], 8)) == 4
+    assert report_min_beacons(listener([(0, 3)], 10)) == 4
+    assert report_min_beacons(listener([(0, 10)], 10)) == 1
 
 
 def test_min_beacons_contained_infeasible():
-    radio = RadioModel(omega=5, semantics=Semantics.CONTAINED)
+    f = listener([(0, 4)], 10, semantics=Semantics.CONTAINED)
     # no 4-tick window holds a whole 5-tick beacon
-    assert report_min_beacons(rec([(0, 4)], 10), radio) is None
+    assert report_min_beacons(f, omega=5) is None
 
 
 def test_min_beacons_contained_uses_effective_length():
-    radio = RadioModel(omega=1, semantics=Semantics.CONTAINED)
-    assert report_min_beacons(rec([(0, 3)], 10), radio) == 5  # ceil(10/2)
+    f = listener([(0, 3)], 10, semantics=Semantics.CONTAINED)
+    assert report_min_beacons(f) == 5  # ceil(10/2)
 
 
 def test_min_beacons_nonrepetitive_horizon():
     # min_beacons depends on the window sum alone
-    r = rec([(0, 3), (10, 3)], 20)
+    f = listener([(0, 3), (10, 3)], 20)
     # gamma = 6/20 -> ceil(1/gamma) = 4
-    assert report_min_beacons(r, IDEAL) == 4
+    assert report_min_beacons(f) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -195,21 +198,21 @@ def test_min_beacons_nonrepetitive_horizon():
 # ---------------------------------------------------------------------------
 
 def test_first_beacon_hit_latency_zero():
-    cov = build_coverage_map([0, 4], rec([(2, 3)], 10), IDEAL)
+    cov = build_coverage_map(beaconer([0, 4], 10), listener([(2, 3)], 10))
     assert first_landing(cov, [0, 4], 2) == 0
 
 
 def test_third_beacon_hit_sums_gaps():
     # windows such that only the third beacon covers the probed offset
-    r = rec([(0, 1)], 10)
+    f = listener([(0, 1)], 10)
     times = [0, 3, 7]
-    cov = build_coverage_map(times, r, IDEAL)
+    cov = build_coverage_map(beaconer(times, 10), f)
     assert first_landing(cov, times, 3) == 7  # lands at 3+7=10=0 mod 10
     assert first_landing(cov, times, 7) == 3
 
 
 def test_uncovered_offset_reports_not_covered():
-    cov = build_coverage_map([0], rec([(2, 3)], 10), IDEAL)
+    cov = build_coverage_map(beaconer([0], 10), listener([(2, 3)], 10))
     assert first_landing(cov, [0], 7) is None
 
 
@@ -640,7 +643,7 @@ def test_per_beacon_coverage_equals_window_sum(seed):
     rng = random.Random(seed)
     r = random_reception(rng)
     b = random_beacons(rng)
-    cov = build_coverage_map(b.emission_times, r, IDEAL)
+    cov = build_coverage_map(beaconer(b.emission_times, b.period), receive_only(r))
     for spans in cov.per_beacon:
         assert sum(e - a for a, e in spans) == r.listen_ticks
 
@@ -655,7 +658,7 @@ def test_latency_periodic_in_reception_period(seed):
     a = absolute_first_hit(b.emission_times, r, phi)
     b2 = absolute_first_hit(b.emission_times, r, phi + r.period)
     assert a == b2
-    cov = build_coverage_map(b.emission_times, r, IDEAL)
+    cov = build_coverage_map(beaconer(b.emission_times, b.period), receive_only(r))
     assert first_landing(cov, b.emission_times, phi) == a
 
 
@@ -665,7 +668,7 @@ def test_coverage_trichotomy(seed):
     rng = random.Random(seed)
     r = random_reception(rng)
     b = random_beacons(rng)
-    rep = analyze(build_coverage_map(b.emission_times, r, IDEAL))
+    rep = analyze(build_coverage_map(beaconer(b.emission_times, b.period), receive_only(r)))
     if rep.coverage_lambda < r.period:
         assert not rep.deterministic
     if not rep.redundant and rep.coverage_lambda == r.period:
@@ -820,7 +823,7 @@ def test_nonrepetitive_map_has_no_wraparound():
     with pytest.raises(ValueError, match="repetitive reception schedule"):
         protocol_from_json(one_shot(listener([(0, 2), (6, 2)], 12)))
     # ... so every map wraps: the second beacon's image comes round the end
-    cov = build_coverage_map([0, 8], rec([(0, 2), (6, 2)], 12), IDEAL)
+    cov = build_coverage_map(beaconer([0, 8], 12), listener([(0, 2), (6, 2)], 12))
     assert cov.per_beacon[0] == ((0, 2), (6, 8))
     assert cov.per_beacon[1] == ((4, 6), (10, 12))
 

@@ -1,5 +1,7 @@
 import math
+from dataclasses import replace
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -7,14 +9,19 @@ import hypothesis.strategies as st
 
 from ndlab import (
     UNBOUNDED,
+    BeaconSchedule,
     DomainError,
     InfeasibleError,
     NeedsFinerTicks,
+    ProtocolSpec,
     RadioModel,
+    ReceptionSchedule,
+    ReceptionWindow,
     Semantics,
     analyze,
     build_coverage_map,
     reception_duty_cycle,
+    simulate_pair,
     total_duty_cycle,
     transmission_duty_cycle,
     worst_case_latency_oracle,
@@ -44,7 +51,8 @@ def deterministic(p):
     t_b, t_c = p.beacons.period, p.receptions.period
     hyper = math.lcm(t_b, t_c)
     times = [tau + n * t_b for n in range(hyper // t_b) for tau in p.beacons.emission_times]
-    cov = build_coverage_map(sorted(times), p.receptions, p.radio)
+    beacons = BeaconSchedule(tuple(sorted(times)), p.beacons.beacon_duration, period=hyper)
+    cov = build_coverage_map(replace(p, beacons=beacons), p)
     return analyze(cov)
 
 
@@ -244,11 +252,13 @@ def test_slotted_documents_match_a_scan_of_every_slot(family, params):
 @pytest.mark.parametrize(
     "family, n",
     [("disco", pq) for pq in [(2, 3), (3, 5), (3, 7), (5, 7), (4, 7), (2, 5), (5, 6), (3, 4)]]
-    + [("diffcode", v) for v in (7, 13, 21)],
+    + [("diffcode", v) for v in (7, 13, 21)]
+    + [("searchlight", t) for t in (3, 4, 5, 6, 8)]
+    + [("uconnect", p) for p in (3, 5, 7)],
 )
 def test_slotted_worst_case_closed_forms(family, n):
-    # the forms in the gen_disco and gen_diffcode docstrings, which hold
-    # wherever every active slot holds two beacons
+    # the forms in the generators' docstrings, which hold wherever every
+    # active slot holds two beacons
     for slot in (6, 8, 10, 15):
         for omega in (1, 2, 3):
             for semantics in Semantics:
@@ -256,17 +266,26 @@ def test_slotted_worst_case_closed_forms(family, n):
                 if family == "disco":
                     p = gen_disco(*n, slot, omega, radio)
                     want = (n[0] * n[1] - 2) * slot + omega, (n[0] * n[1] - 1) * slot
-                else:
+                elif family == "diffcode":
                     p = gen_diffcode(builtin_difference_set(n), slot, omega, radio)
                     want = n * slot - omega, n * slot
+                elif family == "searchlight":
+                    p = gen_searchlight_striped(n, slot, omega, radio)
+                    h = n * ((n + 1) // 2)
+                    want = ((h - 1) * slot + omega, h * slot) if n > 3 else (4 * slot + omega, 5 * slot)
+                else:
+                    p = gen_uconnect(n, slot, omega, radio)
+                    want = {
+                        3: (7 * slot + omega, 8 * slot),
+                        5: (24 * slot + omega, 25 * slot),
+                        7: (49 * slot - omega, 49 * slot),
+                    }[n]
                 got = worst_case_latency_oracle(p, p)
                 assert got == want[semantics is Semantics.CONTAINED], (slot, omega, semantics)
 
 
 def test_slot_domain_worst_cases_on_slot_phases():
     # discovery within the advertised slot budget for every whole-slot shift
-    from ndlab import simulate_pair
-
     slot = 10
     cases = [
         (gen_disco(3, 5, slot, 1), 15),
@@ -450,6 +469,26 @@ def test_channel_constrained_witness_attains_case_2(case):
     assert transmission_duty_cycle(p.beacons) == beta_m
     bound = bd.bound_channel_constrained(eta, beta_m, omega, alpha)
     assert worst_case_latency_oracle(p, p) == bound.latency
+
+
+def test_mutual_exclusive_bound_nearest_census_device():
+    # the closest a census of identical one-window pairs came to the bound
+    # (see bound_mutual_exclusive): beacons (0, 3) and the window [0, 2) in
+    # period 7 discover either way within 7 ticks, 9/8 of the bound 56/9
+    p = ProtocolSpec(
+        BeaconSchedule((0, 3), 1, period=7),
+        ReceptionSchedule((ReceptionWindow(0, 2),), 7),
+        RadioModel(omega=1),
+    )
+    eta = total_duty_cycle(p)
+    assert eta == F(4, 7)
+    worst = 0
+    for pe, pf in product(range(7), repeat=2):
+        lats = [lat for lat in simulate_pair(p, p, pe, pf, self_blocking=False) if lat is not None]
+        worst = max(worst, min(lats))
+    bound = bd.bound_mutual_exclusive(eta, 1, 1).latency
+    assert (worst, bound) == (7, F(56, 9))
+    assert worst / bound == F(9, 8)
 
 
 #: (builder, error type, message) of every generator input refused up front

@@ -379,7 +379,7 @@ def test_disjoint_protocol_fails_iff_covering_beacon_collides():
     cfg = SimConfig((e, f, interferer), trials=2000, seed=7, horizon=800, latency_budget=bound)
     out = simulate_multi(cfg)
     # the covering beacon is the first emission the receiver hears at all
-    hears = _listener(f, e.beacons.beacon_duration, self_blocking=True)
+    hears = _listener(e, f, self_blocking=True)
     jams = jammer(interferer, e.beacons.beacon_duration)
     covering = []
     for pe, pf, pi in out.phases:
@@ -789,7 +789,7 @@ def _emissions(spec: ProtocolSpec, phase: int, horizon: int) -> list[int]:
 def _uncut_pair(e, f, phase_e, phase_f, horizon):
     """A full-duplex f hearing e at the given phases, every emission up to
     the horizon tested, with no stop after one joint cycle."""
-    hears = _listener(f, e.beacons.beacon_duration, self_blocking=False)
+    hears = _listener(e, f, self_blocking=False)
     emissions = _emissions(e, phase_e, horizon)
     return next((t for t in emissions if hears(phase_f, t)), None)
 
@@ -835,7 +835,7 @@ def _uncut_replay(cfg: SimConfig, phases):
     (latency, first collided, failed), as in _trial_rows."""
     devices = cfg.devices
     omega = devices[0].beacons.beacon_duration
-    hears = _listener(devices[1], omega, self_blocking=True)
+    hears = _listener(devices[0], devices[1], self_blocking=True)
     jammers = [(i, jammer(d, omega)) for i, d in enumerate(devices) if i and d.beacons.count]
     out = []
     for ph in phases:
@@ -1130,6 +1130,33 @@ def test_exhaustive_grid_too_large_to_hold_is_refused(monkeypatch):
         simulate_multi(SimConfig((e, listener([(0, 5)], 1000)), **exhaustive))
     with pytest.raises(DomainError, match="1001000 pairs"):
         simulate_multi(SimConfig((e, listener([(0, 5)], 1001)), **exhaustive))
+
+
+def test_simulate_budgets_admit_exactly_their_work(monkeypatch):
+    # 10^6 random trials are played and one more is not; under a budget of
+    # 12 emissions, 2 trials of up to 6 pass and a third does not
+    def never(*args):
+        raise AssertionError("the trials were played")
+
+    monkeypatch.setattr(simulator, "_play_split", never)
+    e, f = beaconer([0, 3], 7), listener([(0, 1)], 10)
+    with pytest.raises(AssertionError, match="were played"):
+        simulate_multi(SimConfig((e, f), trials=10**6))
+    with pytest.raises(DomainError, match="1000001 random trials exceed 1000000"):
+        simulate_multi(SimConfig((e, f), trials=10**6 + 1))
+    monkeypatch.setattr(simulator, "_MAX_SCANNED_EMISSIONS", 12)
+    # the 69 ticks past the first emission, lcm(7, 10) less one, hold 20
+    # emissions of two a period; a horizon of 14 ticks holds at most 6
+    with pytest.raises(AssertionError, match="were played"):
+        simulate_multi(SimConfig((e, f), trials=2, horizon=14))
+    with pytest.raises(DomainError, match="3 trials of up to 6 emissions each exceed 12"):
+        simulate_multi(SimConfig((e, f), trials=3, horizon=14))
+    with pytest.raises(DomainError, match="1 trials of up to 20 emissions each exceed 12"):
+        simulate_multi(SimConfig((e, f), trials=1))
+    # a silent joiner scans nothing, whatever its trials
+    monkeypatch.setattr(simulator, "_MAX_SCANNED_EMISSIONS", 0)
+    with pytest.raises(AssertionError, match="were played"):
+        simulate_multi(SimConfig((f, f), trials=5))
 
 
 @pytest.mark.parametrize(
