@@ -371,7 +371,84 @@ def _difference_set(args) -> DifferenceSet:
     return builtin_difference_set(args.modulus)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _optimal_flags(sp: argparse.ArgumentParser):
+    sp.add_argument("--inv-gamma", type=int, required=True, metavar="K")
+    sp.add_argument("--beta", type=_rational, required=True)
+    sp.add_argument("--window-us", type=int, default=None)
+    sp.set_defaults(generator=lambda a, us, omega, radio: gen_optimal_unidirectional(
+        a.inv_gamma, a.beta, omega, radio, None if a.window_us is None else us(a.window_us)
+    ))
+
+
+def _pi0m_flags(sp: argparse.ArgumentParser):
+    sp.add_argument("--m", type=int, required=True)
+    sp.add_argument("--d-us", type=int, required=True)
+    sp.add_argument("--delta", type=int, default=1)
+    sp.set_defaults(generator=lambda a, us, omega, radio: gen_pi0m(
+        a.m, us(a.d_us), omega, radio, a.delta
+    ))
+
+
+def _disco_flags(sp: argparse.ArgumentParser):
+    sp.add_argument("--p1", type=int, required=True)
+    sp.add_argument("--p2", type=int, required=True)
+    sp.add_argument("--slot-us", type=int, required=True)
+    sp.set_defaults(generator=lambda a, us, omega, radio: gen_disco(
+        a.p1, a.p2, us(a.slot_us), omega, radio
+    ))
+
+
+def _searchlight_flags(sp: argparse.ArgumentParser):
+    sp.add_argument("--t-slots", type=int, required=True)
+    sp.add_argument("--slot-us", type=int, required=True)
+    sp.set_defaults(generator=lambda a, us, omega, radio: gen_searchlight_striped(
+        a.t_slots, us(a.slot_us), omega, radio
+    ))
+
+
+def _uconnect_flags(sp: argparse.ArgumentParser):
+    sp.add_argument("--p", type=int, required=True)
+    sp.add_argument("--slot-us", type=int, required=True)
+    sp.set_defaults(generator=lambda a, us, omega, radio: gen_uconnect(
+        a.p, us(a.slot_us), omega, radio
+    ))
+
+
+def _diffcode_flags(sp: argparse.ArgumentParser):
+    sp.add_argument("--modulus", type=int, required=True)
+    sp.add_argument("--elements", default=None, help="comma-separated residues")
+    sp.add_argument("--slot-us", type=int, required=True)
+    sp.set_defaults(generator=lambda a, us, omega, radio: gen_diffcode(
+        _difference_set(a), us(a.slot_us), omega, radio
+    ))
+
+
+#: generate kind -> (help, add_flags), in the order ``generate -h`` lists
+#: them; add_flags adds the kind's own flags and, beside them, its
+#: generator(args, ticks_from_us, omega, radio)
+_KINDS = {
+    "optimal": ("latency-optimal one-way pair", _optimal_flags),
+    "pi0m": ("periodic-interval schedule", _pi0m_flags),
+    "disco": ("coprime-period slotted schedule", _disco_flags),
+    "searchlight": ("anchor-plus-probe slotted schedule", _searchlight_flags),
+    "uconnect": ("prime-period slotted schedule", _uconnect_flags),
+    "diffcode": ("difference-set slotted schedule", _diffcode_flags),
+}
+
+
+def _generate_kind(argv) -> str | None:
+    """The kind ``generate`` dispatches ``argv`` to, or None when it is no
+    ``generate`` call.  Neither the top-level parser nor ``generate`` has an
+    option that takes a value, so argparse dispatches on the first two
+    words that do not start with ``-``."""
+    words = [w for w in argv if not w.startswith("-")][:2]
+    return words[1] if len(words) == 2 and words[0] == "generate" else None
+
+
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser of every command; of the ``generate`` kinds, only the one
+    ``argv`` names gets its flags.  The others keep their subparser, so
+    help, kind choices and usage errors are those of the full tree."""
     ap = argparse.ArgumentParser(
         prog="nd-lab",
         description="worst-case latency lab for duty-cycled neighbor discovery",
@@ -391,64 +468,21 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--out", default=None)
     b.set_defaults(fn=cmd_bounds)
 
-    # each kind's generator(args, ticks_from_us, omega, radio) sits beside its flags
     g = sub.add_parser("generate", help="emit a protocol description as JSON")
+    g.set_defaults(fn=cmd_generate)
     gsub = g.add_subparsers(dest="kind", required=True)
-
-    go = gsub.add_parser("optimal", help="latency-optimal one-way pair")
-    go.add_argument("--inv-gamma", type=int, required=True, metavar="K")
-    go.add_argument("--beta", type=_rational, required=True)
-    go.add_argument("--window-us", type=int, default=None)
-    go.set_defaults(generator=lambda a, us, omega, radio: gen_optimal_unidirectional(
-        a.inv_gamma, a.beta, omega, radio, None if a.window_us is None else us(a.window_us)
-    ))
-
-    gp = gsub.add_parser("pi0m", help="periodic-interval schedule")
-    gp.add_argument("--m", type=int, required=True)
-    gp.add_argument("--d-us", type=int, required=True)
-    gp.add_argument("--delta", type=int, default=1)
-    gp.set_defaults(generator=lambda a, us, omega, radio: gen_pi0m(
-        a.m, us(a.d_us), omega, radio, a.delta
-    ))
-
-    gd = gsub.add_parser("disco", help="coprime-period slotted schedule")
-    gd.add_argument("--p1", type=int, required=True)
-    gd.add_argument("--p2", type=int, required=True)
-    gd.add_argument("--slot-us", type=int, required=True)
-    gd.set_defaults(generator=lambda a, us, omega, radio: gen_disco(
-        a.p1, a.p2, us(a.slot_us), omega, radio
-    ))
-
-    gs = gsub.add_parser("searchlight", help="anchor-plus-probe slotted schedule")
-    gs.add_argument("--t-slots", type=int, required=True)
-    gs.add_argument("--slot-us", type=int, required=True)
-    gs.set_defaults(generator=lambda a, us, omega, radio: gen_searchlight_striped(
-        a.t_slots, us(a.slot_us), omega, radio
-    ))
-
-    gu = gsub.add_parser("uconnect", help="prime-period slotted schedule")
-    gu.add_argument("--p", type=int, required=True)
-    gu.add_argument("--slot-us", type=int, required=True)
-    gu.set_defaults(generator=lambda a, us, omega, radio: gen_uconnect(
-        a.p, us(a.slot_us), omega, radio
-    ))
-
-    gc = gsub.add_parser("diffcode", help="difference-set slotted schedule")
-    gc.add_argument("--modulus", type=int, required=True)
-    gc.add_argument("--elements", default=None, help="comma-separated residues")
-    gc.add_argument("--slot-us", type=int, required=True)
-    gc.set_defaults(generator=lambda a, us, omega, radio: gen_diffcode(
-        _difference_set(a), us(a.slot_us), omega, radio
-    ))
-
-    for sp in (go, gp, gd, gs, gu, gc):
+    named = _generate_kind(argv)
+    for kind, (kind_help, add_flags) in _KINDS.items():
+        sp = gsub.add_parser(kind, help=kind_help)
+        if kind != named:
+            continue
+        add_flags(sp)
         _add_rate_flags(sp)
         sp.add_argument("--contained", action="store_true",
                         help="beacons must fit whole windows to be received")
         sp.add_argument("--doTxRx-us", type=int, default=0)
         sp.add_argument("--doRxTx-us", type=int, default=0)
         sp.add_argument("--out", default=None)
-        sp.set_defaults(fn=cmd_generate)
 
     a = sub.add_parser("analyze", help="coverage verdict and oracle latency of a pair")
     a.add_argument("transmitter")
@@ -472,8 +506,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.fn(args)
     except _DOMAIN_ERRORS as exc:

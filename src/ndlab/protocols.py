@@ -53,8 +53,8 @@ class SlottedParams:
 @dataclass(frozen=True)
 class DifferenceSet:
     """A (T, k, 1) cyclic difference set: k residues mod T whose pairwise
-    differences hit every nonzero residue exactly once.  Validated by brute
-    force on construction, never trusted as data."""
+    differences hit every nonzero residue exactly once.  Validated on
+    construction, never trusted as data, in O(k^2) whatever the modulus."""
 
     modulus: int
     elements: tuple[int, ...]
@@ -64,14 +64,17 @@ class DifferenceSet:
         t, es = self.modulus, self.elements
         if t < 2 or any(not 0 <= e < t for e in es):
             raise ValueError("elements must be residues mod the modulus")
-        counts = [0] * t
-        for a in es:
-            for b in es:
-                if a != b:
-                    counts[(a - b) % t] += 1
-        bad = [d for d in range(1, t) if counts[d] != 1]
-        if bad:
-            raise ValueError(f"not a perfect difference set: residues {bad} off count")
+        # k(k-1) differences must hit the t-1 nonzero residues once each,
+        # so the count decides first and a repeat is all that is left to find
+        k = len(es)
+        if k * (k - 1) != t - 1:
+            raise ValueError(
+                f"not a perfect difference set: {k} residues give {k * (k - 1)}"
+                f" differences, modulus {t} needs {t - 1}"
+            )
+        diffs = [(a - b) % t for a in es for b in es if a != b]
+        if len(set(diffs)) < len(diffs):
+            raise ValueError("not a perfect difference set: a difference repeats")
 
     @property
     def k(self) -> int:

@@ -1,8 +1,13 @@
+import argparse
+import contextlib
+import copy
 import csv
 import hashlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -28,7 +33,7 @@ from ndlab import (
 )
 from ndlab import bounds as bd
 from ndlab import simulator
-from ndlab.cli import _grid, _k_grid, main
+from ndlab.cli import _grid, _k_grid, build_parser, main
 from ndlab.errors import DomainError
 from ndlab.protocols import (
     DifferenceSet,
@@ -136,6 +141,82 @@ def test_generate_missing_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["generate", "optimal", "--beta", "1/100", "--omega-us", "1"])
     assert exc.value.code == 2
+
+
+#: the flags every generate kind shares, after its own
+_SHARED_GENERATE_FLAGS = {
+    "--omega-us", "--tick-ns", "--alpha", "--doTx-us", "--doRx-us",
+    "--contained", "--doTxRx-us", "--doRxTx-us", "--out",
+}
+_KINDS = sorted({argv[0] for argv, _, _ in _GENERATE_CASES.values()})
+
+
+def _own_flags(kind: str) -> set[str]:
+    """The flags of ``kind`` that the round-trip cases use, which are all
+    of its own flags."""
+    return {
+        word
+        for argv, _, _ in _GENERATE_CASES.values()
+        if argv[0] == kind
+        for word in argv
+        if word.startswith("--")
+    } - _SHARED_GENERATE_FLAGS
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_generate_kind_help_lists_its_flags_and_the_shared_ones(capsys, kind):
+    with pytest.raises(SystemExit) as exc:
+        run(["generate", kind, "-h"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+    assert listed == _own_flags(kind) | _SHARED_GENERATE_FLAGS | {"--help"}
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_generate_kind_without_flags_exits_2_with_its_usage(capsys, kind):
+    with pytest.raises(SystemExit) as exc:
+        run(["generate", kind])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(f"usage: nd-lab generate {kind} ")
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> dict:
+    [action] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+@pytest.mark.parametrize(
+    "argv, flagged",
+    [
+        (["analyze", "a", "b"], set()),
+        (["generate", "--help"], set()),
+        (["generate", "pi0m", "--m", "3"], {"pi0m"}),
+        (["generate", "--", "diffcode"], {"diffcode"}),
+    ],
+)
+def test_build_parser_adds_flags_to_the_named_kind_alone(argv, flagged):
+    kinds = _subparsers(_subparsers(build_parser(argv))["generate"])
+    assert list(kinds) == ["optimal", "pi0m", "disco", "searchlight", "uconnect", "diffcode"]
+    bare = {kind for kind, sp in kinds.items() if [a.dest for a in sp._actions] == ["help"]}
+    assert set(kinds) - bare == flagged
+
+
+def test_generate_refuses_a_large_non_difference_set_at_once(tmp_path, capsys):
+    # two residues give two differences, never the 10^8 + 6 a modulus of
+    # 10^8 + 7 needs: refused from the count, with no table per residue
+    out = tmp_path / "p.json"
+    start = time.perf_counter()
+    rc = run([
+        "generate", "diffcode", "--modulus", "100000007", "--elements", "0,1",
+        "--slot-us", "10", "--omega-us", "1", "--out", str(out),
+    ])
+    assert time.perf_counter() - start < 1
+    assert rc == 2
+    [line] = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "ValueError"
+    assert err["detail"].startswith("not a perfect difference set")
+    assert not out.exists()
 
 
 def test_bounds_sweep_columns(tmp_path):
@@ -1104,6 +1185,115 @@ def test_python_m_entry_point(tmp_path):
         "slotted_full_duplex,slotted_two_beacon,mutual_exclusive"
     )
     assert len(lines) == 3
+    # main() with no argv reads the kind from sys.argv
+    pi0m = python_m("generate", "pi0m", "--m", "3", "--d-us", "40", "--omega-us", "2")
+    assert pi0m.returncode == 0, pi0m.stderr
+    assert json.loads(pi0m.stdout) == protocol_to_json(gen_pi0m(3, 40, 2, RadioModel(omega=2)))
     bad = python_m("bogus")
     assert bad.returncode == 2
     assert "invalid choice" in bad.stderr
+
+
+# ---------------------------------------------------------------------------
+# boundary fuzz: analyze and simulate on documents with one or two fields
+# mutated either fail cleanly or answer
+# ---------------------------------------------------------------------------
+
+_FUZZ_DEVICES = {
+    "pi0m": protocol_to_json(gen_pi0m(3, 100, 1)),
+    "disco": protocol_to_json(gen_disco(3, 5, 20, 2)),
+    "diffcode": protocol_to_json(gen_diffcode(builtin_difference_set(7), 20, 2)),
+}
+
+_FUZZ_VALUES = st.one_of(
+    st.integers(-(10**30), 10**30),
+    st.sampled_from([0, 1, -1, 2, 2**63, 2**64, 10**12]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+    st.sampled_from(["exhaustive_ticks", "uniform_random", "ideal", "contained", "1/2"]),
+    st.lists(st.integers(-(10**30), 10**30), max_size=3),
+    st.dictionaries(st.sampled_from(["start", "d", "x"]), st.integers(-5, 10**30), max_size=2),
+)
+
+
+def _fuzz_paths(node, prefix=()):
+    """The path of every value inside a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)) and value:
+            yield from _fuzz_paths(value, prefix + (key,))
+
+
+@st.composite
+def _mutated(draw, doc, depth=1):
+    """``doc`` with one or two values replaced or deleted, or a key added,
+    each at least ``depth`` keys deep."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 2))):
+        paths = [path for path in _fuzz_paths(doc) if len(path) >= depth]
+        *parents, last = draw(st.sampled_from(paths))
+        node = doc
+        for key in parents:
+            node = node[key]
+        how = draw(st.sampled_from(["set", "delete", "extra"]))
+        if how == "set":
+            node[last] = draw(_FUZZ_VALUES)
+        elif how == "delete":
+            del node[last]
+        elif isinstance(node, dict):
+            node["extra"] = draw(_FUZZ_VALUES)
+        else:
+            node.append(draw(_FUZZ_VALUES))
+    return doc
+
+
+@st.composite
+def _fuzz_runs(draw):
+    """(command, documents to write), one or two fields mutated in all."""
+    kinds = draw(st.lists(st.sampled_from(sorted(_FUZZ_DEVICES)), min_size=2, max_size=3))
+    devices = [_FUZZ_DEVICES[kind] for kind in kinds]
+    if draw(st.booleans()):
+        # the two documents stay; what is inside them changes
+        return "analyze", draw(_mutated(devices[:2], depth=2))
+    config = {
+        "devices": devices,
+        "trials": 20,
+        "seed": 5,
+        "horizon": 4000,
+        "offset_sampling": "uniform_random",
+        "latency_budget": 2000,
+    }
+    return "simulate", [draw(_mutated(config))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fuzz_runs())
+def test_mutated_documents_answer_or_fail_with_one_json_line(tmp_path_factory, fuzz_run):
+    # the simulator's budgets are scaled down so that a config the budgets
+    # admit plays in milliseconds; the refusal takes the same path
+    command, docs = fuzz_run
+    tmp = tmp_path_factory.mktemp("fuzz")
+    paths = []
+    for i, doc in enumerate(docs):
+        paths.append(tmp / f"in{i}.json")
+        paths[-1].write_text(json.dumps(doc))
+    out = tmp / "out"
+    if command == "analyze":
+        argv = ["analyze", *map(str, paths), "--out", str(out / "report.json"),
+                "--coverage-csv", str(out / "coverage.csv"), "--max-hyperperiod", "100000"]
+        out.mkdir()
+    else:
+        argv = ["simulate", str(paths[0]), "--out-dir", str(out)]
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+        mp.setattr(simulator, "_MAX_TRIALS", 2000)
+        mp.setattr(simulator, "_MAX_SCANNED_EMISSIONS", 20000)
+        code = run(argv)
+    assert code in (0, 2, 3)
+    if code:
+        [line] = err.getvalue().splitlines()
+        assert set(json.loads(line)) == {"error", "detail"}
+        assert not out.exists() or not os.listdir(out)

@@ -314,8 +314,19 @@ def test_builtin_sets_validate():
 
 
 def test_invalid_difference_set_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a perfect difference set: a difference repeats"):
         DifferenceSet(7, (0, 1, 2))
+
+
+def test_difference_set_refusal_does_not_grow_with_the_modulus():
+    # two residues give two differences and a modulus of 10^7 + 19 needs
+    # 10^7 + 18: refused from the count, with no table per residue
+    with pytest.raises(ValueError) as exc:
+        DifferenceSet(10_000_019, (0, 1))
+    assert str(exc.value) == (
+        "not a perfect difference set: 2 residues give 2 differences,"
+        " modulus 10000019 needs 10000018"
+    )
 
 
 def test_diffcode_protocol_rotations():
