@@ -436,19 +436,22 @@ _KINDS = {
 }
 
 
-def _generate_kind(argv) -> str | None:
-    """The kind ``generate`` dispatches ``argv`` to, or None when it is no
-    ``generate`` call.  Neither the top-level parser nor ``generate`` has an
-    option that takes a value, so argparse dispatches on the first two
-    words that do not start with ``-``."""
+def _dispatch_words(argv) -> tuple[str | None, str | None]:
+    """The command ``argv`` names and, for ``generate``, its kind; None
+    where argv names none.  Neither the top-level parser nor ``generate``
+    has an option that takes a value, so argparse dispatches on the first
+    two words that do not start with ``-``."""
     words = [w for w in argv if not w.startswith("-")][:2]
-    return words[1] if len(words) == 2 and words[0] == "generate" else None
+    command = words[0] if words else None
+    kind = words[1] if command == "generate" and len(words) == 2 else None
+    return command, kind
 
 
 def build_parser(argv) -> argparse.ArgumentParser:
-    """The parser of every command; of the ``generate`` kinds, only the one
-    ``argv`` names gets its flags.  The others keep their subparser, so
-    help, kind choices and usage errors are those of the full tree."""
+    """The parser of every command.  ``generate`` gets its kind table only
+    when ``argv`` names it, and then flags on the kind argv names alone.
+    Kinds are listed or checked only by a call that names ``generate``,
+    so help, kind choices and usage errors are those of the full tree."""
     ap = argparse.ArgumentParser(
         prog="nd-lab",
         description="worst-case latency lab for duty-cycled neighbor discovery",
@@ -470,19 +473,20 @@ def build_parser(argv) -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="emit a protocol description as JSON")
     g.set_defaults(fn=cmd_generate)
-    gsub = g.add_subparsers(dest="kind", required=True)
-    named = _generate_kind(argv)
-    for kind, (kind_help, add_flags) in _KINDS.items():
-        sp = gsub.add_parser(kind, help=kind_help)
-        if kind != named:
-            continue
-        add_flags(sp)
-        _add_rate_flags(sp)
-        sp.add_argument("--contained", action="store_true",
-                        help="beacons must fit whole windows to be received")
-        sp.add_argument("--doTxRx-us", type=int, default=0)
-        sp.add_argument("--doRxTx-us", type=int, default=0)
-        sp.add_argument("--out", default=None)
+    command, named = _dispatch_words(argv)
+    if command == "generate":
+        gsub = g.add_subparsers(dest="kind", required=True)
+        for kind, (kind_help, add_flags) in _KINDS.items():
+            sp = gsub.add_parser(kind, help=kind_help)
+            if kind != named:
+                continue
+            add_flags(sp)
+            _add_rate_flags(sp)
+            sp.add_argument("--contained", action="store_true",
+                            help="beacons must fit whole windows to be received")
+            sp.add_argument("--doTxRx-us", type=int, default=0)
+            sp.add_argument("--doRxTx-us", type=int, default=0)
+            sp.add_argument("--out", default=None)
 
     a = sub.add_parser("analyze", help="coverage verdict and oracle latency of a pair")
     a.add_argument("transmitter")

@@ -180,15 +180,20 @@ def test_generate_kind_without_flags_exits_2_with_its_usage(capsys, kind):
     assert capsys.readouterr().err.startswith(f"usage: nd-lab generate {kind} ")
 
 
-def _subparsers(parser: argparse.ArgumentParser) -> dict:
-    [action] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return action.choices
+def _subparsers(parser: argparse.ArgumentParser) -> dict | None:
+    """The choices of ``parser``'s subparser action, or None if it has none."""
+    actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return actions[0].choices if actions else None
+
+
+#: what a call naming another command finds under generate
+_NO_KIND_TABLE = object()
 
 
 @pytest.mark.parametrize(
     "argv, flagged",
     [
-        (["analyze", "a", "b"], set()),
+        (["analyze", "a", "b"], _NO_KIND_TABLE),
         (["generate", "--help"], set()),
         (["generate", "pi0m", "--m", "3"], {"pi0m"}),
         (["generate", "--", "diffcode"], {"diffcode"}),
@@ -196,9 +201,69 @@ def _subparsers(parser: argparse.ArgumentParser) -> dict:
 )
 def test_build_parser_adds_flags_to_the_named_kind_alone(argv, flagged):
     kinds = _subparsers(_subparsers(build_parser(argv))["generate"])
+    if flagged is _NO_KIND_TABLE:
+        assert kinds is None
+        return
     assert list(kinds) == ["optimal", "pi0m", "disco", "searchlight", "uconnect", "diffcode"]
     bare = {kind for kind, sp in kinds.items() if [a.dest for a in sp._actions] == ["help"]}
     assert set(kinds) - bare == flagged
+
+
+def _exit_and_lines(argv, capsys) -> tuple[int, list[str], list[str]]:
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out.splitlines(), err.splitlines()
+
+
+def test_help_and_kind_errors_show_the_full_tree(capsys, monkeypatch):
+    # the kind table is built only for a call that names generate; every
+    # line that lists the commands or the kinds must still list all of them
+    monkeypatch.setenv("COLUMNS", "100")
+    code, out, _ = _exit_and_lines(["-h"], capsys)
+    assert code == 0
+    listed = out.index("  {bounds,generate,analyze,simulate}")
+    assert out[listed + 1:listed + 5] == [
+        "    bounds              evaluate latency bounds over rate grids",
+        "    generate            emit a protocol description as JSON",
+        "    analyze             coverage verdict and oracle latency of a pair",
+        "    simulate            run seeded multi-device trials",
+    ]
+
+    code, out, _ = _exit_and_lines(["generate", "-h"], capsys)
+    assert code == 0
+    listed = out.index("  {optimal,pi0m,disco,searchlight,uconnect,diffcode}")
+    assert out[listed + 1:listed + 7] == [
+        "    optimal             latency-optimal one-way pair",
+        "    pi0m                periodic-interval schedule",
+        "    disco               coprime-period slotted schedule",
+        "    searchlight         anchor-plus-probe slotted schedule",
+        "    uconnect            prime-period slotted schedule",
+        "    diffcode            difference-set slotted schedule",
+    ]
+
+    # whether the choices are quoted differs between Python versions
+    code, _, err = _exit_and_lines(["generate", "nosuch"], capsys)
+    assert code == 2
+    assert err[-1].replace("'", "") == (
+        "nd-lab generate: error: argument kind: invalid choice: nosuch (choose from "
+        "optimal, pi0m, disco, searchlight, uconnect, diffcode)"
+    )
+
+    code, _, err = _exit_and_lines(["generate"], capsys)
+    assert code == 2
+    assert err[-1] == "nd-lab generate: error: the following arguments are required: kind"
+
+
+def test_no_top_level_or_generate_option_takes_a_value():
+    # build_parser reads the command and kind as the first argv words that
+    # do not start with "-"; an option taking a value (say --config FILE)
+    # would make its value such a word and build the wrong subtree
+    ap = build_parser(["generate"])
+    parsers = [ap, _subparsers(ap)["generate"]]
+    options = [a for p in parsers for a in p._actions if a.option_strings]
+    assert options
+    assert all(a.nargs == 0 for a in options), [a.option_strings for a in options]
 
 
 def test_generate_refuses_a_large_non_difference_set_at_once(tmp_path, capsys):

@@ -249,39 +249,64 @@ def test_slotted_documents_match_a_scan_of_every_slot(family, params):
         assert protocol_to_json(gen(*params, slot, omega)) == protocol_to_json(want)
 
 
-@pytest.mark.parametrize(
-    "family, n",
+#: (family, parameters) of each slotted schedule whose closed form is checked
+_CLOSED_FORM_CASES = (
     [("disco", pq) for pq in [(2, 3), (3, 5), (3, 7), (5, 7), (4, 7), (2, 5), (5, 6), (3, 4)]]
     + [("diffcode", v) for v in (7, 13, 21)]
     + [("searchlight", t) for t in (3, 4, 5, 6, 8)]
-    + [("uconnect", p) for p in (3, 5, 7)],
+    + [("uconnect", p) for p in (3, 5, 7)]
 )
+
+
+def _closed_form_case(family, n, slot, omega, semantics):
+    """The family's schedule and the worst case its docstring states for
+    a device hearing a copy of itself."""
+    radio = RadioModel(omega=omega, semantics=semantics)
+    if family == "disco":
+        p = gen_disco(*n, slot, omega, radio)
+        want = (n[0] * n[1] - 2) * slot + omega, (n[0] * n[1] - 1) * slot
+    elif family == "diffcode":
+        p = gen_diffcode(builtin_difference_set(n), slot, omega, radio)
+        want = n * slot - omega, n * slot
+    elif family == "searchlight":
+        p = gen_searchlight_striped(n, slot, omega, radio)
+        h = n * ((n + 1) // 2)
+        want = ((h - 1) * slot + omega, h * slot) if n > 3 else (4 * slot + omega, 5 * slot)
+    else:
+        p = gen_uconnect(n, slot, omega, radio)
+        want = {
+            3: (7 * slot + omega, 8 * slot),
+            5: (24 * slot + omega, 25 * slot),
+            7: (49 * slot - omega, 49 * slot),
+        }[n]
+    return p, want[semantics is Semantics.CONTAINED]
+
+
+@pytest.mark.parametrize("family, n", _CLOSED_FORM_CASES)
 def test_slotted_worst_case_closed_forms(family, n):
     # the forms in the generators' docstrings, which hold wherever every
     # active slot holds two beacons
     for slot in (6, 8, 10, 15):
         for omega in (1, 2, 3):
             for semantics in Semantics:
-                radio = RadioModel(omega=omega, semantics=semantics)
-                if family == "disco":
-                    p = gen_disco(*n, slot, omega, radio)
-                    want = (n[0] * n[1] - 2) * slot + omega, (n[0] * n[1] - 1) * slot
-                elif family == "diffcode":
-                    p = gen_diffcode(builtin_difference_set(n), slot, omega, radio)
-                    want = n * slot - omega, n * slot
-                elif family == "searchlight":
-                    p = gen_searchlight_striped(n, slot, omega, radio)
-                    h = n * ((n + 1) // 2)
-                    want = ((h - 1) * slot + omega, h * slot) if n > 3 else (4 * slot + omega, 5 * slot)
-                else:
-                    p = gen_uconnect(n, slot, omega, radio)
-                    want = {
-                        3: (7 * slot + omega, 8 * slot),
-                        5: (24 * slot + omega, 25 * slot),
-                        7: (49 * slot - omega, 49 * slot),
-                    }[n]
+                p, want = _closed_form_case(family, n, slot, omega, semantics)
                 got = worst_case_latency_oracle(p, p)
-                assert got == want[semantics is Semantics.CONTAINED], (slot, omega, semantics)
+                assert got == want, (slot, omega, semantics)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.sampled_from(_CLOSED_FORM_CASES),
+    st.integers(1, 5).flatmap(
+        lambda omega: st.tuples(st.just(omega), st.integers(2 * omega, 2 * omega + 24))
+    ),
+    st.sampled_from(Semantics),
+)
+def test_slotted_closed_forms_hold_for_any_two_beacon_slot(case, omega_slot, semantics):
+    # the docstring forms need only slot >= 2 * omega, not the grid above
+    (family, n), (omega, slot) = case, omega_slot
+    p, want = _closed_form_case(family, n, slot, omega, semantics)
+    assert worst_case_latency_oracle(p, p) == want
 
 
 def test_slot_domain_worst_cases_on_slot_phases():
