@@ -228,9 +228,7 @@ def cmd_analyze(args) -> int:
     gamma = reception_duty_cycle(f.receptions)
     cov = build_coverage_map(e, f)
     rep = analyze(cov)
-    oracle = worst_case_latency_oracle(
-        e, f, method=args.method, max_hyperperiod=args.max_hyperperiod
-    )
+    oracle = worst_case_latency_oracle(e, f, max_hyperperiod=args.max_hyperperiod)
     report = {
         "schema": SCHEMA_VERSION,
         "deterministic": rep.deterministic,
@@ -491,8 +489,6 @@ def build_parser(argv) -> argparse.ArgumentParser:
     a = sub.add_parser("analyze", help="coverage verdict and oracle latency of a pair")
     a.add_argument("transmitter")
     a.add_argument("receiver")
-    a.add_argument("--method", choices=["full", "endpoints"], default="endpoints",
-                   help="endpoints: interval sweep (default); full: per-tick reference sweep")
     a.add_argument("--max-hyperperiod", type=int, default=DEFAULT_HYPERPERIOD_BUDGET,
                    help="ticks of joint time past the first in-range beacon the oracle "
                         "may scan; exit 3 if the worst case, or proving it unbounded, "

@@ -174,9 +174,9 @@ def gen_uconnect(p: int, slot_length: int, omega: int, radio: RadioModel | None 
     the exact worst case of the device hearing a copy of itself is, under
     IDEAL and CONTAINED, ``7 * slot_length + omega`` and
     ``8 * slot_length`` for p = 3, ``24 * slot_length + omega`` and
-    ``25 * slot_length`` for p = 5, and ``49 * slot_length - omega`` and
-    ``49 * slot_length`` for p = 7.  No single form in p is known: these
-    are checked only for p in {3, 5, 7}.
+    ``25 * slot_length`` for p = 5, and ``p^2 * slot_length - omega`` and
+    ``p^2 * slot_length`` for every prime p >= 7 checked: 7, 11, 13, 17,
+    19 and 23.
     """
     if not _is_prime(p) or p < 3:
         raise DomainError("p must be an odd prime")

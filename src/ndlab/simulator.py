@@ -28,7 +28,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, product, repeat
+from itertools import chain, compress, product, repeat
 from math import inf, lcm
 from typing import Sequence
 
@@ -141,14 +141,6 @@ def _listener(joiner: ProtocolSpec, receiver: ProtocolSpec, self_blocking: bool)
 # one scan: the joiner's emissions against the receiver and the interferers
 # ---------------------------------------------------------------------------
 
-def _reach(joiner: ProtocolSpec, receiver: ProtocolSpec, jammers: Sequence[ProtocolSpec]) -> int:
-    """How far past the joiner's first emission a scan looks: one cycle of
-    the joiner's beacons, the receiver's windows and each jammer's beacons,
-    less a tick (see _trial_runner)."""
-    periods = (d.beacons.period for d in jammers)
-    return lcm(joiner.beacons.period, receiver.receptions.period, *periods) - 1
-
-
 def _trial_runner(
     joiner: ProtocolSpec,
     receiver: ProtocolSpec,
@@ -156,36 +148,41 @@ def _trial_runner(
     horizon: int | None = None,
     self_blocking: bool = True,
 ):
-    """run(phase_joiner, phase_receiver, interferer_phases=()) plays one
-    trial and returns (latency, first beacon collided); the latency is None
-    when no emission is heard without a collision, as for a silent joiner.
-    Every interferer must send.  With self_blocking a receiver that sends
-    is deafened by its own beacons and also jams as the first interferer,
-    at its own phase.  All the devices must share one tick size.
+    """(run, most): run(phase_joiner, phase_receiver, interferer_phases=())
+    plays one trial and returns (latency, first beacon collided); the
+    latency is None when no emission is heard without a collision, as for a
+    silent joiner.  most is the most emissions one trial may test: 0 for a
+    silent joiner.  Every interferer that sends jams; with self_blocking a
+    receiver that sends is deafened by its own beacons and also jams, at
+    its own phase.  All the devices must share one tick size.
 
     A trial builds the joiner's emission offsets with one bisect_right
     rotation of its taus, reduced modulo t_b and sorted once per call, at
     p, the phase modulo t_b: the taus above p, then those at or below it
     one period later, less p, are the emissions in (0, t_b], and the scan
-    steps through them by t_b.  With no interferers no collision test runs.
+    steps through them by t_b.  With no jammers no collision test runs.
 
     The joiner's emissions, hears (the receiver's t_c, and its t_b when it
-    sends and self-blocks) and each interferer's overlaps repeat with their
+    sends and self-blocks) and each jammer's overlaps repeat with their
     periods, so every test at t + cycle, their lcm, repeats the one at t.
-    So the scan stops one cycle past the joiner's first emission: a first
-    success comes within it.  A horizon only cuts the scan shorter.
+    So the scan reaches one cycle less a tick past the joiner's first
+    emission: a first success comes within it.  A horizon only cuts it
+    shorter, so a trial tests the emissions within min(reach, horizon) of
+    the first, m a period: most.
     """
     require_one_tick((joiner, receiver, *interferers))
     b = joiner.beacons
     own = self_blocking and receiver.beacons.count > 0
-    interferers = (receiver, *interferers) if own else interferers
+    sending = [d.beacons.count > 0 for d in interferers]
+    all_send = all(sending)
+    jammers = [receiver] * own + list(compress(interferers, sending))
     hears = _listener(joiner, receiver, own)
-    # per interferer, the edges of the device times at which one of its
+    # per jammer, the edges of the device times at which one of its
     # beacons overlaps the joiner's, and its beacon period
-    jams = [(_overlapping(d, b.beacon_duration), d.beacons.period) for d in interferers]
+    jams = [(_overlapping(d, b.beacon_duration), d.beacons.period) for d in jammers]
     jammed = bool(jams)
     if not b.count:
-        return lambda *phases: (None, False)
+        return (lambda *phases: (None, False)), 0
     t_b = b.period
     # a schedule may start at or past its period: reduce its taus (distinct,
     # as they span less than a period) into [0, t_b)
@@ -193,8 +190,9 @@ def _trial_runner(
     m = len(taus)
     # the taus, then the taus one period later: rotating at k takes ring[k:k + m]
     ring = taus + tuple(tau + t_b for tau in taus)
-    reach = _reach(joiner, receiver, interferers)
+    reach = lcm(t_b, receiver.receptions.period, *(d.beacons.period for d in jammers)) - 1
     end = inf if horizon is None else horizon
+    most = m * (min(reach, end) // t_b + 1)
 
     def collided(phases: Sequence[int], t: int) -> bool:
         for (busy, t_i), phase in zip(jams, phases):
@@ -203,6 +201,8 @@ def _trial_runner(
         return False
 
     def run(phase_joiner: int, phase_receiver: int, interferer_phases: Sequence[int] = ()):
+        if not all_send:
+            interferer_phases = tuple(compress(interferer_phases, sending))
         if own:
             interferer_phases = (phase_receiver, *interferer_phases)
         p = phase_joiner % t_b
@@ -227,7 +227,7 @@ def _trial_runner(
                     return t, first_collided
         return None, first_collided
 
-    return run
+    return run, most
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +250,8 @@ def simulate_pair(
     _trial_runner, as in simulate_multi, so it stops one joint cycle past
     its first emission.
     """
-    ef = _trial_runner(e, f, (), self_blocking=self_blocking)
-    fe = _trial_runner(f, e, (), self_blocking=self_blocking)
+    ef = _trial_runner(e, f, (), self_blocking=self_blocking)[0]
+    fe = _trial_runner(f, e, (), self_blocking=self_blocking)[0]
     return ef(phase_e, phase_f)[0], fe(phase_f, phase_e)[0]
 
 
@@ -265,7 +265,7 @@ def exhaustive_pair_worst_case(e: ProtocolSpec, f: ProtocolSpec):
     silent transmitter.  The half-duplex grid is simulate_multi's
     ``exhaustive_ticks`` mode on the two devices.
     """
-    run = _trial_runner(e, f, (), self_blocking=False)
+    run = _trial_runner(e, f, (), self_blocking=False)[0]
     if not e.beacons.count:
         return None
     worst = 0
@@ -443,10 +443,10 @@ def simulate_multi(cfg: SimConfig) -> SimOutcome:
     raise DomainError, and so do trials whose scans together may test more
     than _MAX_SCANNED_EMISSIONS emissions.
 
-    Every device after the joiner that sends interferes, the receiver
-    included (see _trial_runner).  A trial stops one joint cycle past its
-    first emission, and the horizon only cuts it shorter.  A range yields
-    three columns: the phases, latencies and first-beacon collisions.
+    _trial_runner decides which devices jam, how far a trial scans and so
+    the most emissions it may test, the figure the budget charges.  A range
+    yields three columns: the phases, latencies and first-beacon
+    collisions.
     """
     if cfg.offset_sampling is OffsetSampling.EXHAUSTIVE_TICKS:
         if len(cfg.devices) != 2:
@@ -463,27 +463,18 @@ def simulate_multi(cfg: SimConfig) -> SimOutcome:
             raise DomainError(f"{n} random trials exceed {_MAX_TRIALS}")
         phase_of = _phase_sampler(cfg.seed, [d.device_period for d in cfg.devices])
 
-    devices = cfg.devices
-    b = devices[0].beacons
-    if b.count:
-        # every sender after the joiner jams, the receiver included
-        span = _reach(devices[0], devices[1], [d for d in devices[1:] if d.beacons.count])
-        if cfg.horizon is not None:
-            span = min(span, cfg.horizon)
-        # a scan tests the emissions within span of the first, m a period
-        scan = b.count * (span // b.period + 1)
-        if n * scan > _MAX_SCANNED_EMISSIONS:
-            raise DomainError(
-                f"{n} trials of up to {scan} emissions each exceed"
-                f" {_MAX_SCANNED_EMISSIONS} emissions"
-            )
-    senders = [i for i in range(2, len(devices)) if devices[i].beacons.count]
-    run = _trial_runner(devices[0], devices[1], [devices[i] for i in senders], cfg.horizon)
+    joiner, receiver, *interferers = cfg.devices
+    run, scan = _trial_runner(joiner, receiver, interferers, cfg.horizon)
+    if n * scan > _MAX_SCANNED_EMISSIONS:
+        raise DomainError(
+            f"{n} trials of up to {scan} emissions each exceed"
+            f" {_MAX_SCANNED_EMISSIONS} emissions"
+        )
 
     def play(lo: int, hi: int) -> tuple:
         phases = tuple(map(phase_of, range(lo, hi)))
         cols = list(zip(*phases))
-        interfering = zip(*(cols[i] for i in senders)) if senders else repeat(())
+        interfering = zip(*cols[2:]) if interferers else repeat(())
         return (phases, *zip(*map(run, cols[0], cols[1], interfering)))
 
     phases, lat, first = _play_split(n, play)

@@ -1260,8 +1260,8 @@ def test_python_m_entry_point(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# boundary fuzz: analyze and simulate on documents with one or two fields
-# mutated either fail cleanly or answer
+# boundary fuzz: analyze and simulate on documents, and bounds on flags, with
+# one or two values mutated either fail cleanly or answer
 # ---------------------------------------------------------------------------
 
 _FUZZ_DEVICES = {
@@ -1315,12 +1315,59 @@ def _mutated(draw, doc, depth=1):
     return doc
 
 
+_FUZZ_RATIONALS = st.one_of(
+    st.sampled_from(["0", "-1", "1e-300", "1e400", "1/2", "-1/3", "1/0", "x", ""]),
+    st.fractions(-10, 10, max_denominator=1000).map(str),
+)
+
+_FUZZ_COUNTS = st.one_of(
+    st.integers(-5, 3000).map(str),
+    st.sampled_from(["0", "1", "2", str(10**9), str(10**30), "-" + str(10**30), "1.5", "x"]),
+)
+
+#: The flags of the two bounds grids as ``nd-lab bounds`` defaults them,
+#: and how the fuzz draws a mutated value of each.
+_FUZZ_BOUNDS_FLAGS = {
+    "--sweep": (
+        "eta=1/10:1:1/10",
+        st.one_of(
+            st.tuples(_FUZZ_RATIONALS, _FUZZ_RATIONALS, _FUZZ_RATIONALS).map(
+                lambda lo_hi_step: "eta=" + ":".join(lo_hi_step)
+            ),
+            st.sampled_from(["eta=1:2", "x=1:2:1", "eta=1/2:1:0", "eta=::", ""]),
+        ),
+    ),
+    "--alpha": ("1", _FUZZ_RATIONALS),
+    "--beta-lo": ("11/20000", _FUZZ_RATIONALS),
+    "--beta-hi": ("111/2000", _FUZZ_RATIONALS),
+    "--beta-steps": ("12", _FUZZ_COUNTS),
+    "--k-lo": ("19", _FUZZ_COUNTS),
+    "--k-hi": ("1818", _FUZZ_COUNTS),
+}
+
+
+@st.composite
+def _fuzz_bounds_flags(draw):
+    """The flags of an eta sweep or a deviation grid, one or two of them
+    mutated, each given as ``--flag=value`` so that a value may start with
+    a minus sign."""
+    deviation = draw(st.booleans())
+    flags = {k: v for k, (v, _) in _FUZZ_BOUNDS_FLAGS.items() if (k == "--sweep") != deviation}
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), min_size=1, max_size=2)):
+        flags[flag] = draw(_FUZZ_BOUNDS_FLAGS[flag][1])
+    return ["--deviation"] * deviation + [f"{k}={v}" for k, v in flags.items()]
+
+
 @st.composite
 def _fuzz_runs(draw):
-    """(command, documents to write), one or two fields mutated in all."""
+    """(command, documents to write or bounds flags), one or two values
+    mutated in all."""
+    command = draw(st.sampled_from(["analyze", "simulate", "bounds"]))
+    if command == "bounds":
+        return command, draw(_fuzz_bounds_flags())
     kinds = draw(st.lists(st.sampled_from(sorted(_FUZZ_DEVICES)), min_size=2, max_size=3))
     devices = [_FUZZ_DEVICES[kind] for kind in kinds]
-    if draw(st.booleans()):
+    if command == "analyze":
         # the two documents stay; what is inside them changes
         return "analyze", draw(_mutated(devices[:2], depth=2))
     config = {
@@ -1337,28 +1384,42 @@ def _fuzz_runs(draw):
 @settings(max_examples=300, deadline=None)
 @given(_fuzz_runs())
 def test_mutated_documents_answer_or_fail_with_one_json_line(tmp_path_factory, fuzz_run):
-    # the simulator's budgets are scaled down so that a config the budgets
-    # admit plays in milliseconds; the refusal takes the same path
-    command, docs = fuzz_run
+    # the simulator's and bounds' budgets are scaled down so that work they
+    # admit runs in milliseconds; the refusal takes the same path.  A flag
+    # argparse refuses (exit 2) ends in its usage error line instead
+    command, inputs = fuzz_run
     tmp = tmp_path_factory.mktemp("fuzz")
-    paths = []
-    for i, doc in enumerate(docs):
-        paths.append(tmp / f"in{i}.json")
-        paths[-1].write_text(json.dumps(doc))
     out = tmp / "out"
-    if command == "analyze":
-        argv = ["analyze", *map(str, paths), "--out", str(out / "report.json"),
-                "--coverage-csv", str(out / "coverage.csv"), "--max-hyperperiod", "100000"]
+    if command == "bounds":
+        argv = ["bounds", "--omega-us", "1", *inputs, "--out", str(out / "bounds.csv")]
         out.mkdir()
     else:
-        argv = ["simulate", str(paths[0]), "--out-dir", str(out)]
+        paths = [tmp / f"in{i}.json" for i in range(len(inputs))]
+        for path, doc in zip(paths, inputs):
+            path.write_text(json.dumps(doc))
+        if command == "analyze":
+            argv = ["analyze", *map(str, paths), "--out", str(out / "report.json"),
+                    "--coverage-csv", str(out / "coverage.csv"), "--max-hyperperiod", "100000"]
+            out.mkdir()
+        else:
+            argv = ["simulate", str(paths[0]), "--out-dir", str(out)]
     err = io.StringIO()
+    usage = False
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
         mp.setattr(simulator, "_MAX_TRIALS", 2000)
         mp.setattr(simulator, "_MAX_SCANNED_EMISSIONS", 20000)
-        code = run(argv)
+        mp.setattr("ndlab.cli.BOUNDS_ROW_BUDGET", 200)
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code, usage = exc.code, True
     assert code in (0, 2, 3)
     if code:
-        [line] = err.getvalue().splitlines()
-        assert set(json.loads(line)) == {"error", "detail"}
+        lines = err.getvalue().splitlines()
+        if usage:
+            assert command == "bounds" and code == 2
+            assert lines[-1].startswith("nd-lab bounds: error: ")
+        else:
+            [line] = lines
+            assert set(json.loads(line)) == {"error", "detail"}
         assert not out.exists() or not os.listdir(out)

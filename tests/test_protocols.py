@@ -254,7 +254,7 @@ _CLOSED_FORM_CASES = (
     [("disco", pq) for pq in [(2, 3), (3, 5), (3, 7), (5, 7), (4, 7), (2, 5), (5, 6), (3, 4)]]
     + [("diffcode", v) for v in (7, 13, 21)]
     + [("searchlight", t) for t in (3, 4, 5, 6, 8)]
-    + [("uconnect", p) for p in (3, 5, 7)]
+    + [("uconnect", p) for p in (3, 5, 7, 11, 13)]
 )
 
 
@@ -274,11 +274,9 @@ def _closed_form_case(family, n, slot, omega, semantics):
         want = ((h - 1) * slot + omega, h * slot) if n > 3 else (4 * slot + omega, 5 * slot)
     else:
         p = gen_uconnect(n, slot, omega, radio)
-        want = {
-            3: (7 * slot + omega, 8 * slot),
-            5: (24 * slot + omega, 25 * slot),
-            7: (49 * slot - omega, 49 * slot),
-        }[n]
+        want = {3: (7 * slot + omega, 8 * slot), 5: (24 * slot + omega, 25 * slot)}.get(
+            n, (n * n * slot - omega, n * n * slot)
+        )
     return p, want[semantics is Semantics.CONTAINED]
 
 

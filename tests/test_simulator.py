@@ -4,6 +4,7 @@ import hashlib
 import marshal
 import os
 import random
+import re
 import sys
 import threading
 from dataclasses import replace
@@ -242,14 +243,14 @@ def _runner_failing_in(monkeypatch, where, fail):
     real = simulator._trial_runner
 
     def runner(*args):
-        run = real(*args)
+        run, most = real(*args)
 
         def trial(*phases):
             if (os.getpid() == parent) == (where == "parent"):
                 fail()
             return run(*phases)
 
-        return trial
+        return trial, most
 
     monkeypatch.setattr(simulator, "_trial_runner", runner)
 
@@ -1007,7 +1008,7 @@ def test_pair_replays_equal_a_per_tick_reference(seed):
         assert simulate_pair(e, f, pe, pf) == (trial((pe, pf))[0], back((pf, pe))[0])
     # a sending receiver's own beacons decide only a few phase pairs, so the
     # self-blocking scan simulate_pair plays is compared on the whole grid
-    run = simulator._trial_runner(e, f, ())
+    run, _ = simulator._trial_runner(e, f, ())
     assert [run(*ph)[0] for ph in grid] == [trial(ph)[0] for ph in grid]
 
 
@@ -1103,7 +1104,8 @@ def test_horizon_on_the_first_emission_keeps_it():
     # the joiner's first emission comes at tick 5, the horizon itself: the
     # scan tests it, where a scan cut before it would fail the trial
     e, f = beaconer([5], 10), listener([(0, 10)], 10)
-    assert simulator._trial_runner(e, f, (), horizon=5)(0, 0)[0] == 5
+    run, _ = simulator._trial_runner(e, f, (), horizon=5)
+    assert run(0, 0)[0] == 5
     assert per_tick_trial((e, f), 5)((0, 0))[0] == 5
 
 
@@ -1159,6 +1161,42 @@ def test_simulate_budgets_admit_exactly_their_work(monkeypatch):
         simulate_multi(SimConfig((f, f), trials=5))
 
 
+def _charged_emissions(monkeypatch, cfg: SimConfig) -> int:
+    """The emissions per trial that simulate_multi charges to its budget,
+    read from the refusal of a budget below any scan."""
+    with monkeypatch.context() as mp, pytest.raises(DomainError) as exc:
+        mp.setattr(simulator, "_MAX_SCANNED_EMISSIONS", -1)
+        simulate_multi(cfg)
+    return int(re.fullmatch(r"\d+ trials of up to (\d+) emissions each exceed -1 emissions",
+                            str(exc.value))[1])
+
+
+@pytest.mark.parametrize("cut", [True, False], ids=["horizon", "no_horizon"])
+def test_emission_budget_charges_the_scan_a_trial_plays(monkeypatch, cut):
+    # a trial can test the joiner's emissions from its first one to one
+    # joint cycle, less a tick, later: the lcm of the joiner's beacons, the
+    # receiver's windows and the beacons of every later device that sends,
+    # the receiver included; a horizon cuts it.  The budget charges the
+    # most any trial can test, which every uncut trial reaches
+    for cfg in _random_configs():
+        cfg = cfg if cut else replace(cfg, horizon=None)
+        charged = _charged_emissions(monkeypatch, cfg)
+        e, f = cfg.devices[:2]
+        if not e.beacons.count:
+            assert charged == 0
+            continue
+        senders = [d.beacons.period for d in cfg.devices[1:] if d.beacons.count]
+        reach = lcm(e.beacons.period, f.receptions.period, *senders) - 1
+        counts = []
+        for ph in simulate_multi(cfg).phases:
+            first = _emissions(e, ph[0], e.beacons.period)[0]
+            stop = first + reach if cfg.horizon is None else min(first + reach, cfg.horizon)
+            counts.append(len(_emissions(e, ph[0], stop)))
+        assert max(counts) <= charged, cfg
+        if cfg.horizon is None:
+            assert set(counts) == {charged}, cfg
+
+
 @pytest.mark.parametrize(
     "t_b, omega, senders, taus, rate",
     [
@@ -1174,7 +1212,7 @@ def test_first_beacon_collisions_equal_the_exact_rate(t_b, omega, senders, taus,
     # always-on receiver that sends nothing: no sigma, an exact count
     joiner = beaconer(taus, t_b, omega=omega)
     interferers = (joiner,) * (senders - 1)
-    run = simulator._trial_runner(joiner, listener([(0, 1)], 1), interferers)
+    run, _ = simulator._trial_runner(joiner, listener([(0, 1)], 1), interferers)
     grid = list(product(range(t_b), repeat=senders))
     collided = sum(run(p[0], 0, p[1:])[1] for p in grid)
     assert F(collided, len(grid)) == first_collision_rate(joiner, interferers) == rate
