@@ -491,8 +491,7 @@ def build_parser(argv) -> argparse.ArgumentParser:
     a.add_argument("receiver")
     a.add_argument("--max-hyperperiod", type=int, default=DEFAULT_HYPERPERIOD_BUDGET,
                    help="ticks of joint time past the first in-range beacon the oracle "
-                        "may scan; exit 3 if the worst case, or proving it unbounded, "
-                        "needs more")
+                        "may scan; exit 3 if the worst case needs more")
     a.add_argument("--coverage-csv", default=None)
     a.add_argument("--out", default=None)
     a.set_defaults(fn=cmd_analyze)

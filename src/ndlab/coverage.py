@@ -10,32 +10,33 @@ repeat with their periods, so each beacon's offsets wrap around the
 reception period.  ``analyze`` reads determinism, redundancy, total
 coverage and the fewest beacons that could cover a period from it.
 
-The worst-case latency oracle sweeps coverage endpoints forward from the
-transmitter's beacon 0 (``method="endpoints"``, the default).  The worst
-in-range instant falls just after a heard beacon, so the sweep measures,
-for every receiver offset, the wait from each heard beacon of the first
-period to the next heard one: m + S beacon steps for m beacons per period
-and a longest wait of S steps.  Its one state is a set of sorted pending
-runs of offsets, edited in place and tagged with the beacon they were
-last heard at, or -1 while not heard since beacon 0; one rule proves
-that some alignment never discovers: a run still pending a whole scan
-limit past the beacon after its tag.  A beacon step places each window
-with one modulo and splits it only where it wraps past the reception
-period.
+The worst-case latency oracle decides by residues, with no lcm and no
+budget, whether some alignment never discovers, and sweeps only a pair
+whose every offset hears, forward from the transmitter's beacon 0
+(``method="endpoints"``, the default).  The worst in-range instant falls
+just after a heard beacon, so the sweep measures, for every receiver
+offset, the wait from each heard beacon of the first period to the next
+heard one: m + S beacon steps for m beacons per period and a longest
+wait of S steps.  Its one state is a set of sorted pending runs of
+offsets, edited in place and tagged with the beacon they were last heard
+at.
 
 One engine per role: the endpoints sweep gives the answer; the per-tick
 sweep (``method="full"``, slow and obviously correct) is its reference,
 and the two must always agree; ``simulator.simulate_pair``, which imports
 nothing from here, is the one replay of a single pair of device phases.
 Both sweeps charge the hyperperiod budget on the joint time a scan from
-any starting beacon looks at.
+any starting beacon looks at; a refusal means only that the worst case
+lies past it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from math import lcm
+from itertools import accumulate
+from math import gcd, lcm
+from operator import itemgetter
 
 from . import intervals as iv
 from .errors import HyperperiodTooLarge, MisalignedPeriods
@@ -140,12 +141,11 @@ def worst_case_latency_oracle(
     discrete maximum equal the continuous-time supremum.  Latency is
     counted up to the start of the first received beacon.
 
-    ``method="full"`` is the per-tick reference sweep.  A scan looks at
-    most ``max_hyperperiod`` ticks past the first in-range beacon and raises
-    HyperperiodTooLarge only when the worst case lies further, or when
-    proving that some alignment never discovers would (that takes one
-    whole lcm of the periods); a pair too sparse to cover every offset
-    within that span is not swept.
+    ``method="full"`` is the per-tick reference sweep.  A pair in which
+    some alignment never discovers is answered before any sweep.  A scan
+    looks at most ``max_hyperperiod`` ticks past the first in-range beacon,
+    and HyperperiodTooLarge means only that the worst case lies further; a
+    pair too sparse to cover every offset within that span is not swept.
     A budget of 0 scans the first in-range beacon alone.  An unknown method
     or a negative budget is refused before anything else, then two devices
     that disagree on tick size.
@@ -161,22 +161,34 @@ def worst_case_latency_oracle(
     require_one_tick((e, f))
     b = e.beacons
     eff = effective_window_spans(e, f)
-    if not b.count or not eff:  # a silent transmitter or a deaf receiver
-        return None
     t_c = f.receptions.period
+    if not b.count or not _every_offset_hears(eff, b.emission_times, gcd(b.period, t_c)):
+        return None
     gaps = b.gaps()
-    hyper = lcm(b.period, t_c)
-    # a scan looks at shifts below limit: the lcm, where offsets repeat,
-    # capped by the budget
-    limit = min(hyper, max_hyperperiod + 1)
+    limit = max_hyperperiod + 1  # a scan looks at shifts below limit
     # covering all t_c offsets takes ceil(t_c / cover) beacons or more, and
     # the last of them lies at least (that many - 1) * min(gaps) past the first
     too_far = (ceil_div(t_c, iv.measure(eff)) - 1) * min(gaps) >= limit
-    worst = None if too_far else sweep(t_c, eff, gaps, limit)
-    # only a scan of the whole lcm proves that some alignment never discovers
-    if worst is None and limit < hyper:
-        raise HyperperiodTooLarge(hyper, max_hyperperiod)
+    if too_far or (worst := sweep(t_c, eff, gaps, limit)) is None:
+        raise HyperperiodTooLarge(lcm(b.period, t_c), max_hyperperiod)
     return worst
+
+
+def _every_offset_hears(eff, times, g):
+    # The beacon at tau lands, over its repeats, on the whole class of
+    # phi + tau mod g: offset phi hears it when phi mod g lies in a window
+    # shifted back by tau.  The arcs, sorted by start, must cover that circle.
+    if any(z - a >= g for a, z in eff):
+        return True
+    residues = {tau % g for tau in times}
+    arcs = sorted([((a - r) % g, z - a) for a, z in eff for r in residues], key=itemgetter(0))
+    reach = max([0] + [x + n - g for x, n in arcs])  # what wraps past g
+    for x, n in arcs:
+        if x > reach:
+            return False
+        if x + n > reach:
+            reach = x + n
+    return reach >= g
 
 
 def _oracle_full(t_c, eff, gaps, limit):
@@ -209,9 +221,8 @@ def _hear(starts, ends, tags, x, y, tag):
     """Offsets [x, y) hear a beacon: close the pending runs there and return
     the oldest tag among them, or None when no pending offset lies there.
     The runs are ``[starts[i], ends[i])``, sorted, disjoint and tagged with
-    the beacon they were last heard at (-1: not heard since beacon 0).  A
-    ``tag`` other than None restarts all of [x, y) as one run heard at
-    ``tag``."""
+    the beacon they were last heard at.  A ``tag`` other than None restarts
+    all of [x, y) as one run heard at ``tag``."""
     lo = bisect_right(ends, x)
     hi = bisect_left(starts, y, lo)
     oldest = None
@@ -244,43 +255,32 @@ def _oracle_endpoints(t_c, eff, gaps, limit):
     # one beacon earlier waits for the same next hit plus one more gap, and
     # shifting the offset by t_b maps beacon k + m onto beacon k.  So one
     # forward sweep from beacon 0 measures, for every offset, the wait from
-    # each heard beacon among 0 .. m-1 to the next heard one.  The pending
-    # runs (see _hear) are the only sweep state: every offset starts in one
-    # run tagged -1, "not heard since beacon 0"; beacons 0 .. m-1 restart
-    # the runs they hear with their own index, later ones only close them.
-    # Closing a run tagged h at ``shift`` records the wait shift - at[h + 1].
-    # For h = -1 that is the wait from an in-range instant at beacon 0, a
-    # real latency and so never above the worst case.  A run tagged h still
-    # pending ``limit`` past at[h + 2] is a failed scan from beacon h + 1
-    # (beacon 0 for h = -1).  The first-hit latency is piecewise constant
-    # between shifted window endpoints, so the runs find the exact maximum;
-    # a step places each window piece with one modulo and splits it only
-    # where it wraps past t_c.
-    pieces = [(a, min(b - a, t_c)) for a, b in eff]  # a full period covers all
+    # each heard beacon among 0 .. m-1 to the next heard one.  Its only
+    # state is the pending runs (see _hear), none at first: beacons 0 .. m-1
+    # restart the runs they hear with their own index, later ones only close
+    # them, and all close, as every offset hears.  Closing one tagged h at
+    # ``shift`` records the wait shift - at[h]; one pending ``limit`` past
+    # at[h + 1] is a failed scan from beacon h + 1.  The first-hit latency is
+    # piecewise constant between shifted window endpoints, so the runs find
+    # the exact maximum; a step places each window with one modulo.
+    pieces = [(a, b - a) for a, b in eff]
     m = len(gaps)
-    at = [0, 0]  # at[h + 1]: beacon h's emission offset; at[0] serves tag -1
-    for g in gaps:
-        at.append(at[-1] + g)
-    starts, ends, tags = [0], [t_c], [-1]
-    best = 0
-    shift = 0
-    k = 0
+    at = [0, *accumulate(gaps)]  # at[h]: beacon h's emission offset
+    starts, ends, tags = [], [], []
+    best = shift = k = 0
     while k < m or tags:
-        # min(tags) is O(runs); as at[h + 2] >= 0, no run fails before limit
-        if shift >= limit and shift - at[min(tags) + 2] >= limit:
+        # min(tags) is O(runs); as at[h + 1] >= 0, no run fails before limit
+        if shift >= limit and tags and shift - at[min(tags) + 1] >= limit:
             return None
         tag = k if k < m else None
         for a, length in pieces:
             x = (a - shift) % t_c
             y = x + length
-            if y > t_c:
-                parts = ((0, y - t_c), (x, t_c))
-            else:
-                parts = ((x, y),)
+            parts = ((0, y - t_c), (x, t_c)) if y > t_c else ((x, y),)
             for x, y in parts:
                 h = _hear(starts, ends, tags, x, y, tag)
-                if h is not None and shift - at[h + 1] > best:
-                    best = shift - at[h + 1]
+                if h is not None and shift - at[h] > best:
+                    best = shift - at[h]
         shift += gaps[k % m]
         k += 1
     return best

@@ -18,8 +18,9 @@ class MisalignedPeriods(ValueError):
 
 
 class HyperperiodTooLarge(RuntimeError):
-    """A latency sweep would have to look further than its budget of joint
-    time; that only happens when the joint period (lcm) exceeds the budget."""
+    """The worst case lies past the budget of joint time the latency oracle
+    may scan, the one thing a refusal means; only a pair whose joint period
+    (lcm, named in the message) exceeds the budget can be refused."""
 
     def __init__(self, hyperperiod: int, limit: int):
         self.hyperperiod = hyperperiod

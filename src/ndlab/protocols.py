@@ -266,10 +266,3 @@ def gen_pi0m(m: int, d: int, omega: int, radio: RadioModel | None = None, delta:
     beacons = BeaconSchedule((0,), omega, period=d)
     receptions = ReceptionSchedule((ReceptionWindow(0, d),), period=t_c)
     return ProtocolSpec(beacons, receptions, _radio(radio, omega))
-
-
-def slots_overlap_all_rotations(active, period_slots: int) -> bool:
-    """Whether two copies of a slot schedule share an active slot under
-    every integer rotation."""
-    act = set(active)
-    return all(any((s + r) % period_slots in act for s in act) for r in range(period_slots))

@@ -17,6 +17,7 @@ from ndlab import (
     ReceptionSchedule,
     ReceptionWindow,
     Semantics,
+    worst_case_latency_oracle,
 )
 from ndlab.bounds import (
     AsymmetricBound,
@@ -101,6 +102,13 @@ def random_protocol(rng: random.Random, omega: int = 1) -> ProtocolSpec:
         random_reception(rng),
         RadioModel(omega=omega),
     )
+
+
+def slots_overlap_all_rotations(active, period_slots: int) -> bool:
+    """Whether two copies of a slot schedule share an active slot under
+    every integer rotation."""
+    act = set(active)
+    return all(any((s + r) % period_slots in act for s in act) for r in range(period_slots))
 
 
 def absolute_first_hit(beacon_times, rec: ReceptionSchedule, phi1: int, copies: int = 200):
@@ -366,6 +374,61 @@ def three_gap_worst_case(e: ProtocolSpec, f: ProtocolSpec):
         raise ValueError(f"heard ticks form {len(arcs)} arcs, not one")
     n = fewest_covering_points(r.period, b.period, arcs[0][1] - arcs[0][0])
     return None if n is None else b.period * n
+
+
+def small_scope_pairs(n: int):
+    """Every small pair (e, f): e sends one or two beacons, anywhere in a
+    period t_b of 2 to ``n`` ticks and at least omega apart around it; f
+    listens in one or two windows, with a gap between them, in a period
+    t_c of 2 to ``n`` ticks; omega is 1 or 2, under IDEAL and CONTAINED.
+    Whether f hears e depends only on e's beacons and f's windows, so the
+    rest of each device is fixed."""
+    windows = [
+        (spans, t_c)
+        for t_c in range(2, n + 1)
+        for a in range(t_c)
+        for b in range(a + 1, t_c + 1)
+        for spans in [[(a, b - a)]] + [
+            [(a, b - a), (c, d - c)] for c in range(b + 1, t_c) for d in range(c + 1, t_c + 1)
+        ]
+    ]
+    for omega in (1, 2):
+        beacons = [
+            (times, t_b)
+            for t_b in range(2, n + 1)
+            for first in range(t_b)
+            for times in [(first,)] + [(first, t) for t in range(first + 1, t_b)]
+            if min(b - a for a, b in zip(times, times[1:] + (times[0] + t_b,))) >= omega
+        ]
+        for semantics in (Semantics.IDEAL, Semantics.CONTAINED):
+            for times, t_b in beacons:
+                e = beaconer(times, t_b, omega=omega)
+                for spans, t_c in windows:
+                    yield e, listener(spans, t_c, omega=omega, semantics=semantics)
+
+
+def small_scope_agreement(n: int) -> tuple[int, int, int]:
+    """Check the oracle, by either method, against per_tick_max_gap on every
+    small_scope_pairs(n) pair, and against three_gap_worst_case on every
+    pair with one beacon and one window; raise AssertionError at the first
+    disagreement.
+
+    Returns the number of pairs, of UNBOUNDED ones and of one-beacon,
+    one-window ones.  Run it from the repository root as
+    ``PYTHONPATH=src:tests python -c "from helpers import
+    small_scope_agreement as a; print(a(8))"``.
+    """
+    pairs = unbounded = simple = 0
+    for e, f in small_scope_pairs(n):
+        got = worst_case_latency_oracle(e, f)
+        want = per_tick_max_gap(e, f)
+        assert got == want == worst_case_latency_oracle(e, f, "full"), (e, f, got, want)
+        if e.beacons.count == len(f.receptions.windows) == 1:
+            assert got == three_gap_worst_case(e, f), (e, f, got)
+            simple += 1
+        pairs += 1
+        unbounded += got is None
+    return pairs, unbounded, simple
 
 
 # ---------------------------------------------------------------------------

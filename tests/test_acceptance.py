@@ -34,7 +34,6 @@ from ndlab.protocols import (
     gen_disco,
     gen_optimal_unidirectional,
     gen_pi0m,
-    slots_overlap_all_rotations,
 )
 from helpers import (
     absolute_first_hit,

@@ -617,6 +617,19 @@ def test_analyze_non_deterministic_reports_uncovered(tmp_path):
     assert rep["uncovered"] == [[3, 10]]
 
 
+def test_analyze_answers_a_never_discovering_pair_whose_lcm_exceeds_the_budget(tmp_path):
+    # lcm 200,020,000 is past the default budget, but with gcd(20000, 20002)
+    # = 2 the beacon never reaches an odd offset's window
+    pe, pf = tmp_path / "e.json", tmp_path / "f.json"
+    pe.write_text(json.dumps(protocol_to_json(beaconer([0], 20_000))))
+    pf.write_text(json.dumps(protocol_to_json(listener([(0, 1)], 20_002))))
+    out = tmp_path / "report.json"
+    assert run(["analyze", str(pe), str(pf), "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["unbounded"] is True and rep["oracle_latency_ticks"] is None
+    assert rep["deterministic"] is False
+
+
 def test_analyze_reports_a_receive_only_transmitter_as_unbounded(tmp_path):
     path = tmp_path / "listener.json"
     path.write_text(json.dumps(protocol_to_json(listener([(0, 3)], 10))))

@@ -52,6 +52,7 @@ from helpers import (
     random_protocol,
     random_reception,
     receive_only,
+    small_scope_agreement,
     three_gap_worst_case,
     with_field,
 )
@@ -289,6 +290,22 @@ def test_pair_too_sparse_for_the_budget_is_refused_without_a_sweep(monkeypatch):
         assert (exc.value.hyperperiod, exc.value.limit) == (70_000_133, 10_000_000)
 
 
+def test_pair_that_never_discovers_is_answered_without_a_sweep(monkeypatch):
+    import ndlab.coverage as coverage
+
+    def no_sweep(*args):
+        raise AssertionError("the oracle swept a pair that never discovers")
+
+    monkeypatch.setattr(coverage, "_oracle_full", no_sweep)
+    monkeypatch.setattr(coverage, "_oracle_endpoints", no_sweep)
+    # lcm 200,020,000 is past the default budget, but gcd(20000, 20002) = 2:
+    # the beacon keeps the parity of its offset, and odd offsets never hear
+    e, f = beaconer([0], 20_000), listener([(0, 1)], 20_002)
+    for method in ("full", "endpoints"):
+        for budget in (DEFAULT_HYPERPERIOD_BUDGET, 0):
+            assert worst_case_latency_oracle(e, f, method, budget) is UNBOUNDED
+
+
 def test_pairwise_latency_charges_the_same_budget():
     # the one per-phase replay, simulate_pair, takes no budget: it answers
     # the pair whose lcm the oracle's default budget refuses, as the
@@ -495,7 +512,7 @@ def _oracle_outcome(e, f, budget):
         return type(exc).__name__, str(exc)
 
 
-ORACLE_PIN = "630f49c0828e76d29bcbd29b9b9a6e53df1d2b80fbd6cd10abe34314072b8248"
+ORACLE_PIN = "35f52cf400939204ad1ed6f8cce516ea011f023157fd52a3f57905c6f5baa6eb"
 
 
 def test_oracle_answers_are_pinned():
@@ -515,18 +532,32 @@ def test_oracle_answers_are_pinned():
 CONTAINED2 = dict(omega=2, semantics=Semantics.CONTAINED)
 
 #: name -> (transmitter, receiver, worst-case latency[, budget]).  Each
-#: pair's sweep meets the named case at least once.  A latency of
-#: ("overrun", lcm, budget) is a HyperperiodTooLarge refusal.  An unheard
-#: run is a pending run tagged -1: offsets not heard since beacon 0.
+#: pair's sweep meets the named case at least once, or its comment names
+#: the entry that does.  A latency of
+#: ("overrun", lcm, budget) is a HyperperiodTooLarge refusal.  Unheard
+#: offsets are those no beacon has reached yet: they lie in no run.
 SWEEP_EDGE_CASES = {
-    # at shift 7 the piece [1, 2) ends where the unheard run [2, 4) starts
+    # at shift 3 the piece [1, 2) starts where the run [0, 1) ends; a piece
+    # that ends where a run starts is piece_ends_where_a_heard_run_starts
     "piece_ends_where_a_run_starts": (beaconer([0, 3], 7), listener([(0, 1)], 4), 24),
-    # at shift 6 the window wraps to [4, 5) and [0, 1); the part [4, 5)
-    # starts where the unheard run [3, 4) ends
+    # beacon 1 at shift 1 hears [0, 1), which ends where the run [1, 2)
+    # heard at beacon 0 starts
+    "piece_ends_where_a_heard_run_starts": (beaconer([0, 1], 2), listener([(1, 1)], 2), 2),
+    # at shift 7 the piece [3, 5) starts where the run [1, 3) heard at
+    # beacon 2 ends
     "piece_starts_where_a_run_ends": (beaconer([0, 1, 4], 6), listener([(0, 2)], 5), 9),
-    # at shift 7 the piece [1, 2) is exactly the run heard at beacon 2,
-    # between the run [0, 1) and the unheard run [2, 3)
+    # at shift 7 the piece [1, 2) is exactly the run heard at beacon 2, just
+    # after the run [0, 1), and offset 2 past it is unheard; a piece equal
+    # to the gap between two runs is piece_fills_the_gap_between_two_runs
     "covered_gap_equal_to_the_piece": (beaconer([0, 1, 3], 7), listener([(0, 1)], 4), 16),
+    # at shift 2 the piece [1, 2) is exactly the gap between the runs
+    # [0, 1) and [2, 3), and closes nothing
+    "piece_fills_the_gap_between_two_runs": (
+        beaconer([0, 1], 2), listener([(0, 1)], 3), 3
+    ),
+    # at shift 3 the piece [1, 2) is exactly the run heard at beacon 0,
+    # between the runs [0, 1) and [2, 3)
+    "piece_is_a_run_between_two_runs": (beaconer([0, 1, 2], 3), listener([(1, 1)], 3), 3),
     # at shift 4 the window [3, 5) lands on [6, 8) and splits at t_c = 7
     "piece_wraps_past_the_period": (beaconer([0], 4), listener([(3, 2)], 7), 20),
     "windows_touch_across_the_period": (
@@ -546,13 +577,13 @@ SWEEP_EDGE_CASES = {
     "piece_spans_runs_of_two_beacons": (beaconer([0, 1], 2), listener([(0, 2)], 3), 2),
     # offset 1 is first heard at beacon 1, which then starts its run
     "first_hearing_after_beacon_0": (beaconer([0, 1], 4), listener([(0, 1)], 2), 4),
-    # beacon 1 at shift 1 hears [0, 2), across the unheard run [0, 1) and
-    # the run [1, 3) heard at beacon 0
+    # beacon 1 at shift 1 hears [0, 2), across unheard offset 0 and the run
+    # [1, 3) heard at beacon 0
     "piece_closes_unheard_and_heard_runs_before_m": (
         beaconer([0, 1], 2), listener([(1, 2)], 3), 2
     ),
-    # beacon 2 at shift 2 hears [2, 4), across the unheard run [2, 3) and
-    # the run [3, 4) heard at beacon 1, and restarts neither
+    # beacon 2 at shift 2 hears [2, 4), across unheard offset 2 and the run
+    # [3, 4) heard at beacon 1, and restarts neither
     "piece_closes_unheard_and_heard_runs_after_m": (
         beaconer([0, 1], 2), listener([(0, 2)], 4), 3
     ),
@@ -577,33 +608,33 @@ def test_endpoints_sweep_edge_cases_match_the_reference(name):
     assert _oracle_or_overrun(e, f, "endpoints", *budget) == want
 
 
-def unheard_runs(edges):
-    """Runs tagged -1 (not heard since beacon 0) over the edge list ``edges``."""
-    return list(edges[::2]), list(edges[1::2]), [-1] * (len(edges) // 2)
+def beacon_0_runs(edges):
+    """Runs heard at beacon 0 over the edge list ``edges``."""
+    return list(edges[::2]), list(edges[1::2]), [0] * (len(edges) // 2)
 
 
 def test_cut_changes_nothing_where_no_tick_is_uncovered():
-    runs = unheard_runs([2, 5, 8, 10])
+    runs = beacon_0_runs([2, 5, 8, 10])
     # ends where a run starts, fills the covered gap between two runs,
     # starts where the last run ends, lies inside a covered gap
     for x, y in ((0, 2), (5, 8), (10, 12), (6, 7)):
         assert _hear(*runs, x, y, None) is None
-    assert runs == unheard_runs([2, 5, 8, 10])
+    assert runs == beacon_0_runs([2, 5, 8, 10])
 
 
 def test_cut_removes_ticks_and_returns_the_first():
-    # closing offsets never heard since beacon 0 returns their tag, -1
-    runs = unheard_runs([2, 5, 8, 10])
-    assert _hear(*runs, 0, 3, None) == -1  # trims a run's start
-    assert runs == unheard_runs([3, 5, 8, 10])
-    assert _hear(*runs, 4, 9, None) == -1  # spans a gap
-    assert runs == unheard_runs([3, 4, 9, 10])
-    assert _hear(*runs, 3, 4, None) == -1  # removes a whole run
-    assert runs == unheard_runs([9, 10])
-    assert _hear(*runs, 0, 20, None) == -1 and runs == unheard_runs([])
-    runs = unheard_runs([0, 10])
-    assert _hear(*runs, 4, 6, None) == -1  # splits a run
-    assert runs == unheard_runs([0, 4, 6, 10])
+    # closing offsets last heard at beacon 0 returns their tag, 0
+    runs = beacon_0_runs([2, 5, 8, 10])
+    assert _hear(*runs, 0, 3, None) == 0  # trims a run's start
+    assert runs == beacon_0_runs([3, 5, 8, 10])
+    assert _hear(*runs, 4, 9, None) == 0  # spans a gap
+    assert runs == beacon_0_runs([3, 4, 9, 10])
+    assert _hear(*runs, 3, 4, None) == 0  # removes a whole run
+    assert runs == beacon_0_runs([9, 10])
+    assert _hear(*runs, 0, 20, None) == 0 and runs == beacon_0_runs([])
+    runs = beacon_0_runs([0, 10])
+    assert _hear(*runs, 4, 6, None) == 0  # splits a run
+    assert runs == beacon_0_runs([0, 4, 6, 10])
 
 
 def test_hear_restarts_the_runs_it_hears_and_returns_the_oldest_tag():
@@ -761,6 +792,15 @@ def test_three_gap_reference_answers_the_fragmenting_pair():
     # must pass every one of the 20011 offsets: no lcm, no sweep
     e, f = beaconer([0], 7), listener([(0, 1)], 20011)
     assert three_gap_worst_case(e, f) == worst_case_latency_oracle(e, f) == 140077
+
+
+def test_every_small_pair_agrees_with_the_references():
+    # every pair of the small-scope space up to period 6, each compared with
+    # the per-tick reference and, with one beacon and one window, with the
+    # three-gap one; CI runs the same check up to period 8.  The counts
+    # keep the space from shrinking unnoticed: (pairs, UNBOUNDED ones,
+    # one-beacon one-window ones)
+    assert small_scope_agreement(6) == (20202, 10421, 4400)
 
 
 def _scaled(p: ProtocolSpec, k: int) -> ProtocolSpec:

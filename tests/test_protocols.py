@@ -39,11 +39,10 @@ from ndlab.protocols import (
     gen_searchlight_striped,
     gen_slotted,
     gen_uconnect,
-    slots_overlap_all_rotations,
     SlottedParams,
 )
 
-from helpers import asymmetric_witness, channel_constrained_witness
+from helpers import asymmetric_witness, channel_constrained_witness, slots_overlap_all_rotations
 
 
 def deterministic(p):
