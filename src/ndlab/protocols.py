@@ -229,16 +229,14 @@ def gen_optimal_unidirectional(
         raise NeedsFinerTicks(f"beacon gap omega/beta = {lam} is not a whole tick count")
     lam = int(lam)
     rd = _radio(radio, omega)
-    contained = rd.semantics is Semantics.CONTAINED
+    pad = omega if rd.semantics is Semantics.CONTAINED else 0
 
-    eff = window if window is not None else lam + (omega if contained else 0)
-    if contained:
-        eff -= omega
+    d = lam + pad if window is None else window
+    eff = d - pad
     if eff < 1:
         raise InfeasibleError("window does not fit one beacon")
     if eff > lam:
         raise DomainError("window larger than the beacon gap wastes energy")
-    d = eff + (omega if contained else 0)
     t_c = k * eff
     if d > t_c:
         raise InfeasibleError("window cannot exceed the reception period")

@@ -28,7 +28,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, compress, product, repeat
+from itertools import chain, product
 from math import inf, lcm
 from typing import Sequence
 
@@ -142,17 +142,16 @@ def _listener(joiner: ProtocolSpec, receiver: ProtocolSpec, self_blocking: bool)
 # ---------------------------------------------------------------------------
 
 def _trial_runner(
-    joiner: ProtocolSpec,
-    receiver: ProtocolSpec,
-    interferers: Sequence[ProtocolSpec],
+    devices: Sequence[ProtocolSpec],
     horizon: int | None = None,
     self_blocking: bool = True,
 ):
-    """(run, most): run(phase_joiner, phase_receiver, interferer_phases=())
-    plays one trial and returns (latency, first beacon collided); the
-    latency is None when no emission is heard without a collision, as for a
-    silent joiner.  most is the most emissions one trial may test: 0 for a
-    silent joiner.  Every interferer that sends jams; with self_blocking a
+    """(run, most): run(phases) plays one trial, phases[i] the phase of
+    devices[i]: index 0 joins, index 1 receives, and later indices
+    interfere.  It returns (latency, first beacon collided); the latency is
+    None when no emission is heard without a collision, as for a silent
+    joiner.  most is the most emissions one trial may test: 0 for a silent
+    joiner.  Every interferer that sends jams; with self_blocking a
     receiver that sends is deafened by its own beacons and also jams, at
     its own phase.  All the devices must share one tick size.
 
@@ -160,7 +159,7 @@ def _trial_runner(
     rotation of its taus, reduced modulo t_b and sorted once per call, at
     p, the phase modulo t_b: the taus above p, then those at or below it
     one period later, less p, are the emissions in (0, t_b], and the scan
-    steps through them by t_b.  With no jammers no collision test runs.
+    steps through them by t_b.  With no jammer no collision test runs.
 
     The joiner's emissions, hears (the receiver's t_c, and its t_b when it
     sends and self-blocks) and each jammer's overlaps repeat with their
@@ -170,19 +169,21 @@ def _trial_runner(
     shorter, so a trial tests the emissions within min(reach, horizon) of
     the first, m a period: most.
     """
-    require_one_tick((joiner, receiver, *interferers))
+    require_one_tick(devices)
+    joiner, receiver = devices[0], devices[1]
     b = joiner.beacons
     own = self_blocking and receiver.beacons.count > 0
-    sending = [d.beacons.count > 0 for d in interferers]
-    all_send = all(sending)
-    jammers = [receiver] * own + list(compress(interferers, sending))
     hears = _listener(joiner, receiver, own)
-    # per jammer, the edges of the device times at which one of its
-    # beacons overlaps the joiner's, and its beacon period
-    jams = [(_overlapping(d, b.beacon_duration), d.beacons.period) for d in jammers]
-    jammed = bool(jams)
+    # per jammer, its index in the phase tuple, the edges of the device
+    # times at which one of its beacons overlaps the joiner's, and its
+    # beacon period
+    jams = [
+        (i, _overlapping(d, b.beacon_duration), d.beacons.period)
+        for i, d in enumerate(devices)
+        if i > 1 and d.beacons.count or i == 1 and own
+    ]
     if not b.count:
-        return (lambda *phases: (None, False)), 0
+        return (lambda phases: (None, False)), 0
     t_b = b.period
     # a schedule may start at or past its period: reduce its taus (distinct,
     # as they span less than a period) into [0, t_b)
@@ -190,31 +191,28 @@ def _trial_runner(
     m = len(taus)
     # the taus, then the taus one period later: rotating at k takes ring[k:k + m]
     ring = taus + tuple(tau + t_b for tau in taus)
-    reach = lcm(t_b, receiver.receptions.period, *(d.beacons.period for d in jammers)) - 1
+    reach = lcm(t_b, receiver.receptions.period, *(t_i for _, _, t_i in jams)) - 1
     end = inf if horizon is None else horizon
     most = m * (min(reach, end) // t_b + 1)
 
     def collided(phases: Sequence[int], t: int) -> bool:
-        for (busy, t_i), phase in zip(jams, phases):
-            if bisect_right(busy, (phase + t) % t_i) & 1:
+        for i, busy, t_i in jams:
+            if bisect_right(busy, (phases[i] + t) % t_i) & 1:
                 return True
         return False
 
-    def run(phase_joiner: int, phase_receiver: int, interferer_phases: Sequence[int] = ()):
-        if not all_send:
-            interferer_phases = tuple(compress(interferer_phases, sending))
-        if own:
-            interferer_phases = (phase_receiver, *interferer_phases)
-        p = phase_joiner % t_b
+    def run(phases: Sequence[int]):
+        p = phases[0] % t_b
         k = bisect_right(taus, p)
         first = ring[k] - p
         if first > end:
             return None, False
-        first_collided = jammed and collided(interferer_phases, first)
+        first_collided = collided(phases, first) if jams else False
         last = first + reach
         if last > end:
             last = end
 
+        phase_receiver = phases[1]
         emitted = ring[k : k + m]
         for base in range(-p, last - p, t_b):
             for t in emitted:
@@ -222,7 +220,7 @@ def _trial_runner(
                 if t > last:
                     break
                 if hears(phase_receiver, t) and not (
-                    jammed and (first_collided if t == first else collided(interferer_phases, t))
+                    jams and (first_collided if t == first else collided(phases, t))
                 ):
                     return t, first_collided
         return None, first_collided
@@ -250,9 +248,9 @@ def simulate_pair(
     _trial_runner, as in simulate_multi, so it stops one joint cycle past
     its first emission.
     """
-    ef = _trial_runner(e, f, (), self_blocking=self_blocking)[0]
-    fe = _trial_runner(f, e, (), self_blocking=self_blocking)[0]
-    return ef(phase_e, phase_f)[0], fe(phase_f, phase_e)[0]
+    ef = _trial_runner((e, f), self_blocking=self_blocking)[0]
+    fe = _trial_runner((f, e), self_blocking=self_blocking)[0]
+    return ef((phase_e, phase_f))[0], fe((phase_f, phase_e))[0]
 
 
 def exhaustive_pair_worst_case(e: ProtocolSpec, f: ProtocolSpec):
@@ -265,12 +263,12 @@ def exhaustive_pair_worst_case(e: ProtocolSpec, f: ProtocolSpec):
     silent transmitter.  The half-duplex grid is simulate_multi's
     ``exhaustive_ticks`` mode on the two devices.
     """
-    run = _trial_runner(e, f, (), self_blocking=False)[0]
+    run = _trial_runner((e, f), self_blocking=False)[0]
     if not e.beacons.count:
         return None
     worst = 0
-    for pe, pf in product(range(e.beacons.period), range(f.receptions.period)):
-        lat = run(pe, pf)[0]
+    for phases in product(range(e.beacons.period), range(f.receptions.period)):
+        lat = run(phases)[0]
         if lat is None:
             return None
         worst = max(worst, lat)
@@ -443,8 +441,10 @@ def simulate_multi(cfg: SimConfig) -> SimOutcome:
     raise DomainError, and so do trials whose scans together may test more
     than _MAX_SCANNED_EMISSIONS emissions.
 
-    _trial_runner decides which devices jam, how far a trial scans and so
-    the most emissions it may test, the figure the budget charges.  A range
+    _trial_runner plays each trial's phase tuple, in config order, and
+    decides once which phases jam (every interferer that sends, and a
+    self-blocking receiver that sends), how far a trial scans and so the
+    most emissions it may test, the figure the budget charges.  A range
     yields three columns: the phases, latencies and first-beacon
     collisions.
     """
@@ -463,8 +463,7 @@ def simulate_multi(cfg: SimConfig) -> SimOutcome:
             raise DomainError(f"{n} random trials exceed {_MAX_TRIALS}")
         phase_of = _phase_sampler(cfg.seed, [d.device_period for d in cfg.devices])
 
-    joiner, receiver, *interferers = cfg.devices
-    run, scan = _trial_runner(joiner, receiver, interferers, cfg.horizon)
+    run, scan = _trial_runner(cfg.devices, cfg.horizon)
     if n * scan > _MAX_SCANNED_EMISSIONS:
         raise DomainError(
             f"{n} trials of up to {scan} emissions each exceed"
@@ -473,9 +472,7 @@ def simulate_multi(cfg: SimConfig) -> SimOutcome:
 
     def play(lo: int, hi: int) -> tuple:
         phases = tuple(map(phase_of, range(lo, hi)))
-        cols = list(zip(*phases))
-        interfering = zip(*cols[2:]) if interferers else repeat(())
-        return (phases, *zip(*map(run, cols[0], cols[1], interfering)))
+        return (phases, *zip(*map(run, phases)))
 
     phases, lat, first = _play_split(n, play)
     return SimOutcome(phases, lat, first, cfg.latency_budget)

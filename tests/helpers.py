@@ -24,9 +24,15 @@ from ndlab.bounds import (
     ChannelConstrainedBound,
     MutualExclusiveBound,
     SymmetricBound,
+    bound_unidirectional,
 )
 from ndlab.protocols import gen_optimal_unidirectional
-from ndlab.schedule import protocol_to_json, rat
+from ndlab.schedule import (
+    protocol_to_json,
+    rat,
+    reception_duty_cycle,
+    transmission_duty_cycle,
+)
 from ndlab.simulator import _overlapping
 
 
@@ -407,18 +413,21 @@ def small_scope_pairs(n: int):
                     yield e, listener(spans, t_c, omega=omega, semantics=semantics)
 
 
-def small_scope_agreement(n: int) -> tuple[int, int, int]:
+def small_scope_agreement(n: int) -> tuple[int, int, int, int]:
     """Check the oracle, by either method, against per_tick_max_gap on every
     small_scope_pairs(n) pair, and against three_gap_worst_case on every
-    pair with one beacon and one window; raise AssertionError at the first
-    disagreement.
+    pair with one beacon and one window; check that no pair that discovers
+    beats bound_unidirectional(gamma_f, beta_e, omega), the paper's "no ND
+    protocol can beat" claim for one-way discovery; raise AssertionError at
+    the first failure.
 
-    Returns the number of pairs, of UNBOUNDED ones and of one-beacon,
-    one-window ones.  Run it from the repository root as
+    Returns the number of pairs, of UNBOUNDED ones, of one-beacon,
+    one-window ones and of ones whose latency equals the one-way bound.
+    Run it from the repository root as
     ``PYTHONPATH=src:tests python -c "from helpers import
     small_scope_agreement as a; print(a(8))"``.
     """
-    pairs = unbounded = simple = 0
+    pairs = unbounded = simple = at_bound = 0
     for e, f in small_scope_pairs(n):
         got = worst_case_latency_oracle(e, f)
         want = per_tick_max_gap(e, f)
@@ -426,9 +435,14 @@ def small_scope_agreement(n: int) -> tuple[int, int, int]:
         if e.beacons.count == len(f.receptions.windows) == 1:
             assert got == three_gap_worst_case(e, f), (e, f, got)
             simple += 1
+        if got is not None:
+            gamma, beta = reception_duty_cycle(f.receptions), transmission_duty_cycle(e.beacons)
+            bound = bound_unidirectional(gamma, beta, e.beacons.beacon_duration)
+            assert got >= bound, (e, f, got, bound)
+            at_bound += got == bound
         pairs += 1
         unbounded += got is None
-    return pairs, unbounded, simple
+    return pairs, unbounded, simple, at_bound
 
 
 # ---------------------------------------------------------------------------

@@ -167,12 +167,10 @@ SPLIT_TRIALS = 3 * _MIN_RANGE_TRIALS + 7
 
 
 def test_thread_count_does_not_change_results(monkeypatch):
-    # ND_LAB_THREADS once chose a thread pool size; a stale setting must
-    # still leave a seeded run unchanged
+    # a seeded run repeats
     e, f = optimal_pair()
     cfg = SimConfig((e, f), trials=300, seed=5, horizon=400)
     serial = simulate_multi(cfg)
-    monkeypatch.setenv("ND_LAB_THREADS", "4")
     assert simulate_multi(cfg) == serial
     # the trials split over every CPU, one forked child per CPU after the
     # first, and the outcome never depends on how many there are
@@ -245,10 +243,10 @@ def _runner_failing_in(monkeypatch, where, fail):
     def runner(*args):
         run, most = real(*args)
 
-        def trial(*phases):
+        def trial(phases):
             if (os.getpid() == parent) == (where == "parent"):
                 fail()
-            return run(*phases)
+            return run(phases)
 
         return trial, most
 
@@ -1007,9 +1005,10 @@ def test_pair_replays_equal_a_per_tick_reference(seed):
         pe, pf = rng.randrange(e.device_period), rng.randrange(f.device_period)
         assert simulate_pair(e, f, pe, pf) == (trial((pe, pf))[0], back((pf, pe))[0])
     # a sending receiver's own beacons decide only a few phase pairs, so the
-    # self-blocking scan simulate_pair plays is compared on the whole grid
-    run, _ = simulator._trial_runner(e, f, ())
-    assert [run(*ph)[0] for ph in grid] == [trial(ph)[0] for ph in grid]
+    # self-blocking scan simulate_pair plays is compared on the whole grid,
+    # latency and first-beacon collision both
+    run, _ = simulator._trial_runner((e, f))
+    assert list(map(run, grid)) == [trial(ph)[:2] for ph in grid]
 
 
 @settings(deadline=None, max_examples=100)
@@ -1104,8 +1103,8 @@ def test_horizon_on_the_first_emission_keeps_it():
     # the joiner's first emission comes at tick 5, the horizon itself: the
     # scan tests it, where a scan cut before it would fail the trial
     e, f = beaconer([5], 10), listener([(0, 10)], 10)
-    run, _ = simulator._trial_runner(e, f, (), horizon=5)
-    assert run(0, 0)[0] == 5
+    run, _ = simulator._trial_runner((e, f), horizon=5)
+    assert run((0, 0))[0] == 5
     assert per_tick_trial((e, f), 5)((0, 0))[0] == 5
 
 
@@ -1212,9 +1211,9 @@ def test_first_beacon_collisions_equal_the_exact_rate(t_b, omega, senders, taus,
     # always-on receiver that sends nothing: no sigma, an exact count
     joiner = beaconer(taus, t_b, omega=omega)
     interferers = (joiner,) * (senders - 1)
-    run, _ = simulator._trial_runner(joiner, listener([(0, 1)], 1), interferers)
+    run, _ = simulator._trial_runner((joiner, listener([(0, 1)], 1), *interferers))
     grid = list(product(range(t_b), repeat=senders))
-    collided = sum(run(p[0], 0, p[1:])[1] for p in grid)
+    collided = sum(run((p[0], 0, *p[1:]))[1] for p in grid)
     assert F(collided, len(grid)) == first_collision_rate(joiner, interferers) == rate
 
 
