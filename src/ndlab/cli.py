@@ -2,7 +2,10 @@
 and collision simulation, all emitting CSV/JSON for external plotting.
 
 Exit codes: 0 success, 2 usage error, 3 infeasible or out-of-domain inputs.
-Diagnostics go to stderr as single-line JSON.
+Diagnostics go to stderr as single-line JSON, except where argparse refuses
+the command line (an unknown command, kind or flag, a missing argument, a
+value its type rejects): it prints the usage line and then
+``nd-lab <cmd>: error: ...``, and exits 2.
 """
 
 from __future__ import annotations
@@ -434,29 +437,7 @@ _KINDS = {
 }
 
 
-def _dispatch_words(argv) -> tuple[str | None, str | None]:
-    """The command ``argv`` names and, for ``generate``, its kind; None
-    where argv names none.  Neither the top-level parser nor ``generate``
-    has an option that takes a value, so argparse dispatches on the first
-    two words that do not start with ``-``."""
-    words = [w for w in argv if not w.startswith("-")][:2]
-    command = words[0] if words else None
-    kind = words[1] if command == "generate" and len(words) == 2 else None
-    return command, kind
-
-
-def build_parser(argv) -> argparse.ArgumentParser:
-    """The parser of every command.  ``generate`` gets its kind table only
-    when ``argv`` names it, and then flags on the kind argv names alone.
-    Kinds are listed or checked only by a call that names ``generate``,
-    so help, kind choices and usage errors are those of the full tree."""
-    ap = argparse.ArgumentParser(
-        prog="nd-lab",
-        description="worst-case latency lab for duty-cycled neighbor discovery",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    b = sub.add_parser("bounds", help="evaluate latency bounds over rate grids")
+def _bounds_flags(b: argparse.ArgumentParser, kind: None):
     b.add_argument("--sweep", type=_parse_sweep, help="eta=lo:hi:step")
     b.add_argument("--deviation", action="store_true",
                    help="relaxed-vs-ideal deviation grid instead of an eta sweep")
@@ -467,26 +448,25 @@ def build_parser(argv) -> argparse.ArgumentParser:
     b.add_argument("--k-lo", type=int, default=19)
     b.add_argument("--k-hi", type=int, default=1818)
     b.add_argument("--out", default=None)
-    b.set_defaults(fn=cmd_bounds)
 
-    g = sub.add_parser("generate", help="emit a protocol description as JSON")
-    g.set_defaults(fn=cmd_generate)
-    command, named = _dispatch_words(argv)
-    if command == "generate":
-        gsub = g.add_subparsers(dest="kind", required=True)
-        for kind, (kind_help, add_flags) in _KINDS.items():
-            sp = gsub.add_parser(kind, help=kind_help)
-            if kind != named:
-                continue
-            add_flags(sp)
-            _add_rate_flags(sp)
-            sp.add_argument("--contained", action="store_true",
-                            help="beacons must fit whole windows to be received")
-            sp.add_argument("--doTxRx-us", type=int, default=0)
-            sp.add_argument("--doRxTx-us", type=int, default=0)
-            sp.add_argument("--out", default=None)
 
-    a = sub.add_parser("analyze", help="coverage verdict and oracle latency of a pair")
+def _generate_flags(g: argparse.ArgumentParser, kind: str | None):
+    """The kind table, with flags on ``kind`` alone."""
+    gsub = g.add_subparsers(dest="kind", required=True)
+    for name, (kind_help, add_flags) in _KINDS.items():
+        sp = gsub.add_parser(name, help=kind_help)
+        if name != kind:
+            continue
+        add_flags(sp)
+        _add_rate_flags(sp)
+        sp.add_argument("--contained", action="store_true",
+                        help="beacons must fit whole windows to be received")
+        sp.add_argument("--doTxRx-us", type=int, default=0)
+        sp.add_argument("--doRxTx-us", type=int, default=0)
+        sp.add_argument("--out", default=None)
+
+
+def _analyze_flags(a: argparse.ArgumentParser, kind: None):
     a.add_argument("transmitter")
     a.add_argument("receiver")
     a.add_argument("--max-hyperperiod", type=int, default=DEFAULT_HYPERPERIOD_BUDGET,
@@ -494,13 +474,53 @@ def build_parser(argv) -> argparse.ArgumentParser:
                         "may scan; exit 3 if the worst case needs more")
     a.add_argument("--coverage-csv", default=None)
     a.add_argument("--out", default=None)
-    a.set_defaults(fn=cmd_analyze)
 
-    s = sub.add_parser("simulate", help="run seeded multi-device trials")
+
+def _simulate_flags(s: argparse.ArgumentParser, kind: None):
     s.add_argument("config")
     s.add_argument("--out-dir", default=".")
-    s.set_defaults(fn=cmd_simulate)
 
+
+#: command -> (help, fn, add_flags), in the order ``nd-lab -h`` lists them;
+#: add_flags(parser, kind) adds the command's flags, where kind is the
+#: generate kind argv names and None for every other command
+_COMMANDS = {
+    "bounds": ("evaluate latency bounds over rate grids", cmd_bounds, _bounds_flags),
+    "generate": ("emit a protocol description as JSON", cmd_generate, _generate_flags),
+    "analyze": ("coverage verdict and oracle latency of a pair", cmd_analyze, _analyze_flags),
+    "simulate": ("run seeded multi-device trials", cmd_simulate, _simulate_flags),
+}
+
+
+def _dispatch_words(argv) -> tuple[str | None, str | None]:
+    """The command ``argv`` names and, for ``generate``, its kind; None
+    where argv names none.  These are the words build_parser gives flags
+    to.  Neither the top-level parser nor ``generate`` has an option that
+    takes a value, so argparse dispatches on the first two words that do
+    not start with ``-``."""
+    words = [w for w in argv if not w.startswith("-")][:2]
+    command = words[0] if words else None
+    kind = words[1] if command == "generate" and len(words) == 2 else None
+    return command, kind
+
+
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser of every command, with flags on the command ``argv``
+    names alone; for ``generate`` that is the kind table, with flags on
+    the named kind alone.  Every command keeps its subparser, help and
+    ``fn``, and a ``generate`` call every kind's, so help, choices and
+    usage errors read as those of the full tree."""
+    ap = argparse.ArgumentParser(
+        prog="nd-lab",
+        description="worst-case latency lab for duty-cycled neighbor discovery",
+    )
+    sub = ap.add_subparsers(dest="command", required=True)
+    command, kind = _dispatch_words(argv)
+    for name, (cmd_help, fn, add_flags) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=cmd_help)
+        sp.set_defaults(fn=fn)
+        if name == command:
+            add_flags(sp, kind)
     return ap
 
 

@@ -172,6 +172,26 @@ def test_generate_kind_help_lists_its_flags_and_the_shared_ones(capsys, kind):
     assert listed == _own_flags(kind) | _SHARED_GENERATE_FLAGS | {"--help"}
 
 
+#: every flag of each command but generate, as its help lists them
+_COMMAND_FLAGS = {
+    "bounds": {
+        "--sweep", "--deviation", "--omega-us", "--tick-ns", "--alpha", "--doTx-us",
+        "--doRx-us", "--beta-lo", "--beta-hi", "--beta-steps", "--k-lo", "--k-hi", "--out",
+    },
+    "analyze": {"--max-hyperperiod", "--coverage-csv", "--out"},
+    "simulate": {"--out-dir"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_FLAGS))
+def test_command_help_lists_its_flags(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "-h"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+    assert listed == _COMMAND_FLAGS[command] | {"--help"}
+
+
 @pytest.mark.parametrize("kind", _KINDS)
 def test_generate_kind_without_flags_exits_2_with_its_usage(capsys, kind):
     with pytest.raises(SystemExit) as exc:
@@ -205,8 +225,32 @@ def test_build_parser_adds_flags_to_the_named_kind_alone(argv, flagged):
         assert kinds is None
         return
     assert list(kinds) == ["optimal", "pi0m", "disco", "searchlight", "uconnect", "diffcode"]
-    bare = {kind for kind, sp in kinds.items() if [a.dest for a in sp._actions] == ["help"]}
-    assert set(kinds) - bare == flagged
+    assert {kind for kind, sp in kinds.items() if not _bare(sp)} == flagged
+
+
+def _bare(parser: argparse.ArgumentParser) -> bool:
+    return [a.dest for a in parser._actions] == ["help"]
+
+
+@pytest.mark.parametrize(
+    "argv, flagged",
+    [
+        (["analyze", "a", "b"], {"analyze"}),
+        (["bounds", "--sweep", "eta=1/2:1:1/2", "--omega-us", "1"], {"bounds"}),
+        (["simulate", "c.json"], {"simulate"}),
+        (["generate", "pi0m"], {"generate"}),
+        (["-h"], set()),
+        ([], set()),
+        (["nosuch"], set()),
+    ],
+)
+def test_build_parser_adds_flags_to_the_named_command_alone(argv, flagged):
+    commands = _subparsers(build_parser(argv))
+    assert list(commands) == ["bounds", "generate", "analyze", "simulate"]
+    assert {name for name, sp in commands.items() if not _bare(sp)} == flagged
+    if "generate" in flagged:
+        # generate's one addition is its kind table
+        assert [a.dest for a in commands["generate"]._actions] == ["help", "kind"]
 
 
 def _exit_and_lines(argv, capsys) -> tuple[int, list[str], list[str]]:
@@ -217,8 +261,9 @@ def _exit_and_lines(argv, capsys) -> tuple[int, list[str], list[str]]:
 
 
 def test_help_and_kind_errors_show_the_full_tree(capsys, monkeypatch):
-    # the kind table is built only for a call that names generate; every
-    # line that lists the commands or the kinds must still list all of them
+    # flags are built only for the command a call names, and the kind table
+    # only for a call that names generate; every line that lists the
+    # commands or the kinds must still list all of them
     monkeypatch.setenv("COLUMNS", "100")
     code, out, _ = _exit_and_lines(["-h"], capsys)
     assert code == 0
@@ -253,6 +298,25 @@ def test_help_and_kind_errors_show_the_full_tree(capsys, monkeypatch):
     code, _, err = _exit_and_lines(["generate"], capsys)
     assert code == 2
     assert err[-1] == "nd-lab generate: error: the following arguments are required: kind"
+
+    code, _, err = _exit_and_lines(["nosuch"], capsys)
+    assert code == 2
+    assert err[-1].replace("'", "") == (
+        "nd-lab: error: argument command: invalid choice: nosuch (choose from "
+        "bounds, generate, analyze, simulate)"
+    )
+
+    code, _, err = _exit_and_lines([], capsys)
+    assert code == 2
+    assert err[-1] == "nd-lab: error: the following arguments are required: command"
+
+    # the top-level parser reports a flag no parser knows, with its usage
+    code, _, err = _exit_and_lines(["simulate", "c.json", "--bogus"], capsys)
+    assert code == 2
+    assert err == [
+        "usage: nd-lab [-h] {bounds,generate,analyze,simulate} ...",
+        "nd-lab: error: unrecognized arguments: --bogus",
+    ]
 
 
 def test_no_top_level_or_generate_option_takes_a_value():
