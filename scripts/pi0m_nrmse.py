@@ -12,12 +12,11 @@ from ndlab import bounds as bd
 from ndlab.schedule import write_csv
 
 OMEGA = 32
-STEPS = 1000
 
 
 def main() -> None:
     out = Path(__file__).resolve().parent / "pi0m_vs_symmetric.csv"
-    rows, nrmse = bd.pi0m_vs_symmetric(OMEGA, 1, steps=STEPS)
+    rows, nrmse = bd.pi0m_vs_symmetric(OMEGA, 1)
     with out.open("w", newline="") as fh:
         write_csv(
             ("eta", "symmetric_exact", "pi0m_optimal", "relative_gap"),

@@ -377,9 +377,12 @@ def pi0m_latency(m, omega, eta, alpha) -> Fraction:
     return alpha * omega * u * u / den
 
 
-def pi0m_vs_symmetric(omega, alpha, steps: int = 1000) -> tuple[list[tuple], float]:
+_PI0M_STEPS = 1000
+
+
+def pi0m_vs_symmetric(omega, alpha) -> tuple[list[tuple], float]:
     """Gap between the exact symmetric bound and the periodic-interval
-    closed form at its real-valued optimum, swept over eta = 1/steps ... 1.
+    closed form at its real-valued optimum, swept over eta = 1/1000 ... 1.
 
     Returns one (eta, symmetric, pi0m, relative gap) row of Fractions per
     eta, and the root-mean-square of the relative gaps.
@@ -387,14 +390,14 @@ def pi0m_vs_symmetric(omega, alpha, steps: int = 1000) -> tuple[list[tuple], flo
     omega, alpha = rat(omega), rat(alpha)
     rows = []
     total = Fraction(0)
-    for j in range(1, steps + 1):
-        eta = Fraction(j, steps)
+    for j in range(1, _PI0M_STEPS + 1):
+        eta = Fraction(j, _PI0M_STEPS)
         exact = bound_symmetric(eta, omega, alpha).latency
         ideal = pi0m_latency(2 / eta - 1, omega, eta, alpha)
         rel = (exact - ideal) / exact
         rows.append((eta, exact, ideal, rel))
         total += rel * rel
-    return rows, math.sqrt(total / steps)
+    return rows, math.sqrt(total / _PI0M_STEPS)
 
 
 

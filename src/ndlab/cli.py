@@ -1,7 +1,8 @@
 """Command-line front end: bound sweeps, protocol generation, pair analysis
 and collision simulation, all emitting CSV/JSON for external plotting.
 
-Exit codes: 0 success, 2 usage error, 3 infeasible or out-of-domain inputs.
+Exit codes: 0 success, 2 usage error, 3 a refusal: any
+``ndlab.errors.DomainError``, whose class the JSON ``error`` field names.
 Diagnostics go to stderr as single-line JSON, except where argparse refuses
 the command line (an unknown command, kind or flag, a missing argument, a
 value its type rejects): it prints the usage line and then
@@ -27,13 +28,7 @@ from .coverage import (
     build_coverage_map,
     worst_case_latency_oracle,
 )
-from .errors import (
-    DomainError,
-    HyperperiodTooLarge,
-    InfeasibleError,
-    MisalignedPeriods,
-    NeedsFinerTicks,
-)
+from .errors import DomainError
 from .protocols import (
     DifferenceSet,
     builtin_difference_set,
@@ -61,14 +56,6 @@ from .schedule import (
 from .simulator import OffsetSampling, SimConfig, simulate_multi
 
 SCHEMA_VERSION = 1
-
-_DOMAIN_ERRORS = (
-    DomainError,
-    InfeasibleError,
-    NeedsFinerTicks,
-    MisalignedPeriods,
-    HyperperiodTooLarge,
-)
 
 
 def _fail(code: int, kind: str, detail: str) -> int:
@@ -135,6 +122,10 @@ def _parse_sweep(text: str):
 BOUNDS_ROW_BUDGET = 1_000_000
 
 
+class TooManyRows(DomainError):
+    """The grid has more rows than ``BOUNDS_ROW_BUDGET``."""
+
+
 def cmd_bounds(args) -> int:
     if args.deviation == (args.sweep is not None):
         return _fail(2, "usage", "exactly one of --sweep or --deviation is required")
@@ -144,9 +135,7 @@ def cmd_bounds(args) -> int:
     radio = _radio(args, tick, omega, semantics=Semantics.CONTAINED)
     n_rows = _bounds_row_count(args)
     if n_rows > BOUNDS_ROW_BUDGET:
-        return _fail(
-            3, "TooManyRows", f"{n_rows} rows exceed the budget of {BOUNDS_ROW_BUDGET} rows"
-        )
+        raise TooManyRows(f"{n_rows} rows exceed the budget of {BOUNDS_ROW_BUDGET} rows")
     # every k and every CSV cell is a float: a grid past the float range
     # has no rows to write
     try:
@@ -530,9 +519,9 @@ def main(argv=None) -> int:
     args = build_parser(argv).parse_args(argv)
     try:
         return args.fn(args)
-    except _DOMAIN_ERRORS as exc:
+    except DomainError as exc:
         return _fail(3, type(exc).__name__, str(exc))
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError) as exc:
         return _fail(2, type(exc).__name__, str(exc))
 
 

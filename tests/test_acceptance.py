@@ -77,7 +77,7 @@ def test_criterion_2_symmetric_optimum_and_pi0m_realization():
 
 
 def test_criterion_3_pi0m_nrmse():
-    nrmse = bd.pi0m_vs_symmetric(32, 1, steps=1000)[1]
+    nrmse = bd.pi0m_vs_symmetric(32, 1)[1]
     assert abs(nrmse * 100 - 1.24) <= 0.2, nrmse
     print(f"criterion 3: PASS - schedule-vs-bound NRMSE {nrmse * 100:.3f}% within 1.24 +/- 0.2")
 

@@ -32,9 +32,9 @@ from ndlab import (
     worst_case_latency_oracle,
 )
 from ndlab import bounds as bd
-from ndlab import simulator
+from ndlab import cli, errors, simulator
 from ndlab.cli import _grid, _k_grid, build_parser, main
-from ndlab.errors import DomainError
+from ndlab.errors import DomainError, HyperperiodTooLarge
 from ndlab.protocols import (
     DifferenceSet,
     builtin_difference_set,
@@ -784,6 +784,35 @@ def test_analyze_hyperperiod_budget_exit_3(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "HyperperiodTooLarge"
 
 
+#: every exception class ``ndlab.errors`` defines, and the CLI's own refusal
+_REFUSAL_CLASSES = [
+    *(cls for cls in vars(errors).values()
+      if isinstance(cls, type) and cls.__module__ == errors.__name__),
+    cli.TooManyRows,
+]
+
+
+def _refusal_names(cls=DomainError) -> set[str]:
+    """The names of ``cls`` and of every class that derives from it."""
+    return {cls.__name__}.union(*map(_refusal_names, cls.__subclasses__()))
+
+
+@pytest.mark.parametrize("cls", _REFUSAL_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_refusal_exits_3_with_one_json_line(tmp_path, capsys, monkeypatch, cls):
+    # exit 3 is decided by the class alone: main names no subclass
+    assert issubclass(cls, DomainError)
+    exc = cls(12, 3) if cls is HyperperiodTooLarge else cls("refused inputs")
+
+    def refuse(path):
+        raise exc
+
+    monkeypatch.setattr(cli, "load_protocol", refuse)
+    assert main(["analyze", str(tmp_path / "e.json"), str(tmp_path / "f.json")]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        json.dumps({"detail": str(exc), "error": cls.__name__})
+    ]
+
+
 def test_analyze_negative_budget_exit_2(tmp_path, capsys):
     path = tmp_path / "p.json"
     path.write_text(json.dumps(protocol_to_json(gen_pi0m(3, 100, 1))))
@@ -1498,5 +1527,8 @@ def test_mutated_documents_answer_or_fail_with_one_json_line(tmp_path_factory, f
             assert lines[-1].startswith("nd-lab bounds: error: ")
         else:
             [line] = lines
-            assert set(json.loads(line)) == {"error", "detail"}
+            diagnostic = json.loads(line)
+            assert set(diagnostic) == {"error", "detail"}
+            # exit 3 is exactly a refusal, and a refusal is a DomainError
+            assert (code == 3) == (diagnostic["error"] in _refusal_names())
         assert not out.exists() or not os.listdir(out)
