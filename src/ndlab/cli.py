@@ -215,7 +215,7 @@ def cmd_generate(args) -> int:
 
 def cmd_analyze(args) -> int:
     e = load_protocol(args.transmitter)
-    f = load_protocol(args.receiver)
+    f = e if args.receiver == args.transmitter else load_protocol(args.receiver)
     beta = transmission_duty_cycle(e.beacons)
     gamma = reception_duty_cycle(f.receptions)
     cov = build_coverage_map(e, f)
@@ -440,10 +440,10 @@ def _bounds_flags(b: argparse.ArgumentParser, kind: None):
 
 
 def _generate_flags(g: argparse.ArgumentParser, kind: str | None):
-    """The kind table, with flags on ``kind`` alone."""
-    gsub = g.add_subparsers(dest="kind", required=True)
+    """The kind table, with flags and a help action on ``kind`` alone."""
+    gsub = g.add_subparsers(dest="kind", required=True, prog=g.prog)
     for name, (kind_help, add_flags) in _KINDS.items():
-        sp = gsub.add_parser(name, help=kind_help)
+        sp = gsub.add_parser(name, help=kind_help, add_help=name == kind)
         if name != kind:
             continue
         add_flags(sp)
@@ -494,19 +494,19 @@ def _dispatch_words(argv) -> tuple[str | None, str | None]:
 
 
 def build_parser(argv) -> argparse.ArgumentParser:
-    """The parser of every command, with flags on the command ``argv``
-    names alone; for ``generate`` that is the kind table, with flags on
-    the named kind alone.  Every command keeps its subparser, help and
-    ``fn``, and a ``generate`` call every kind's, so help, choices and
-    usage errors read as those of the full tree."""
+    """The parser of every command, with flags and a help action on the
+    command ``argv`` names alone; for ``generate`` that is the kind table,
+    likewise.  Every command keeps its subparser, help line and ``fn``, and
+    a ``generate`` call every kind's, so help, choices and usage errors read
+    as those of the full tree; each ``prog`` is given, not formatted."""
     ap = argparse.ArgumentParser(
         prog="nd-lab",
         description="worst-case latency lab for duty-cycled neighbor discovery",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True, prog=ap.prog)
     command, kind = _dispatch_words(argv)
     for name, (cmd_help, fn, add_flags) in _COMMANDS.items():
-        sp = sub.add_parser(name, help=cmd_help)
+        sp = sub.add_parser(name, help=cmd_help, add_help=name == command)
         sp.set_defaults(fn=fn)
         if name == command:
             add_flags(sp, kind)

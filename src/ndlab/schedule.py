@@ -360,9 +360,8 @@ def protocol_from_json(doc: dict) -> ProtocolSpec:
 
 def write_json(doc, fh) -> None:
     """``doc`` as indented JSON with sorted keys and a final newline: the
-    one layout of every JSON file this package writes."""
-    json.dump(doc, fh, indent=2, sort_keys=True)
-    fh.write("\n")
+    one layout of every JSON file this package writes, in one ``write``."""
+    fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 #: Lines of a CSV file joined into one ``write`` call.

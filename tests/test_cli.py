@@ -229,7 +229,8 @@ def test_build_parser_adds_flags_to_the_named_kind_alone(argv, flagged):
 
 
 def _bare(parser: argparse.ArgumentParser) -> bool:
-    return [a.dest for a in parser._actions] == ["help"]
+    """No actions at all: neither flags nor a help action."""
+    return not parser._actions
 
 
 @pytest.mark.parametrize(
@@ -251,6 +252,34 @@ def test_build_parser_adds_flags_to_the_named_command_alone(argv, flagged):
     if "generate" in flagged:
         # generate's one addition is its kind table
         assert [a.dest for a in commands["generate"]._actions] == ["help", "kind"]
+
+
+def _tree(parser: argparse.ArgumentParser):
+    """``parser`` and every parser below it, depth first."""
+    yield parser
+    for sp in (_subparsers(parser) or {}).values():
+        yield from _tree(sp)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], *([command] for command in cli._COMMANDS), *(["generate", kind] for kind in cli._KINDS)],
+    ids=lambda argv: " ".join(argv) or "no-words",
+)
+def test_only_the_parsers_argv_names_get_a_help_action(argv):
+    ap = build_parser(argv)
+    commands = _subparsers(ap)
+    assert [sp.prog for sp in commands.values()] == [f"nd-lab {c}" for c in cli._COMMANDS]
+    if argv[:1] == ["generate"]:
+        kinds = _subparsers(commands["generate"])
+        assert [sp.prog for sp in kinds.values()] == [f"nd-lab generate {k}" for k in cli._KINDS]
+    # the top-level parser and each parser argv names, in that order, and
+    # no other parser, start with a help action
+    helped = [
+        p.prog for p in _tree(ap)
+        if p._actions and isinstance(p._actions[0], argparse._HelpAction)
+    ]
+    assert helped == [" ".join(["nd-lab", *argv[:i]]) for i in range(len(argv) + 1)]
 
 
 def _exit_and_lines(argv, capsys) -> tuple[int, list[str], list[str]]:
@@ -664,6 +693,42 @@ def test_analyze_report(tmp_path):
     assert rep["beta"] == [1, 100] and rep["gamma"] == [1, 4]
     header = cov.read_text().splitlines()[0]
     assert header == "beacon_index,interval_start,interval_end"
+
+
+def test_analyze_reads_a_file_both_arguments_name_once(tmp_path, capsys, monkeypatch):
+    p, q = tmp_path / "p.json", tmp_path / "q.json"
+    calls = []
+
+    def counted(path):
+        calls.append(path)
+        return load_protocol(path)
+
+    monkeypatch.setattr(cli, "load_protocol", counted)
+
+    def analyze_both(doc) -> list[tuple[int, int, bytes, str]]:
+        """(exit code, reads, report bytes, stderr) of ``analyze p p`` and
+        of ``analyze p q``, with q a byte copy of p."""
+        p.write_text(json.dumps(doc))
+        q.write_bytes(p.read_bytes())
+        runs = []
+        for receiver in (p, q):
+            calls.clear()
+            out = tmp_path / "report.json"
+            code = run(["analyze", str(p), str(receiver), "--out", str(out)])
+            report = out.read_bytes() if out.exists() else b""
+            out.unlink(missing_ok=True)
+            runs.append((code, len(calls), report, capsys.readouterr().err))
+        return runs
+
+    doc = protocol_to_json(gen_disco(3, 5, 20, 2))
+    (code, reads, report, err), twice = analyze_both(doc)
+    assert (code, reads, err) == (0, 1, "") and report
+    assert twice == (0, 2, report, "")
+
+    # a malformed file is refused alike, whether read once or twice
+    (code, reads, report, err), twice = analyze_both(with_field(doc, "beacons.omega", 1.9))
+    assert (code, reads, report) == (2, 1, b"") and len(err.splitlines()) == 1
+    assert twice == (2, 1, b"", err)
 
 
 def test_analyze_non_deterministic_reports_uncovered(tmp_path):

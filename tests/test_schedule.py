@@ -34,7 +34,7 @@ from ndlab.protocols import (
     gen_searchlight_striped,
     gen_uconnect,
 )
-from ndlab.schedule import write_csv
+from ndlab.schedule import write_csv, write_json
 from helpers import MALFORMED_PROTOCOL_EDITS, beaconer, c7_devices, with_field
 
 
@@ -361,3 +361,42 @@ def test_write_csv_writes_the_bytes_of_csv_writer(table):
     got = io.StringIO(newline="")
     write_csv(header, iter(rows), got)
     assert got.getvalue() == want.getvalue()
+
+
+class _CountingWrites(io.StringIO):
+    """A text buffer that counts its ``write`` calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+_JSON_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([
+        -0.0, 0.1 + 0.2, 1e16, 1e-05, 5e-324, 2.2250738585072014e-308,
+        1.7976931348623157e308, float("inf"), float("-inf"), float("nan"),
+    ]),
+)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | _JSON_FLOATS | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_VALUES)
+def test_write_json_writes_its_text_in_one_write(doc):
+    fh = _CountingWrites()
+    write_json(doc, fh)
+    assert fh.writes == 1
+    assert fh.getvalue() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    # the bytes json.dump writes chunk by chunk, then a newline
+    chunked = io.StringIO()
+    json.dump(doc, chunked, indent=2, sort_keys=True)
+    assert fh.getvalue() == chunked.getvalue() + "\n"
